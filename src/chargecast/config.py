@@ -183,8 +183,6 @@ class PipelineConfig:
             batch_size=self.get("train", "batch_size"),
             seed=self.get("seeds", "root"),
             optimizer_kind=self.get("train", "optimizer"),
-            use_bands=self.get("train", "use_bands"),
-            use_granules=self.get("train", "use_granules"),
             use_freq_loss=self.get("train", "use_freq_loss"),
             use_graph_mask=self.get("train", "use_graph_mask"),
             freeze_mode=self.get("train", "freeze_mode"),

@@ -179,8 +179,7 @@ def relieff(table: FeatureTable, k: int = 70, m_samples: int | None = None, seed
         ranked = pool[np.argsort(dist_row[pool], kind="stable")]
         ranked = ranked[ranked != ridx]
         kk = k_hit[c_r]
-        for h in ranked[:kk]:
-            weights -= diffs[int(h)] / (m * kk)
+        rows = [-(diffs[ranked[:kk]] / (m * kk))]
 
         for c in classes:
             if c == c_r:
@@ -189,8 +188,9 @@ def relieff(table: FeatureTable, k: int = 70, m_samples: int | None = None, seed
             ranked = pool[np.argsort(dist_row[pool], kind="stable")]
             kk = k_miss[c]
             scale = priors[c] / (1.0 - priors[c_r])
-            for miss in ranked[:kk]:
-                weights += scale * diffs[int(miss)] / (m * kk)
+            rows.append(scale * diffs[ranked[:kk]] / (m * kk))
+        # add.accumulate adds row after row, the same sums as one row at a time
+        weights = np.add.accumulate(np.vstack([weights, *rows]), axis=0)[-1]
     return FeatureWeights(weights=weights, k=k, m_samples=m, clamped=clamped)
 
 

@@ -33,8 +33,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     optimizer_kind: str = "adam"
-    use_bands: bool = True
-    use_granules: bool = True
     use_freq_loss: bool = True
     use_graph_mask: bool = True
     freeze_mode: str = "partial"

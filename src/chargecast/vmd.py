@@ -11,6 +11,7 @@ effects, and the extension is cropped off the returned modes.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,13 @@ def vmd(signal, cfg: VmdConfig) -> list:
             change = float((num.sum(axis=1) / den).sum())
             if change < cfg.tol:
                 break
+    else:
+        warnings.warn(
+            f"vmd did not converge: K={cfg.K}, alpha={cfg.alpha} reached "
+            f"max_iter={cfg.max_iter} without meeting tol={cfg.tol}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     # rebuild two-sided spectra, invert, and crop the mirror extension
     full = np.zeros_like(u_hat)

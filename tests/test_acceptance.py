@@ -9,7 +9,6 @@ print.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -18,8 +17,8 @@ from contextlib import contextmanager
 from statistics import median
 
 import numpy as np
+from conftest import child_env
 
-import chargecast
 from chargecast import seeds
 from chargecast.autodiff import Tensor
 from chargecast.bands import DecomposeConfig, band_recombine
@@ -712,20 +711,6 @@ max_epochs = 10
 pretrain_epochs = 4
 batch_size = 64
 """
-
-
-def child_env():
-    """Environment whose PYTHONPATH leads with the directory holding the imported chargecast.
-
-    The child then runs the same package as this process, whether it comes
-    from an install or from a relative ``PYTHONPATH=src`` that would not
-    resolve from the child's working directory.
-    """
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(chargecast.__file__)))
-    rest = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = package_root + (os.pathsep + rest if rest else "")
-    return env
 
 
 def run_cli(args, cwd):

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 LIGHT_INI = """\
 [synth]
@@ -56,6 +57,7 @@ batch_size = 64
 def run(*argv, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "chargecast", *argv],
+        env=child_env(),
         capture_output=True,
         text=True,
     )

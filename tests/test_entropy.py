@@ -1,9 +1,12 @@
 """Sample entropy against a direct O(N^2) template-counting oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
+from chargecast import entropy
 from chargecast.entropy import coarse_grain, msse_curve, sample_entropy
 
 
@@ -94,3 +97,77 @@ def test_msse_tolerance_fixed_from_original_series():
     curve = msse_curve(x, m=2, r_frac=0.15, tau_max=3)
     for tau in (2, 3):
         assert curve[tau - 1] == sample_entropy(coarse_grain(x, tau), m=2, r=r)
+
+
+def oracle_cases():
+    """(name, series, m, r) on which the sweep must reproduce the oracle exactly."""
+    rng = np.random.default_rng(41)
+    t = np.arange(80)
+    ties = np.round(rng.normal(size=60), 1)
+    smooth = np.sin(2 * np.pi * t / 16) + 0.05 * rng.normal(size=80)
+    walk = np.cumsum(rng.normal(size=50))
+    # pairs one ulp either side of the tolerance: |0.1000...02 - (-0.1)|
+    # rounds to 0.2 although 0.1000...02 > -0.1 + 0.2, while 0.7000...07
+    # lies one ulp past 0.5 + 0.2 and its distance to 0.5 exceeds 0.2
+    edge = rng.choice([-0.1, np.nextafter(0.1, 1.0), 0.5, np.nextafter(0.7, 1.0)], size=60)
+    return [
+        ("rounding_edge", edge, 2, 0.2),
+        # grid values: many pair distances land on r give or take one ulp
+        ("ties_r_grid", ties, 2, 0.1),
+        ("ties_r_std", ties, 2, 0.2 * float(np.std(ties))),
+        ("ties_offset", 1e6 + ties, 2, 0.1),
+        ("ties_m3", ties, 3, 0.2),
+        ("constant", np.full(30, 2.5), 2, 0.0),
+        ("constant_r", np.full(30, -7.0), 2, 0.3),
+        ("smooth", smooth, 2, 0.15 * float(np.std(smooth))),
+        ("walk_m1", walk, 1, 0.2 * float(np.std(walk))),
+        ("smooth_m3", smooth, 3, 0.2 * float(np.std(smooth))),
+    ]
+
+
+def assert_matches_oracle(x, m, r):
+    got = sample_entropy(x, m=m, r=r)
+    want = naive_sample_entropy(x, m, r)
+    if math.isinf(want):
+        assert math.isinf(got)
+    else:
+        assert got == want
+
+
+ORACLE_CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("name,x,m,r", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_sweep_matches_oracle_on_hard_series(name, x, m, r):
+    assert_matches_oracle(x, m, r)
+
+
+def test_multi_chunk_sweep_matches_oracle(monkeypatch):
+    # a handful of pairs per chunk makes rows straddle chunk boundaries
+    monkeypatch.setattr(entropy, "_CHUNK_PAIRS", 3)
+    for _, x, m, r in ORACLE_CASES:
+        assert_matches_oracle(x, m, r)
+
+
+def test_year_of_hourly_data_in_bounded_memory():
+    # a dense pair matrix at T = 8760 would need about 614 MB
+    rng = np.random.default_rng(8)
+    hours = np.arange(8760)
+    x = np.sin(2 * np.pi * hours / 24) + 0.3 * rng.normal(size=hours.size)
+    r = 0.15 * float(np.std(x))
+    tracemalloc.start()
+    try:
+        value = sample_entropy(x, m=2, r=r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(bad):
+    x = np.random.default_rng(2).normal(size=20)
+    x[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_entropy(x, m=2, r=0.2)

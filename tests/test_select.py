@@ -240,3 +240,68 @@ def test_weights_csv_is_ranked(tmp_path):
     assert lines[0] == "feature,weight"
     weights = [float(line.split(",")[1]) for line in lines[1:]]
     assert weights == sorted(weights, reverse=True)
+
+
+def loop_form_relieff(table, k, m_samples, seed):
+    """relieff's former update: one -= / += per neighbor row, in visit order.
+
+    Visits, ranges, diffs and neighbor ranking are computed exactly as in
+    the implementation, so only the way updates are applied differs.
+    """
+    vals, labels = table.values, table.labels
+    classes, counts = np.unique(labels, return_counts=True)
+    prior = counts / table.M
+    ranges = vals.max(axis=0) - vals.min(axis=0)
+    discrete = np.array([kind == DISCRETE for kind in table.kinds])
+    scaled = ~discrete & (ranges > 0.0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    visits = []
+    while len(visits) < m_samples:
+        visits.extend(rng.permutation(table.M).tolist())
+    w = np.zeros(table.F)
+    for r in visits[:m_samples]:
+        diffs = np.zeros_like(vals)
+        diffs[:, scaled] = np.abs(vals[r, scaled] - vals[:, scaled]) / ranges[scaled]
+        diffs[:, discrete] = (vals[r, discrete] != vals[:, discrete]).astype(float)
+        dist = np.zeros(table.M)
+        for f in range(table.F):
+            dist += diffs[:, f] * diffs[:, f]
+        own = int(np.searchsorted(classes, labels[r]))
+
+        def nearest(ci):
+            pool = np.nonzero(labels == classes[ci])[0]
+            return pool[np.argsort(dist[pool], kind="stable")]
+
+        hits = nearest(own)
+        hits = hits[hits != r]
+        kk = min(k, int(counts[own]) - 1)
+        for h in hits[:kk]:
+            w -= diffs[h] / (m_samples * kk)
+        for ci in range(classes.size):
+            if ci == own:
+                continue
+            kk = min(k, int(counts[ci]))
+            scale = prior[ci] / (1.0 - prior[own])
+            for miss in nearest(ci)[:kk]:
+                w += scale * diffs[miss] / (m_samples * kk)
+    return w
+
+
+def test_batched_updates_are_bitwise_the_loop_form():
+    rng = np.random.default_rng(77)
+    m_rows = 25
+    labels = np.array([0] * 12 + [1] * 10 + [2] * 3)[rng.permutation(m_rows)]
+    values = np.column_stack([
+        rng.normal(size=m_rows),
+        rng.integers(0, 3, size=m_rows).astype(float),
+        np.full(m_rows, 4.0),
+        rng.uniform(-5.0, 5.0, size=m_rows),
+    ])
+    kinds = (CONTINUOUS, DISCRETE, CONTINUOUS, CONTINUOUS)
+    table = FeatureTable(values, kinds, labels)
+    m_samples = 2 * m_rows + 7  # three permutations, the last one cut short
+    with pytest.warns(UserWarning, match="clamped"):
+        got = relieff(table, k=5, m_samples=m_samples, seed=31)
+    assert 2 in got.clamped  # class 2 cannot supply 5 hits or misses
+    want = loop_form_relieff(table, 5, m_samples, 31)
+    assert np.array_equal(got.weights, want)

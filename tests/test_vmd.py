@@ -5,6 +5,8 @@ computed directly from the generating frequencies, so the decomposition
 is judged against numbers it never saw.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,24 @@ def test_uniform_init_spreads_centers():
     # init=1 seeds center k at 0.5k/K before iteration begins
     t = np.arange(256)
     x = np.sin(2 * np.pi * t / 32)
-    modes = vmd(x, VmdConfig(K=2, alpha=2000.0, max_iter=1, tol=1e-30, init=1))
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        modes = vmd(x, VmdConfig(K=2, alpha=2000.0, max_iter=1, tol=1e-30, init=1))
     assert modes[0].center_freq != modes[1].center_freq
+
+
+def test_iteration_cap_warns_with_settings():
+    t = np.arange(256)
+    x = np.sin(2 * np.pi * t / 32) + 0.5 * np.sin(2 * np.pi * t / 8)
+    with pytest.warns(RuntimeWarning, match=r"K=2, alpha=50\.0 .*max_iter=1\b"):
+        vmd(x, VmdConfig(K=2, alpha=50.0, max_iter=1))
+
+
+def test_converged_run_does_not_warn():
+    t = np.arange(256)
+    x = np.sin(2 * np.pi * t / 32) + 0.5 * np.sin(2 * np.pi * t / 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vmd(x, VmdConfig(K=2, alpha=50.0))
 
 
 def test_config_validation():
