@@ -22,7 +22,6 @@ from .model import (
     ModelConfig,
     PfgaModel,
     build_model,
-    forward,
     forward_batch,
     freeze_and_adapt,
     load_checkpoint,
@@ -71,7 +70,6 @@ __all__ = [
     "evaluate",
     "fig_granulate",
     "fit",
-    "forward",
     "forward_batch",
     "freeze_and_adapt",
     "frequency_loss",

@@ -7,6 +7,15 @@ graph-attention blocks whose attention is masked by the station adjacency.
 In the partially frozen regime the attention bases of the graph blocks are
 stored 4-bit quantized and only embeddings, graph-block layer norms,
 low-rank adapters, and the regression head receive gradients.
+
+Attention runs with the heads as an array axis: q, k and v are reshaped to
+(B, H, N, d_k) and every head is scored, masked and softmaxed in one set of
+array operations. The low-rank adapters of a graph block are stacked the
+same way, one (H, W, r) and one (H, r, d_k) factor each for query and value,
+so a block adds the same number of autodiff nodes whatever the head count.
+Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``;
+this layout is checkpoint version 2, and version-1 files (one tensor per
+head) are rejected.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, concat, softmax, take_rows
-from .domain import StationGraph, WindowedSample
 from .errors import ConfigError, DataError
 from .quantize import NF4_CODEBOOK, QuantizedTensor, dequantize, quantize
 
@@ -28,14 +36,7 @@ __all__ = [
     "PfgaBlockParams",
     "PfgaModel",
     "PositionalEncoding",
-    "token_embedding",
-    "temporal_embedding",
-    "spatial_embedding",
-    "fuse_embeddings",
-    "frozen_block",
     "graph_attention_block",
-    "lora_delta",
-    "forward",
     "forward_batch",
     "mask_bias",
     "build_model",
@@ -135,7 +136,10 @@ class EmbeddingParams:
 
 @dataclass
 class HeadAdapters:
-    """Low-rank update factors for one attention head (query and value)."""
+    """Low-rank query and value updates of every head, stacked on a leading head axis.
+
+    l_q and l_v are (H, W, r); m_q and m_v are (H, r, d_k).
+    """
 
     l_q: Tensor
     m_q: Tensor
@@ -158,7 +162,7 @@ class PfgaBlockParams:
     w_2: Tensor
     b_2: Tensor
     masked: bool = False
-    adapters: tuple = ()
+    adapters: HeadAdapters | None = None
     quant: dict = field(default_factory=dict)
 
     def named(self, prefix: str):
@@ -176,13 +180,14 @@ class PfgaBlockParams:
             (f"{prefix}.w_2", self.w_2),
             (f"{prefix}.b_2", self.b_2),
         ]
-        for h, a in enumerate(self.adapters):
+        if self.adapters is not None:
+            a = self.adapters
             pairs.extend(
                 [
-                    (f"{prefix}.head{h}.l_q", a.l_q),
-                    (f"{prefix}.head{h}.m_q", a.m_q),
-                    (f"{prefix}.head{h}.l_v", a.l_v),
-                    (f"{prefix}.head{h}.m_v", a.m_v),
+                    (f"{prefix}.heads.l_q", a.l_q),
+                    (f"{prefix}.heads.m_q", a.m_q),
+                    (f"{prefix}.heads.l_v", a.l_v),
+                    (f"{prefix}.heads.m_v", a.m_v),
                 ]
             )
         return pairs
@@ -235,51 +240,6 @@ def trainable_parameter_count(cfg: ModelConfig, freeze_mode: str = "partial") ->
     return embeddings + head + (cfg.f_frozen + cfg.u_unfrozen) * per_block
 
 
-# -- embedding operations -----------------------------------------------------
-
-
-def _flatten_history(x_p: np.ndarray, cfg_like=None) -> np.ndarray:
-    x_p = np.asarray(x_p, dtype=float)
-    if x_p.ndim != 3:
-        raise ConfigError("history must have shape (P, N, C)")
-    p, n, c = x_p.shape
-    return x_p.transpose(1, 0, 2).reshape(n, p * c)
-
-
-def token_embedding(x_p: np.ndarray, theta_p_w: Tensor, theta_p_b: Tensor) -> Tensor:
-    flat = _flatten_history(x_p)
-    if flat.shape[1] != theta_p_w.data.shape[0]:
-        raise ConfigError("history shape does not match token projection")
-    return Tensor(flat) @ theta_p_w + theta_p_b
-
-
-def temporal_embedding(hour: int, dow: int, w_d: Tensor, w_w: Tensor) -> Tensor:
-    if not (0 <= int(hour) < 24):
-        raise ConfigError(f"hour {hour} out of range [0, 24)")
-    if not (0 <= int(dow) < 7):
-        raise ConfigError(f"dow {dow} out of range [0, 7)")
-    return w_d[int(hour)] + w_w[int(dow)]
-
-
-def spatial_embedding(x_p: np.ndarray, w_s: Tensor, b_s: Tensor) -> Tensor:
-    flat = _flatten_history(x_p)
-    if flat.shape[1] != w_s.data.shape[0]:
-        raise ConfigError("history shape does not match spatial projection")
-    return (Tensor(flat) @ w_s + b_s).tanh()
-
-
-def fuse_embeddings(e_p: Tensor, e_s: Tensor, e_t: Tensor, theta_f_w: Tensor, theta_f_b: Tensor) -> Tensor:
-    if not (e_p.shape == e_s.shape):
-        raise ConfigError("embedding widths do not match")
-    if e_t.shape[-1] != e_p.shape[-1]:
-        raise ConfigError("temporal embedding width mismatch")
-    e_t_full = e_t.broadcast_to(e_p.shape)
-    fused = concat([e_p, e_s, e_t_full], axis=-1)
-    if fused.shape[-1] != theta_f_w.data.shape[0]:
-        raise ConfigError("fusion projection width mismatch")
-    return fused @ theta_f_w + theta_f_b
-
-
 # -- transformer blocks -------------------------------------------------------
 
 
@@ -290,39 +250,40 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return centered / (var + eps).sqrt() * gamma + beta
 
 
-def lora_delta(l: Tensor, m: Tensor) -> Tensor:
-    if l.shape[-1] != m.shape[0]:
-        raise ConfigError("adapter factor shapes do not chain")
-    return l @ m
-
-
 def mask_bias(adjacency: np.ndarray) -> np.ndarray:
-    """Additive pre-softmax bias: 0 where connected, a large negative fill where not."""
-    return np.where(np.asarray(adjacency) == 0, MASK_FILL, 0.0)
+    """Additive pre-softmax bias: 0 where connected, a large negative fill where not.
+
+    The diagonal must be all ones. A node with no edge at all would get
+    the same fill on every score, which the softmax cancels, so it would
+    attend to every node as if there were no mask.
+    """
+    adjacency = np.asarray(adjacency)
+    if not np.all(np.diag(adjacency) == 1):
+        raise ConfigError("adjacency must have a unit diagonal")
+    return np.where(adjacency == 0, MASK_FILL, 0.0)
+
+
+def _split_heads(t: Tensor, cfg: ModelConfig, axes: tuple) -> Tensor:
+    b, n, _ = t.shape
+    return t.reshape(b, n, cfg.heads, cfg.d_k).transpose(axes)
 
 
 def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
-    d_k = cfg.d_k
-    base_q = x @ blk.w_q
-    base_k = x @ blk.w_k
-    base_v = x @ blk.w_v
-    heads_out = []
-    scale = 1.0 / np.sqrt(d_k)
-    for h in range(cfg.heads):
-        lo, hi = h * d_k, (h + 1) * d_k
-        q = base_q[..., lo:hi]
-        k = base_k[..., lo:hi]
-        v = base_v[..., lo:hi]
-        if blk.adapters:
-            a = blk.adapters[h]
-            q = q + (x @ a.l_q) @ a.m_q
-            v = v + (x @ a.l_v) @ a.m_v
-        axes = tuple(range(q.data.ndim - 2)) + (q.data.ndim - 1, q.data.ndim - 2)
-        scores = (q @ k.transpose(axes)) * scale
-        if bias is not None:
-            scores = scores + Tensor(bias)
-        heads_out.append(softmax(scores, axis=-1) @ v)
-    return concat(heads_out, axis=-1) @ blk.w_o
+    """Multi-head attention of x (B, N, W) with the heads on an array axis."""
+    b, n, w = x.shape
+    q = _split_heads(x @ blk.w_q, cfg, (0, 2, 1, 3))  # (B, H, N, d_k)
+    k_t = _split_heads(x @ blk.w_k, cfg, (0, 2, 3, 1))  # (B, H, d_k, N)
+    v = _split_heads(x @ blk.w_v, cfg, (0, 2, 1, 3))
+    if blk.adapters is not None:
+        a = blk.adapters
+        x_h = x.reshape(b, 1, n, w)
+        q = q + (x_h @ a.l_q) @ a.m_q
+        v = v + (x_h @ a.l_v) @ a.m_v
+    scores = (q @ k_t) * (1.0 / np.sqrt(cfg.d_k))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    heads = softmax(scores, axis=-1) @ v  # (B, H, N, d_k)
+    return heads.transpose(0, 2, 1, 3).reshape(b, n, w) @ blk.w_o
 
 
 def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
@@ -333,26 +294,19 @@ def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.nda
     return x + ffn
 
 
-def frozen_block(h: np.ndarray | Tensor, blk: PfgaBlockParams, cfg: ModelConfig) -> Tensor:
-    x = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=float))
-    if x.shape[-1] != cfg.width:
-        raise ConfigError("block input width mismatch")
-    return _block_apply(x, blk, cfg, None)
-
-
 def graph_attention_block(
     h: np.ndarray | Tensor, adjacency: np.ndarray, blk: PfgaBlockParams, cfg: ModelConfig
 ) -> Tensor:
+    """One adjacency-masked block applied to node states h (N, W)."""
     x = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=float))
-    if x.shape[-1] != cfg.width:
-        raise ConfigError("block input width mismatch")
+    if x.data.ndim != 2 or x.shape[-1] != cfg.width:
+        raise ConfigError("block input must have shape (N, width)")
+    n = x.shape[0]
     adjacency = np.asarray(adjacency, dtype=float)
-    n = x.shape[-2]
     if adjacency.shape != (n, n):
         raise ConfigError("adjacency shape does not match node count")
-    if not np.all(np.diag(adjacency) == 1):
-        raise ConfigError("adjacency must have a unit diagonal")
-    return _block_apply(x, blk, cfg, mask_bias(adjacency))
+    out = _block_apply(x.reshape(1, n, cfg.width), blk, cfg, mask_bias(adjacency))
+    return out.reshape(n, cfg.width)
 
 
 # -- full forward -------------------------------------------------------------
@@ -403,17 +357,6 @@ def forward_batch(
         x = _block_apply(x, blk, cfg, bias if blk.masked else None)
     out = x @ model.head_w + model.head_b  # (B, N, S)
     return out.transpose(0, 2, 1).reshape(b, cfg.horizon, n, 1)
-
-
-def forward(model: PfgaModel, sample: WindowedSample, graph: StationGraph) -> np.ndarray:
-    pred = forward_batch(
-        model,
-        sample.history[None],
-        np.array([sample.anchor_hour]),
-        np.array([sample.anchor_dow]),
-        graph.adjacency,
-    )
-    return pred.data[0]
 
 
 # -- construction -------------------------------------------------------------
@@ -516,23 +459,26 @@ def freeze_and_adapt(
             blk.quant[name] = qt
         for name in ("w_1", "b_1", "w_2", "b_2"):
             _set_trainable(getattr(blk, name), False)
-        adapters = []
-        for _ in range(cfg.heads):
-            adapters.append(
-                HeadAdapters(
-                    l_q=_tensor(rng.normal(size=(cfg.width, cfg.rank)) * 0.01, True),
-                    m_q=_tensor(np.zeros((cfg.rank, cfg.d_k)), True),
-                    l_v=_tensor(rng.normal(size=(cfg.width, cfg.rank)) * 0.01, True),
-                    m_v=_tensor(np.zeros((cfg.rank, cfg.d_k)), True),
-                )
-            )
-        blk.adapters = tuple(adapters)
+        # one draw in the order head 0 l_q, head 0 l_v, head 1 l_q, ...
+        l_qv = rng.normal(size=(cfg.heads, 2, cfg.width, cfg.rank)) * 0.01
+        blk.adapters = _adapters(cfg, l_qv[:, 0], l_qv[:, 1])
     return model
+
+
+def _adapters(cfg: ModelConfig, l_q: np.ndarray, l_v: np.ndarray) -> HeadAdapters:
+    """Stacked adapters with the given down factors and zero up factors."""
+    m_shape = (cfg.heads, cfg.rank, cfg.d_k)
+    return HeadAdapters(
+        l_q=_tensor(np.ascontiguousarray(l_q), True),
+        m_q=_tensor(np.zeros(m_shape), True),
+        l_v=_tensor(np.ascontiguousarray(l_v), True),
+        m_v=_tensor(np.zeros(m_shape), True),
+    )
 
 
 # -- checkpointing ------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: PfgaModel, path: str) -> None:
@@ -606,16 +552,9 @@ def load_checkpoint(path: str) -> PfgaModel:
     for i, blk in enumerate(model.blocks):
         blk.masked = meta["masked"][i]
         blk.quant = {}
-        if any(n.startswith(f"block{i}.head") for n in trainable):
-            blk.adapters = tuple(
-                HeadAdapters(
-                    l_q=_tensor(np.zeros((cfg.width, cfg.rank)), True),
-                    m_q=_tensor(np.zeros((cfg.rank, cfg.d_k)), True),
-                    l_v=_tensor(np.zeros((cfg.width, cfg.rank)), True),
-                    m_v=_tensor(np.zeros((cfg.rank, cfg.d_k)), True),
-                )
-                for _ in range(cfg.heads)
-            )
+        if f"block{i}__heads__l_q" in arrays:
+            l_shape = (cfg.heads, cfg.width, cfg.rank)
+            blk.adapters = _adapters(cfg, np.zeros(l_shape), np.zeros(l_shape))
         for wname in ("w_q", "w_k", "w_v", "w_o"):
             qname = f"block{i}.{wname}"
             if qname in quant_info:

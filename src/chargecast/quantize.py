@@ -5,6 +5,15 @@ whose levels are quantiles of a standard normal, rescaled so the extreme
 levels sit exactly at -1 and +1. Each block of 64 values shares one absmax
 scale; the absmax constants themselves are quantized to 8 bits per
 superblock of 256 blocks to shave the constant overhead.
+
+The codebook is written out as literals. They come from the normal-quantile
+construction (8 positive and 7 negative quantiles at probabilities evenly
+spaced from 0.9677083 to 0.5, normalized to +/-1, plus an exact zero) as
+computed once with ``scipy.stats.norm.ppf``. Keeping them literal spares
+every import the cost of loading ``scipy.stats``; the stdlib
+``statistics.NormalDist.inv_cdf`` is not a substitute, since it lands up to
+3e-16 away from those levels and the codebook is part of the checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -12,22 +21,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["NF4_CODEBOOK", "QuantizedTensor", "quantize", "dequantize"]
 
-_QUANTILE_OFFSET = 0.9677083
-
-
-def _build_codebook() -> np.ndarray:
-    positive = norm.ppf(np.linspace(_QUANTILE_OFFSET, 0.5, 9))[:-1]
-    negative = -norm.ppf(np.linspace(_QUANTILE_OFFSET, 0.5, 8))[:-1]
-    levels = np.concatenate([positive, negative, [0.0]])
-    levels = np.sort(levels)
-    return levels / levels.max()
-
-
-NF4_CODEBOOK = _build_codebook()
+NF4_CODEBOOK = np.array(
+    [
+        -1.0,
+        -0.69619289060372,
+        -0.5250730386952291,
+        -0.3949174906993099,
+        -0.2844413576181077,
+        -0.18477343519288886,
+        -0.09104999214427931,
+        0.0,
+        0.07958032909416937,
+        0.16093017270493618,
+        0.2461122939299359,
+        0.33791519352165506,
+        0.44070980241319013,
+        0.562616970075237,
+        0.7229567278928821,
+        1.0,
+    ]
+)
 NF4_CODEBOOK.setflags(write=False)
 
 
@@ -65,38 +81,20 @@ def quantize(
         raise ValueError("block_size and superblock must be positive")
 
     flat = values.reshape(-1)
-    n_blocks = -(-flat.size // block_size)
-    absmax = np.zeros(n_blocks)
-    codes = np.empty(flat.size, dtype=np.uint8)
-    for b in range(n_blocks):
-        lo, hi = b * block_size, min((b + 1) * block_size, flat.size)
-        block = flat[lo:hi]
-        amax = np.max(np.abs(block))
-        absmax[b] = amax
-        if amax == 0.0:
-            normalized = np.zeros_like(block)
-        else:
-            normalized = block / amax
-        dist = np.abs(normalized[:, None] - NF4_CODEBOOK[None, :])
-        codes[lo:hi] = dist.argmin(axis=1).astype(np.uint8)
+    absmax = np.maximum.reduceat(np.abs(flat), np.arange(0, flat.size, block_size))
+    n_blocks = absmax.size
+    scale = np.repeat(absmax, block_size)[: flat.size]
+    normalized = np.divide(flat, scale, out=np.zeros_like(flat), where=scale != 0.0)
+    dist = np.abs(normalized[:, None] - NF4_CODEBOOK[None, :])
+    codes = dist.argmin(axis=1).astype(np.uint8)
 
-    n_super = -(-n_blocks // superblock)
-    scale_min = np.zeros(n_super)
-    scale_step = np.zeros(n_super)
-    scale_codes = np.empty(n_blocks, dtype=np.uint8)
-    for s in range(n_super):
-        lo, hi = s * superblock, min((s + 1) * superblock, n_blocks)
-        group = absmax[lo:hi]
-        amin, amax = group.min(), group.max()
-        step = (amax - amin) / 255.0
-        scale_min[s] = amin
-        scale_step[s] = step
-        if step == 0.0:
-            scale_codes[lo:hi] = 0
-        else:
-            scale_codes[lo:hi] = np.clip(
-                np.round((group - amin) / step), 0, 255
-            ).astype(np.uint8)
+    starts = np.arange(0, n_blocks, superblock)
+    scale_min = np.minimum.reduceat(absmax, starts)
+    scale_step = (np.maximum.reduceat(absmax, starts) - scale_min) / 255.0
+    lo = np.repeat(scale_min, superblock)[:n_blocks]
+    step = np.repeat(scale_step, superblock)[:n_blocks]
+    ratio = np.divide(absmax - lo, step, out=np.zeros(n_blocks), where=step != 0.0)
+    scale_codes = np.clip(np.round(ratio), 0, 255).astype(np.uint8)
 
     return QuantizedTensor(
         codes=codes,
@@ -110,9 +108,6 @@ def quantize(
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    scales = qt.block_scales()
-    flat = NF4_CODEBOOK[qt.codes].copy()
-    for b in range(qt.n_blocks):
-        lo, hi = b * qt.block_size, min((b + 1) * qt.block_size, flat.size)
-        flat[lo:hi] *= scales[b]
+    size = qt.codes.size
+    flat = NF4_CODEBOOK[qt.codes] * np.repeat(qt.block_scales(), qt.block_size)[:size]
     return flat.reshape(qt.shape)

@@ -5,6 +5,8 @@ adjacency mask applied, a node's output must be bitwise indifferent to the
 inputs of nodes it is not connected to.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,18 +15,14 @@ from chargecast.model import (
     ModelConfig,
     PositionalEncoding,
     build_model,
-    forward,
     forward_batch,
     freeze_and_adapt,
-    frozen_block,
     graph_attention_block,
     load_checkpoint,
     mask_bias,
     save_checkpoint,
-    temporal_embedding,
     trainable_parameter_count,
 )
-from chargecast.domain import StationGraph, WindowedSample
 
 TINY = ModelConfig(
     d_embed=8,
@@ -51,6 +49,17 @@ def random_batch(rng, cfg, b=2, n=5):
     hours = rng.integers(0, 24, size=b)
     dows = rng.integers(0, 7, size=b)
     return hist, hours, dows
+
+
+def tape_size(out):
+    """Number of autodiff nodes reachable from out, leaves included."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
 
 
 class TestModelConfig:
@@ -102,18 +111,29 @@ class TestPositionalEncoding:
 
 
 class TestEmbeddingHelpers:
+    """The temporal embedding, seen through forward_batch."""
+
     def test_temporal_embedding_range_checks(self):
-        model = build_model(TINY, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        model = build_model(TINY, rng)
+        hist, _, _ = random_batch(rng, TINY, b=1, n=3)
+        adj = np.ones((3, 3))
         with pytest.raises(ConfigError, match="hour"):
-            temporal_embedding(24, 0, model.embed.w_d, model.embed.w_w)
-        with pytest.raises(ConfigError, match="dow"):
-            temporal_embedding(0, 7, model.embed.w_d, model.embed.w_w)
+            forward_batch(model, hist, np.array([24]), np.array([0]), adj)
+        with pytest.raises(ConfigError, match="day-of-week"):
+            forward_batch(model, hist, np.array([0]), np.array([7]), adj)
 
     def test_temporal_embedding_is_table_sum(self):
-        model = build_model(TINY, np.random.default_rng(0))
-        e = temporal_embedding(5, 2, model.embed.w_d, model.embed.w_w)
-        want = model.embed.w_d.data[5] + model.embed.w_w.data[2]
-        assert np.array_equal(e.data, want)
+        """Moving w_w[2] into w_d[5] as their sum leaves the (5, 2) forecast bit-identical."""
+        rng = np.random.default_rng(0)
+        model = build_model(TINY, rng)
+        hist, _, _ = random_batch(rng, TINY, b=1, n=3)
+        hours, dows, adj = np.array([5]), np.array([2]), np.ones((3, 3))
+        want = forward_batch(model, hist, hours, dows, adj).data
+        model.embed.w_d.data[5] = model.embed.w_d.data[5] + model.embed.w_w.data[2]
+        model.embed.w_w.data[2] = 0.0
+        got = forward_batch(model, hist, hours, dows, adj).data
+        assert np.array_equal(got, want)
 
 
 class TestMaskBias:
@@ -122,6 +142,10 @@ class TestMaskBias:
         bias = mask_bias(adj)
         assert bias[0, 0] == 0.0 and bias[1, 0] == 0.0 and bias[1, 1] == 0.0
         assert bias[0, 1] <= -1e8
+
+    def test_rejects_missing_self_loop(self):
+        with pytest.raises(ConfigError, match="diagonal"):
+            mask_bias(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
 
 class TestMaskSoundness:
@@ -164,26 +188,15 @@ class TestMaskSoundness:
     def test_unmasked_block_mixes_everything(self):
         rng = np.random.default_rng(79)
         model = build_model(TINY, rng)
-        blk = model.blocks[0]
         n = 6
-        x = rng.normal(size=(n, TINY.width))
-        bumped = x.copy()
-        bumped[3] += rng.normal(size=TINY.width)
-        base = frozen_block(x, blk, TINY).data
-        moved = frozen_block(bumped, blk, TINY).data
-        deltas = np.max(np.abs(moved - base), axis=-1)
+        hist, hours, dows = random_batch(rng, TINY, b=1, n=n)
+        bumped = hist.copy()
+        bumped[:, :, 3] += rng.normal(size=(TINY.lookback, TINY.c_in))
+        sparse = np.eye(n)
+        base = forward_batch(model, hist, hours, dows, sparse, use_graph_mask=False).data
+        moved = forward_batch(model, bumped, hours, dows, sparse, use_graph_mask=False).data
+        deltas = np.max(np.abs(moved - base)[0, :, :, 0], axis=0)
         assert np.all(deltas > 1e-10)
-
-    def test_complete_graph_equals_unmasked(self):
-        rng = np.random.default_rng(80)
-        model = build_model(TINY, rng)
-        blk = model.blocks[-1]
-        n = 5
-        x = rng.normal(size=(n, TINY.width))
-        ones = np.ones((n, n))
-        masked = graph_attention_block(x, ones, blk, TINY).data
-        plain = frozen_block(x, blk, TINY).data
-        assert np.allclose(masked, plain, rtol=0.0, atol=1e-15)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(81)
@@ -237,23 +250,6 @@ class TestBuildModel:
         assert out.shape == (3, TINY.horizon, 5, 1)
         assert np.all(np.isfinite(out.data))
 
-    def test_forward_single_sample_matches_batch(self):
-        rng = np.random.default_rng(7)
-        model = build_model(TINY, rng)
-        hist, hours, dows = random_batch(rng, TINY, b=1, n=4)
-        adj = random_symmetric_adjacency(rng, 4)
-        graph = StationGraph([f"s{k}" for k in range(4)], adj)
-        sample = WindowedSample(
-            history=hist[0],
-            target=np.zeros((TINY.horizon, 4, 1)),
-            hour_of_day=np.full(TINY.lookback, hours[0]),
-            day_of_week=np.full(TINY.lookback, dows[0]),
-            holiday_flag=np.zeros(TINY.lookback),
-        )
-        single = forward(model, sample, graph)
-        batched = forward_batch(model, hist, hours, dows, adj).data[0]
-        assert np.array_equal(single, batched)
-
     def test_forward_batch_validation(self):
         rng = np.random.default_rng(8)
         model = build_model(TINY, rng)
@@ -269,6 +265,28 @@ class TestBuildModel:
             forward_batch(model, hist, hours, np.array([0, 9]), adj)
         with pytest.raises(ConfigError, match="adjacency"):
             forward_batch(model, hist, hours, dows, np.ones((3, 3)))
+
+    def test_forward_batch_rejects_zero_diagonal(self):
+        """Without self-loops a node's attention row is all fill, i.e. unmasked."""
+        rng = np.random.default_rng(18)
+        model = build_model(TINY, rng)
+        hist, hours, dows = random_batch(rng, TINY, b=2, n=4)
+        with pytest.raises(ConfigError, match="diagonal"):
+            forward_batch(model, hist, hours, dows, np.zeros((4, 4)))
+        # the unmasked path never reads the adjacency values
+        forward_batch(model, hist, hours, dows, np.zeros((4, 4)), use_graph_mask=False)
+
+    def test_tape_size_does_not_grow_with_heads(self):
+        sizes = []
+        for heads in (2, 6):
+            cfg = ModelConfig(d_embed=8, lookback=6, horizon=2, c_in=3, heads=heads, rank=2)
+            rng = np.random.default_rng(19)
+            model = build_model(cfg, rng)
+            freeze_and_adapt(model, rng, freeze_mode="partial")
+            hist, hours, dows = random_batch(rng, cfg, b=2, n=4)
+            adj = random_symmetric_adjacency(rng, 4)
+            sizes.append(tape_size(forward_batch(model, hist, hours, dows, adj)))
+        assert sizes[0] == sizes[1]
 
     def test_mask_off_equals_complete_graph(self):
         rng = np.random.default_rng(9)
@@ -296,9 +314,13 @@ class TestFreezeAndAdapt:
             )
             assert ok, name
         assert "block1.ln1_gamma" in trainable
-        assert "block1.head0.l_q" in trainable
+        assert "block1.heads.l_q" in trainable
         assert "block0.ln1_gamma" not in trainable
         assert "block1.w_q" not in trainable
+        a = model.blocks[-1].adapters
+        assert a.l_q.shape == a.l_v.shape == (TINY.heads, TINY.width, TINY.rank)
+        assert a.m_q.shape == a.m_v.shape == (TINY.heads, TINY.rank, TINY.d_k)
+        assert model.blocks[0].adapters is None
 
     def test_partial_quantizes_attention_bases(self):
         from chargecast.quantize import dequantize
@@ -321,7 +343,7 @@ class TestFreezeAndAdapt:
         with_adapters = forward_batch(model, hist, hours, dows, adj).data
         blk = model.blocks[-1]
         saved = blk.adapters
-        blk.adapters = ()
+        blk.adapters = None
         without = forward_batch(model, hist, hours, dows, adj).data
         blk.adapters = saved
         assert np.array_equal(with_adapters, without)
@@ -333,9 +355,9 @@ class TestFreezeAndAdapt:
         hist, hours, dows = random_batch(rng, TINY, b=2, n=4)
         adj = random_symmetric_adjacency(rng, 4)
         before = forward_batch(model, hist, hours, dows, adj).data
-        for a in model.blocks[-1].adapters:
-            a.m_q.data = rng.normal(size=a.m_q.data.shape) * 0.1
-            a.m_v.data = rng.normal(size=a.m_v.data.shape) * 0.1
+        a = model.blocks[-1].adapters
+        a.m_q.data = rng.normal(size=a.m_q.data.shape) * 0.1
+        a.m_v.data = rng.normal(size=a.m_v.data.shape) * 0.1
         after = forward_batch(model, hist, hours, dows, adj).data
         assert np.max(np.abs(after - before)) > 1e-6
 
@@ -434,14 +456,14 @@ class TestCheckpoint:
         rng = np.random.default_rng(31)
         model = build_model(TINY, rng, n_max=16)
         freeze_and_adapt(model, rng, freeze_mode="partial")
-        for a in model.blocks[-1].adapters:
-            a.m_q.data = rng.normal(size=a.m_q.data.shape)
+        a = model.blocks[-1].adapters
+        a.m_q.data = rng.normal(size=a.m_q.data.shape)
         path = str(tmp_path / "model.npz")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        for a, b in zip(model.blocks[-1].adapters, loaded.blocks[-1].adapters):
-            assert np.array_equal(a.m_q.data, b.m_q.data)
-            assert np.array_equal(a.l_q.data, b.l_q.data)
+        b = loaded.blocks[-1].adapters
+        assert np.array_equal(a.m_q.data, b.m_q.data)
+        assert np.array_equal(a.l_q.data, b.l_q.data)
 
     def test_masked_flags_survive(self, tmp_path):
         rng = np.random.default_rng(32)
@@ -451,3 +473,19 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert [b.masked for b in loaded.blocks] == [True, True]
+
+    def test_version_1_checkpoint_is_rejected(self, tmp_path):
+        rng = np.random.default_rng(33)
+        model = build_model(TINY, rng, n_max=16)
+        freeze_and_adapt(model, rng, freeze_mode="partial")
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        meta["version"] = 1
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        old = str(tmp_path / "old.npz")
+        np.savez(old, **arrays)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
+            load_checkpoint(old)

@@ -6,8 +6,12 @@ construction (15 evenly spaced probability points on each sign, offset
 codebook regression cannot hide behind the code that builds it.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from conftest import child_env
 
 from chargecast.quantize import NF4_CODEBOOK, dequantize, quantize
 
@@ -154,3 +158,71 @@ def test_quantize_deterministic():
     b = quantize(x)
     np.testing.assert_array_equal(a.codes, b.codes)
     np.testing.assert_array_equal(a.scale_codes, b.scale_codes)
+
+
+def loop_quantize(values, block_size, superblock):
+    """Block-by-block reference: codes, scale codes, scale min/step, dequantized."""
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    n_blocks = -(-flat.size // block_size)
+    absmax = np.zeros(n_blocks)
+    codes = np.empty(flat.size, dtype=np.uint8)
+    for b in range(n_blocks):
+        lo, hi = b * block_size, min((b + 1) * block_size, flat.size)
+        block = flat[lo:hi]
+        absmax[b] = np.max(np.abs(block))
+        normalized = np.zeros_like(block) if absmax[b] == 0.0 else block / absmax[b]
+        codes[lo:hi] = np.abs(normalized[:, None] - NF4_CODEBOOK[None, :]).argmin(axis=1)
+    n_super = -(-n_blocks // superblock)
+    scale_min, scale_step = np.zeros(n_super), np.zeros(n_super)
+    scale_codes = np.zeros(n_blocks, dtype=np.uint8)
+    for s in range(n_super):
+        lo, hi = s * superblock, min((s + 1) * superblock, n_blocks)
+        group = absmax[lo:hi]
+        scale_min[s] = group.min()
+        scale_step[s] = (group.max() - group.min()) / 255.0
+        if scale_step[s] != 0.0:
+            ratio = np.round((group - scale_min[s]) / scale_step[s])
+            scale_codes[lo:hi] = np.clip(ratio, 0, 255)
+    back = NF4_CODEBOOK[codes].copy()
+    for b in range(n_blocks):
+        sb = b // superblock
+        back[b * block_size : (b + 1) * block_size] *= scale_min[sb] + scale_step[sb] * scale_codes[b]
+    return codes, scale_codes, scale_min, scale_step, back.reshape(np.shape(values))
+
+
+def _ragged_cases():
+    rng = np.random.default_rng(7)
+    constant = np.tile(np.r_[2.0, np.full(15, -0.5)], 8)  # every block's absmax is 2
+    return {
+        "partial last block": (rng.normal(size=150), 64, 256),
+        "partial last superblock": (rng.normal(size=(9, 37)), 16, 4),
+        "all-zero block": (np.r_[rng.normal(size=64), np.zeros(64), rng.normal(size=40)], 64, 2),
+        "constant superblock": (constant, 16, 4),
+        "block and superblock of one": (rng.normal(size=37), 1, 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ragged_cases()))
+def test_array_form_is_bit_identical_to_loop_form(case):
+    x, block_size, superblock = _ragged_cases()[case]
+    qt = quantize(x, block_size=block_size, superblock=superblock)
+    codes, scale_codes, scale_min, scale_step, back = loop_quantize(x, block_size, superblock)
+    np.testing.assert_array_equal(qt.codes, codes)
+    np.testing.assert_array_equal(qt.scale_codes, scale_codes)
+    np.testing.assert_array_equal(qt.scale_min, scale_min)
+    np.testing.assert_array_equal(qt.scale_step, scale_step)
+    np.testing.assert_array_equal(dequantize(qt), back)
+
+
+def test_constant_superblock_has_zero_step():
+    x, block_size, superblock = _ragged_cases()["constant superblock"]
+    qt = quantize(x, block_size=block_size, superblock=superblock)
+    assert np.all(qt.scale_step == 0.0) and np.all(qt.scale_codes == 0)
+
+
+def test_import_does_not_load_scipy_stats():
+    probe = "import sys, chargecast; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
