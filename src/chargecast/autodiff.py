@@ -5,13 +5,33 @@ backward() on a scalar result accumulates gradients into every reachable
 tensor with requires_grad set. Broadcasting follows numpy semantics, with
 gradients summed back over the broadcast axes. This is deliberately a
 small engine: only the operations the forecasting network needs exist.
+
+Backward closures skip the gradient of any operand without requires_grad,
+so frozen weights cost no gradient work. Inside ``with no_grad():`` results
+record no parents and no closure, so an inference pass keeps no tape alive.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-__all__ = ["Tensor", "concat", "softmax", "take_rows"]
+__all__ = ["Tensor", "concat", "no_grad", "softmax", "take_rows"]
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block; the previous setting returns on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -42,7 +62,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -85,8 +105,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(out):
-            self._accum(out.grad * other.data)
-            other._accum(out.grad * self.data)
+            if self.requires_grad:
+                self._accum(out.grad * other.data)
+            if other.requires_grad:
+                other._accum(out.grad * self.data)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -97,8 +119,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(out):
-            self._accum(out.grad / other.data)
-            other._accum(-out.grad * self.data / (other.data * other.data))
+            if self.requires_grad:
+                self._accum(out.grad / other.data)
+            if other.requires_grad:
+                other._accum(-out.grad * self.data / (other.data * other.data))
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -112,8 +136,17 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(out):
-            self._accum(out.grad @ np.swapaxes(other.data, -1, -2))
-            other._accum(np.swapaxes(self.data, -1, -2) @ out.grad)
+            if self.requires_grad:
+                self._accum(out.grad @ np.swapaxes(other.data, -1, -2))
+            if not other.requires_grad:
+                return
+            if other.data.ndim == 2 and self.data.ndim > 2:
+                # a weight shared by every leading index: one (rows, K)^T @
+                # (rows, M) GEMM, with no (B, K, M) temporary to sum over B
+                k, m = other.data.shape
+                other._accum(self.data.reshape(-1, k).T @ out.grad.reshape(-1, m))
+            else:
+                other._accum(np.swapaxes(self.data, -1, -2) @ out.grad)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -229,7 +262,7 @@ class Tensor:
 
         def backward(out):
             g = np.zeros_like(self.data)
-            g[key] = out.grad
+            np.add.at(g, key, out.grad)  # a repeated fancy index adds up
             self._accum(g)
 
         return Tensor._result(out_data, (self,), backward)

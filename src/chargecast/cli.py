@@ -20,6 +20,7 @@ import numpy as np
 
 from . import io as cio
 from . import seeds, synth
+from .autodiff import no_grad
 from .bands import multi_frequency_pipeline
 from .channels import assemble_channels, build_feature_table
 from .config import PipelineConfig, load_config
@@ -407,10 +408,11 @@ def _cmd_forecast(args) -> int:
     hist = vals[-p:][None]
     hours = np.array([calendar.hour_of_day[-1]])
     dows = np.array([calendar.day_of_week[-1]])
-    pred = forward_batch(
-        model, hist, hours, dows, graph.adjacency,
-        use_graph_mask=cfg.get("train", "use_graph_mask"),
-    ).data[0, :, :, 0]
+    with no_grad():
+        pred = forward_batch(
+            model, hist, hours, dows, graph.adjacency,
+            use_graph_mask=cfg.get("train", "use_graph_mask"),
+        ).data[0, :, :, 0]
     future = calendar.timestamps[-1] + np.arange(1, s + 1).astype("timedelta64[h]")
     path = _out_path(cfg, "forecast.csv")
     cio.write_charging_csv(path, future, node_ids, pred)

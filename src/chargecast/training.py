@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
+from .autodiff import no_grad
 from .domain import StationGraph
 from .errors import ConfigError, DataError, NumericError
 from .losses import LossConfig, combined_loss, metrics
@@ -155,9 +156,10 @@ def fit(
             total += value * len(batch)
         train_loss = total / n
 
-        valid_pred = forward_batch(
-            model, valid_hist, valid_hours, valid_dows, adjacency, use_graph_mask=mask_on
-        )
+        with no_grad():
+            valid_pred = forward_batch(
+                model, valid_hist, valid_hours, valid_dows, adjacency, use_graph_mask=mask_on
+            )
         valid_mae = float(np.mean(np.abs(valid_pred.data - valid_target)))
         if not np.isfinite(valid_mae):
             raise NumericError(f"non-finite validation error at epoch {epoch}")
@@ -204,6 +206,8 @@ def evaluate(
     use_graph_mask: bool = True,
     chunk: int = 256,
 ) -> EvalReport:
+    if chunk < 1:
+        raise ConfigError("chunk must be >= 1")
     if len(test_samples) == 0:
         raise DataError("evaluate requires a non-empty test set")
     preds = []
@@ -211,7 +215,10 @@ def evaluate(
     for lo in range(0, len(test_samples), chunk):
         batch = test_samples[lo : lo + chunk]
         hist, target, hours, dows = _stack_batch(batch)
-        out = forward_batch(model, hist, hours, dows, graph.adjacency, use_graph_mask=use_graph_mask)
+        with no_grad():
+            out = forward_batch(
+                model, hist, hours, dows, graph.adjacency, use_graph_mask=use_graph_mask
+            )
         preds.append(out.data)
         truths.append(target)
     predictions = np.concatenate(preds)

@@ -8,7 +8,7 @@ backward, and compares each analytic gradient entry with
 import numpy as np
 import pytest
 
-from chargecast.autodiff import Tensor, concat, softmax, take_rows
+from chargecast.autodiff import Tensor, concat, no_grad, softmax, take_rows
 
 RNG = np.random.default_rng(20240816)
 H = 1e-6
@@ -59,6 +59,63 @@ def test_matmul_batched():
     a = RNG.normal(size=(2, 3, 4))
     b = RNG.normal(size=(4, 5))
     check(lambda x, y: (x @ y).sum(), a, b)
+
+
+def check_partly_trainable(build, arrays, trainable):
+    """Like check, but only the leaves flagged in trainable require grad.
+
+    A frozen leaf must come out of backward with no gradient at all.
+    """
+    tensors = [Tensor(a, requires_grad=flag) for a, flag in zip(arrays, trainable)]
+    build(*tensors).backward()
+
+    def replay():
+        return float(build(*[Tensor(a) for a in arrays]).data)
+
+    for t, a, flag in zip(tensors, arrays, trainable):
+        if not flag:
+            assert t.grad is None
+            continue
+        (numeric,) = numeric_grad(replay, [a])
+        np.testing.assert_allclose(t.grad, numeric, rtol=TOL, atol=TOL)
+
+
+TRAINABLE_PAIRS = [(False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("trainable", TRAINABLE_PAIRS)
+def test_matmul_shared_weight_with_frozen_operands(trainable):
+    """(B, N, K) @ (K, M), the shape of every projection in the model."""
+    x = RNG.normal(size=(2, 3, 4))
+    w = RNG.normal(size=(4, 5))
+    check_partly_trainable(lambda a, b: ((a @ b) ** 2).sum(), [x, w], trainable)
+
+
+@pytest.mark.parametrize("trainable", TRAINABLE_PAIRS)
+def test_matmul_adapter_shape_with_frozen_operands(trainable):
+    """(B, 1, N, W) @ (H, W, r), the stacked per-head adapter factor."""
+    x = RNG.normal(size=(2, 1, 3, 4))
+    l_q = RNG.normal(size=(2, 4, 3))
+    check_partly_trainable(lambda a, b: ((a @ b) ** 2).sum(), [x, l_q], trainable)
+
+
+@pytest.mark.parametrize("trainable", TRAINABLE_PAIRS)
+def test_mul_and_div_with_frozen_operands(trainable):
+    a = RNG.normal(size=(3, 4))
+    b = RNG.normal(size=(4,)) + 3.0
+    check_partly_trainable(lambda x, y: ((x * y) / (y + x * x + 1.0)).sum(), [a, b], trainable)
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4, 5), (2, 3, 4, 5)])
+def test_shared_weight_gradient_matches_batched_sum(x_shape):
+    """The one-GEMM weight gradient equals per-batch products summed over the batch."""
+    x = RNG.normal(size=x_shape)
+    w = Tensor(RNG.normal(size=(5, 6)), requires_grad=True)
+    upstream = RNG.normal(size=x_shape[:-1] + (6,))
+    (Tensor(x) @ w * upstream).sum().backward()
+    batched = np.swapaxes(x, -1, -2) @ upstream
+    expected = batched.reshape(-1, 5, 6).sum(axis=0)
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=0.0)
 
 
 def test_matmul_rejects_vectors():
@@ -124,6 +181,18 @@ def test_take_rows_accumulates_repeats():
     np.testing.assert_array_equal(t.grad, expected)
 
 
+def test_getitem_accumulates_repeated_indices():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    x[np.array([0, 0, 2])].sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+
+def test_getitem_fancy_index_gradient():
+    a = RNG.normal(size=(4, 3))
+    rows = np.array([3, 0, 3, 1, 3])
+    check(lambda x: (x[rows] ** 2 * np.arange(1.0, 6.0)[:, None]).sum(), a)
+
+
 def test_softmax_gradient():
     a = RNG.normal(size=(3, 5))
     w = RNG.normal(size=(5,))
@@ -181,3 +250,34 @@ def test_attention_composition():
         return (softmax(scores, axis=-1) @ vv).sum()
 
     check(attn, q, k, v)
+
+
+def test_no_grad_records_no_tape():
+    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+    taped = softmax(x @ w, axis=-1).sum()
+    with no_grad():
+        out = softmax(x @ w, axis=-1).sum()
+    assert out._parents == ()
+    assert out._backward is None
+    assert not out.requires_grad
+    assert np.array_equal(out.data, taped.data)
+    assert taped.requires_grad and taped._parents
+
+
+def test_no_grad_restores_after_nesting():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not (x * 2.0).requires_grad
+        assert not (x * 2.0).requires_grad
+    assert (x * 2.0).requires_grad
+
+
+def test_no_grad_restores_after_exception():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError, match="boom"):
+        with no_grad():
+            raise RuntimeError("boom")
+    y = x * 2.0
+    assert y.requires_grad and y._parents

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from chargecast.autodiff import no_grad
 from chargecast.errors import ConfigError
 from chargecast.model import (
     ModelConfig,
@@ -297,6 +298,26 @@ class TestBuildModel:
         unmasked = forward_batch(model, hist, hours, dows, sparse, use_graph_mask=False)
         complete = forward_batch(model, hist, hours, dows, ones, use_graph_mask=True)
         assert np.allclose(unmasked.data, complete.data, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("freeze_mode", ["partial", "none", "all_graph"])
+    def test_no_grad_forward_is_bit_identical(self, freeze_mode):
+        cfg = ModelConfig(c_in=3)
+        rng = np.random.default_rng(20)
+        model = build_model(cfg, rng)
+        freeze_and_adapt(model, rng, freeze_mode=freeze_mode)
+        for blk in model.blocks:
+            if blk.adapters is not None:  # nonzero up factors, so adapters act
+                blk.adapters.m_q.data = rng.normal(size=blk.adapters.m_q.shape) * 0.1
+                blk.adapters.m_v.data = rng.normal(size=blk.adapters.m_v.shape) * 0.1
+        adj = random_symmetric_adjacency(rng, 8)
+        for b in (64, 256):
+            hist, hours, dows = random_batch(rng, cfg, b=b, n=8)
+            taped = forward_batch(model, hist, hours, dows, adj)
+            with no_grad():
+                bare = forward_batch(model, hist, hours, dows, adj)
+            assert taped.requires_grad
+            assert bare._parents == () and not bare.requires_grad
+            assert np.array_equal(bare.data, taped.data)
 
 
 class TestFreezeAndAdapt:

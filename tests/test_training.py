@@ -1,5 +1,7 @@
 """Tests for optimizers, the fit loop, and the evaluation report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,36 @@ class TestEvaluate:
         model = build_model(CFG, np.random.default_rng(66))
         with pytest.raises(DataError, match="non-empty"):
             evaluate(model, [], toy_graph())
+
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_bad_chunk_rejected(self, chunk):
+        samples = toy_samples(np.random.default_rng(67), 3)
+        model = build_model(CFG, np.random.default_rng(68))
+        with pytest.raises(ConfigError, match="chunk must be >= 1"):
+            evaluate(model, samples, toy_graph(), chunk=chunk)
+
+    def test_memory_stays_bounded_without_a_tape(self):
+        """Inference keeps no tape, so a chunk's intermediates die with it."""
+        cfg = ModelConfig(c_in=6)
+        n_nodes = 8
+        rng = np.random.default_rng(69)
+        model = build_model(cfg, rng)
+        freeze_and_adapt(model, rng, freeze_mode="partial")
+        samples = [
+            WindowedSample(
+                history=rng.normal(size=(cfg.lookback, n_nodes, cfg.c_in)),
+                target=rng.normal(size=(cfg.horizon, n_nodes, 1)),
+                hour_of_day=rng.integers(0, 24, size=cfg.lookback),
+                day_of_week=rng.integers(0, 7, size=cfg.lookback),
+                holiday_flag=np.zeros(cfg.lookback),
+            )
+            for _ in range(1024)
+        ]
+        graph = StationGraph([f"s{k}" for k in range(n_nodes)], np.ones((n_nodes, n_nodes)))
+        tracemalloc.start()
+        try:
+            evaluate(model, samples, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MB"
