@@ -24,7 +24,7 @@ for i, mode in enumerate(modes):
           f"(~{period:.0f} samples), energy {np.var(mode.samples):.4f}")
 
 cfg = DecomposeConfig(vmd=VmdConfig(K=4, alpha=2000.0), ensemble_n=8, noise_amp=0.1)
-denoised, bands, components = multi_frequency_pipeline(signal, cfg, seed=7, detail=True)
+denoised, bands, components = multi_frequency_pipeline(signal, cfg, seed=7)
 
 print()
 print(f"raw variance      {np.var(signal):.4f}")

@@ -123,7 +123,7 @@ def _complexity_scores(components, cfg: DecomposeConfig) -> np.ndarray:
     return scores
 
 
-def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed, detail: bool = False):
+def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     """Full multi-frequency extraction for one series.
 
     Steps: decompose with vmd, drop the highest-center-frequency mode to
@@ -132,8 +132,8 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed, detail: bool = 
     sub-components (IMFs plus residual, in place), then recombine all
     components into high/mid/low bands.
 
-    Returns (denoised, BandSet); with detail=True a third element carries
-    the (component_id, series) pairs behind the bands.
+    Returns (denoised, BandSet, components), where components holds the
+    (component_id, series) pairs behind the bands.
     """
     modes = vmd(signal, cfg.vmd)
     if len(modes) < 2:
@@ -160,6 +160,4 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed, detail: bool = 
 
     scores = _complexity_scores(components, cfg)
     bands = band_recombine(components, scores)
-    if detail:
-        return denoised, bands, tuple(zip(ids, components))
-    return denoised, bands
+    return denoised, bands, tuple(zip(ids, components))

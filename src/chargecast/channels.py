@@ -1,10 +1,13 @@
 """Assembly of model input channels from raw station series.
 
-Per station, the raw target series is denoised and split into recombined
-high/mid/low bands; granule cores summarize daily and weekly windows of the
-denoised series; the calendar contributes a holiday flag; and exogenous
-series enter through ReliefF ranking. Channel 0 is always the denoised
-target, which downstream windowing uses as the supervision signal.
+This is the whole front end, and the only one: the command line's outputs
+(denoised series, bands, components, granules, feature weights) are views
+of one ``assemble_channels`` result. Per station, the raw target series is
+denoised and split into recombined high/mid/low bands; granule cores
+summarize daily and weekly windows of the denoised series; the calendar
+contributes a holiday flag; and exogenous series enter through ReliefF
+ranking. Channel 0 is always the denoised target, which downstream
+windowing uses as the supervision signal.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ class ChannelConfig:
     granule_windows: tuple = DEFAULT_WINDOWS
     relieff_k: int = 70
     top_n: int = 2
-    use_bands: bool = True
-    use_granules: bool = True
 
     def __post_init__(self):
         if self.top_n < 0:
@@ -48,9 +49,18 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class AssembledChannels:
+    """The channel stack plus what the front end found on the way.
+
+    components holds, per station, the (component_id, series) pairs behind
+    the bands; feature_names names the ReliefF candidate behind each weight
+    (empty, like weights, when no exogenous series was given).
+    """
+
     series: SeriesTensor
     channel_names: tuple
+    components: tuple
     weights: FeatureWeights | None
+    feature_names: tuple
     selected: tuple
 
 
@@ -105,31 +115,32 @@ def assemble_channels(
     high = np.empty((t_len, n))
     mid = np.empty((t_len, n))
     low = np.empty((t_len, n))
+    components = []
     for i in range(n):
         signal = series.values[:, i, 0]
-        den, bands = multi_frequency_pipeline(signal, cfg.decompose, seed=station_seeds[i])
+        den, bands, comps = multi_frequency_pipeline(signal, cfg.decompose, seed=station_seeds[i])
         denoised[:, i] = den
         high[:, i] = bands.high
         mid[:, i] = bands.mid
         low[:, i] = bands.low
+        components.append(comps)
 
-    channels = [("denoised", denoised)]
-    if cfg.use_bands:
-        channels += [("band_high", high), ("band_mid", mid), ("band_low", low)]
-    if cfg.use_granules:
-        for window in cfg.granule_windows:
-            cores = np.empty((t_len, n))
-            for i in range(n):
-                cores[:, i] = granule_channels(denoised[:, i], windows=(window,))[window]
-            channels.append((f"granule{window}", cores))
+    channels = [("denoised", denoised), ("band_high", high), ("band_mid", mid), ("band_low", low)]
+    for window in cfg.granule_windows:
+        cores = np.empty((t_len, n))
+        for i in range(n):
+            cores[:, i] = granule_channels(denoised[:, i], windows=(window,))[window]
+        channels.append((f"granule{window}", cores))
     holiday = calendar.holiday_flag.astype(float)
     channels.append(("holiday", np.repeat(holiday[:, None], n, axis=1)))
 
     weights = None
+    feature_names = ()
     selected = ()
     if exogenous:
         table = build_feature_table(series.values[:, :, 0].mean(axis=1), exogenous, holiday)
         weights = relieff(table, k=cfg.relieff_k, seed=seeds.subseed(seed, "relieff.sample"))
+        feature_names = table.feature_names
         ranked = [table.feature_names[i] for i in select_features(weights, top_n=table.F)]
         selected = tuple(name for name in ranked if name != "holiday")[: cfg.top_n]
         for name in selected:
@@ -144,6 +155,8 @@ def assemble_channels(
     return AssembledChannels(
         series=SeriesTensor(stacked),
         channel_names=names,
+        components=tuple(components),
         weights=weights,
+        feature_names=feature_names,
         selected=selected,
     )

@@ -1,5 +1,11 @@
-"""Command-line pipeline: synth, decompose, granulate, select, pretrain,
-train, evaluate, forecast.
+"""Command-line pipeline: synth, decompose, pretrain, train, evaluate,
+forecast.
+
+decompose, train, evaluate and forecast take their channels from one call
+to ``channels.assemble_channels`` on the loaded series and exogenous
+inputs; decompose writes views of that result (denoised series, bands,
+components, granules, feature weights), so what it shows is what the
+model sees.
 
 Every command resolves its configuration from flag > file > default, echoes
 the resolved values with a hash, and is deterministic given the same inputs
@@ -21,14 +27,12 @@ import numpy as np
 from . import io as cio
 from . import seeds, synth
 from .autodiff import no_grad
-from .bands import multi_frequency_pipeline
-from .channels import assemble_channels, build_feature_table
+from .channels import assemble_channels
 from .config import PipelineConfig, load_config
 from .domain import CalendarFrame, SeriesTensor, StationGraph, make_windows, split_dataset
 from .errors import ConfigError, DataError, NumericError
-from .granulate import granule_channels
 from .model import build_model, forward_batch, freeze_and_adapt, load_checkpoint, save_checkpoint
-from .relieff import relieff, write_weights_csv
+from .relieff import write_weights_csv
 from .training import evaluate, fit
 
 __all__ = ["main"]
@@ -176,8 +180,32 @@ def _split_windows(cfg: PipelineConfig, assembled_series: SeriesTensor, calendar
     return tuple(windows), parts
 
 
-def _assemble(cfg: PipelineConfig, series, calendar, exogenous=None):
-    return assemble_channels(series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous)
+def _front_end(cfg: PipelineConfig, with_graph: bool):
+    """Load the inputs and assemble the model's channels from them.
+
+    The station graph (None unless with_graph) is read before the front end
+    runs, so a missing or bad adjacency file fails fast.
+    """
+    series, calendar, node_ids = _load_series(cfg)
+    graph = _load_graph(cfg, node_ids) if with_graph else None
+    exogenous = _load_exogenous(cfg, calendar, node_ids)
+    assembled = assemble_channels(
+        series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
+    )
+    return assembled, calendar, node_ids, graph
+
+
+def _load_matching_checkpoint(cfg: PipelineConfig, key: str, c_in: int):
+    """Load the checkpoint at [io] key; its model config must be this run's."""
+    path = _path(cfg, key)
+    model = load_checkpoint(path)
+    want = cfg.model_config(c_in=c_in)
+    if model.config != want:
+        raise ConfigError(
+            f"{path} holds a model for {model.config}, but this run needs {want}; "
+            f"re-create it with a matching configuration"
+        )
+    return model
 
 
 # -- commands ------------------------------------------------------------------
@@ -211,64 +239,28 @@ def _cmd_synth(args) -> int:
 def _cmd_decompose(args) -> int:
     cfg = _resolve_config(args)
     _echo(cfg)
-    series, calendar, node_ids = _load_series(cfg)
-    dcfg = cfg.decompose_config()
-    station_seeds = seeds.subseed(cfg.seed(), "decompose.noise").spawn(series.N)
-
-    denoised = np.empty((series.T, series.N))
+    assembled, calendar, node_ids, _ = _front_end(cfg, with_graph=False)
+    stamps = calendar.timestamps
+    channel = dict(zip(assembled.channel_names, np.moveaxis(assembled.series.values, 2, 0)))
     for i, node in enumerate(node_ids):
-        signal = series.values[:, i, 0]
-        if args.dump:
-            den, bands, components = multi_frequency_pipeline(
-                signal, dcfg, seed=station_seeds[i], detail=True
-            )
-            comp_path = _out_path(cfg, f"components_{node}.csv")
-            cio.write_components_csv(comp_path, calendar.timestamps, components)
-            print(f"wrote {comp_path}")
-        else:
-            den, bands = multi_frequency_pipeline(signal, dcfg, seed=station_seeds[i])
-        denoised[:, i] = den
-        band_path = _out_path(cfg, f"bands_{node}.csv")
-        cio.write_components_csv(
-            band_path,
-            calendar.timestamps,
-            [("band_high", bands.high), ("band_mid", bands.mid), ("band_low", bands.low)],
-        )
-        print(f"wrote {band_path}")
-    den_path = _out_path(cfg, "denoised.csv")
-    cio.write_charging_csv(den_path, calendar.timestamps, node_ids, denoised)
-    print(f"wrote {den_path}")
-    return 0
-
-
-def _cmd_granulate(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
-    series, calendar, node_ids = _load_series(cfg)
-    for window in cfg.get("fig", "windows"):
-        cores = np.empty((series.T, series.N))
-        for i in range(series.N):
-            cores[:, i] = granule_channels(series.values[:, i, 0], windows=(window,))[window]
-        path = _out_path(cfg, f"granules_w{window}.csv")
-        cio.write_charging_csv(path, calendar.timestamps, node_ids, cores)
+        path = _out_path(cfg, f"components_{node}.csv")
+        cio.write_components_csv(path, stamps, assembled.components[i])
         print(f"wrote {path}")
-    return 0
-
-
-def _cmd_select(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
-    series, calendar, node_ids = _load_series(cfg)
-    exogenous = _load_exogenous(cfg, calendar, node_ids)
-    table = build_feature_table(
-        series.values[:, :, 0].mean(axis=1), exogenous, calendar.holiday_flag.astype(float)
-    )
-    weights = relieff(
-        table, k=cfg.get("relieff", "k"), seed=seeds.subseed(cfg.seed(), "relieff.sample")
-    )
-    path = _out_path(cfg, "feature_weights.csv")
-    write_weights_csv(path, table, weights)
+        path = _out_path(cfg, f"bands_{node}.csv")
+        bands = [(b, channel[b][:, i]) for b in ("band_high", "band_mid", "band_low")]
+        cio.write_components_csv(path, stamps, bands)
+        print(f"wrote {path}")
+    path = _out_path(cfg, "denoised.csv")
+    cio.write_charging_csv(path, stamps, node_ids, channel["denoised"])
     print(f"wrote {path}")
+    for window in cfg.get("fig", "windows"):
+        path = _out_path(cfg, f"granules_w{window}.csv")
+        cio.write_charging_csv(path, stamps, node_ids, channel[f"granule{window}"])
+        print(f"wrote {path}")
+    if assembled.weights is not None:
+        path = _out_path(cfg, "feature_weights.csv")
+        write_weights_csv(path, assembled.feature_names, assembled.weights)
+        print(f"wrote {path}")
     return 0
 
 
@@ -290,8 +282,8 @@ def _cmd_pretrain(args) -> int:
         calendar = CalendarFrame(data.timestamps)
         calendar = cio.apply_holidays(calendar, data.holidays)
         exogenous = _synth_exogenous(cfg, task_rng, calendar.T)
-        assembled = _assemble(cfg, SeriesTensor(data.values[:, :, None]), calendar,
-                              exogenous=exogenous or None)
+        assembled = assemble_channels(SeriesTensor(data.values[:, :, None]), calendar, seed,
+                                      cfg.channel_config(), exogenous=exogenous or None)
         if channel_count is None:
             channel_count = assembled.series.C
         elif assembled.series.C != channel_count:
@@ -321,10 +313,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _prepare_training_data(cfg: PipelineConfig):
-    series, calendar, node_ids = _load_series(cfg)
-    graph = _load_graph(cfg, node_ids)
-    exogenous = _load_exogenous(cfg, calendar, node_ids)
-    assembled = _assemble(cfg, series, calendar, exogenous=exogenous or None)
+    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
     (train_w, valid_w, test_w), parts = _split_windows(cfg, assembled.series, calendar)
     return assembled, calendar, node_ids, graph, (train_w, valid_w, test_w), parts
 
@@ -335,13 +324,7 @@ def _cmd_train(args) -> int:
     assembled, _, _, graph, (train_w, valid_w, _), _ = _prepare_training_data(cfg)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
-    model = load_checkpoint(_path(cfg, "backbone"))
-    want = cfg.model_config(c_in=assembled.series.C)
-    if model.config != want:
-        raise ConfigError(
-            f"backbone was pretrained for {model.config}, but this run needs {want}; "
-            f"re-run pretrain with a matching configuration"
-        )
+    model = _load_matching_checkpoint(cfg, "backbone", assembled.series.C)
     train_cfg = cfg.train_config()
     freeze_and_adapt(
         model,
@@ -364,12 +347,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     _echo(cfg)
     assembled, calendar, node_ids, graph, (_, _, test_w), parts = _prepare_training_data(cfg)
-    model = load_checkpoint(_path(cfg, "checkpoint"))
-    want = cfg.model_config(c_in=assembled.series.C)
-    if model.config != want:
-        raise ConfigError(
-            f"checkpoint was trained for {model.config}, but this run needs {want}"
-        )
+    model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
     report = evaluate(
         model, test_w, graph, use_graph_mask=cfg.get("train", "use_graph_mask")
     )
@@ -390,16 +368,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_forecast(args) -> int:
     cfg = _resolve_config(args)
     _echo(cfg)
-    series, calendar, node_ids = _load_series(cfg)
-    graph = _load_graph(cfg, node_ids)
-    exogenous = _load_exogenous(cfg, calendar, node_ids)
-    assembled = _assemble(cfg, series, calendar, exogenous=exogenous or None)
-    model = load_checkpoint(_path(cfg, "checkpoint"))
-    want = cfg.model_config(c_in=assembled.series.C)
-    if model.config != want:
-        raise ConfigError(
-            f"checkpoint was trained for {model.config}, but this run needs {want}"
-        )
+    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
+    model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
     p = cfg.get("model", "lookback")
     s = cfg.get("model", "horizon")
     if assembled.series.T < p:
@@ -422,9 +392,7 @@ def _cmd_forecast(args) -> int:
 
 _COMMANDS = {
     "synth": (_cmd_synth, "generate a synthetic charging dataset"),
-    "decompose": (_cmd_decompose, "multi-frequency decomposition per station"),
-    "granulate": (_cmd_granulate, "window-granule core channels per station"),
-    "select": (_cmd_select, "rank candidate features by neighbor-based weights"),
+    "decompose": (_cmd_decompose, "write the front end's views: bands, components, granules, weights"),
     "pretrain": (_cmd_pretrain, "train a full-precision backbone on synthetic tasks"),
     "train": (_cmd_train, "adapt a pretrained backbone to a charging dataset"),
     "evaluate": (_cmd_evaluate, "score a trained checkpoint on the test split"),
@@ -440,11 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         _add_common_flags(sub)
-        if name == "decompose":
-            sub.add_argument(
-                "--dump", action="store_true",
-                help="also write every per-station component (columns sum to the denoised series)",
-            )
     return parser
 
 

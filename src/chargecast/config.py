@@ -94,8 +94,6 @@ SCHEMA = {
         "pretrain_epochs": ("40", int),
         "batch_size": ("64", int),
         "optimizer": ("adam", str),
-        "use_bands": ("true", _parse_bool),
-        "use_granules": ("true", _parse_bool),
         "use_freq_loss": ("true", _parse_bool),
         "use_graph_mask": ("true", _parse_bool),
         "freeze_mode": ("partial", str),
@@ -158,8 +156,6 @@ class PipelineConfig:
             granule_windows=self.get("fig", "windows"),
             relieff_k=self.get("relieff", "k"),
             top_n=self.get("relieff", "top_n"),
-            use_bands=self.get("train", "use_bands"),
-            use_granules=self.get("train", "use_granules"),
         )
 
     def model_config(self, c_in: int) -> ModelConfig:

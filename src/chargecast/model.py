@@ -21,6 +21,7 @@ head) are rejected.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -534,10 +535,15 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> PfgaModel:
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not a chargecast checkpoint: it holds a bare array")
+        with data:
             arrays = {k: data[k] for k in data.files}
-    except OSError as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if "meta_json" not in arrays or "nf4_codebook" not in arrays:
+        raise DataError(f"{path} is not a chargecast checkpoint: it has no meta_json or nf4_codebook")
     meta = json.loads(bytes(arrays.pop("meta_json")).decode())
     if meta.get("version") != _CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")

@@ -1,4 +1,4 @@
-"""ReliefF feature weighting, selection, and the holiday indicator.
+"""ReliefF feature weighting and selection.
 
 Weights follow the classic neighbor-based update: each sampled instance
 pulls its feature weights down by the mean diff to its k nearest hits and
@@ -19,10 +19,8 @@ import numpy as np
 __all__ = [
     "FeatureTable",
     "FeatureWeights",
-    "diff",
     "relieff",
     "select_features",
-    "holiday_indicator",
     "write_weights_csv",
 ]
 
@@ -91,21 +89,12 @@ class FeatureWeights:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
-def diff(feature_idx: int, r1: int, r2: int, table: FeatureTable) -> float:
-    """Per-feature difference between two rows, in [0, 1]."""
-    v1 = table.values[r1, feature_idx]
-    v2 = table.values[r2, feature_idx]
-    if table.kinds[feature_idx] == DISCRETE:
-        return 0.0 if v1 == v2 else 1.0
-    col = table.values[:, feature_idx]
-    rng = float(col.max() - col.min())
-    if rng == 0.0:
-        return 0.0
-    return abs(v1 - v2) / rng
-
-
 def _row_diffs(table: FeatureTable, ridx: int, ranges: np.ndarray, is_discrete: np.ndarray) -> np.ndarray:
-    """(M, F) diffs between row ridx and every row, per-feature, exactly diff()."""
+    """(M, F) per-feature diffs in [0, 1] between row ridx and every row.
+
+    Continuous columns diff by |v1 - v2| over the column range (0 for a
+    constant column); discrete columns diff by 0 when equal, else 1.
+    """
     vals = table.values
     out = np.zeros_like(vals)
     cont = ~is_discrete
@@ -203,20 +192,11 @@ def select_features(weights: FeatureWeights, top_n: int):
     return [int(i) for i in ranked[:top_n]]
 
 
-def holiday_indicator(calendar, holiday_dates) -> np.ndarray:
-    """1 for every hour whose calendar date is in the holiday set, else 0."""
-    days = calendar.timestamps.astype("datetime64[D]")
-    if len(holiday_dates) == 0:
-        return np.zeros(calendar.T, dtype=np.int64)
-    dates = np.array(sorted(np.datetime64(d, "D") for d in holiday_dates))
-    return np.isin(days, dates).astype(np.int64)
-
-
-def write_weights_csv(path, table: FeatureTable, weights: FeatureWeights) -> None:
+def write_weights_csv(path, feature_names, weights: FeatureWeights) -> None:
     """Export (feature_name, weight) rows, heaviest first."""
-    ranked = select_features(weights, table.F)
+    ranked = select_features(weights, len(feature_names))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "weight"])
         for idx in ranked:
-            writer.writerow([table.feature_names[idx], repr(float(weights.weights[idx]))])
+            writer.writerow([feature_names[idx], repr(float(weights.weights[idx]))])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["VmdConfig", "Mode", "vmd", "vmd_denoise"]
+__all__ = ["VmdConfig", "Mode", "vmd"]
 
 
 @dataclass(frozen=True)
@@ -150,18 +150,6 @@ def vmd(signal, cfg: VmdConfig) -> list:
     omega = np.clip(omega, 0.0, 0.5)
     order = np.argsort(omega, kind="stable")
     return [Mode(time_modes[k], float(omega[k])) for k in order]
-
-
-def vmd_denoise(signal, cfg: VmdConfig) -> np.ndarray:
-    """Sum of the K-1 modes with lowest center frequency.
-
-    The discarded mode is the one with the largest converged center
-    frequency, treated as high-frequency noise.
-    """
-    if cfg.K < 2:
-        raise ValueError("denoising requires K >= 2 so one mode can be discarded")
-    modes = vmd(signal, cfg)
-    return sum_components([m.samples for m in modes[:-1]])
 
 
 def sum_components(components) -> np.ndarray:

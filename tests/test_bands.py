@@ -115,9 +115,7 @@ def make_signal(n=512):
 
 def test_pipeline_detail_components_sum_to_denoised():
     x = make_signal()
-    den, bands, comps = multi_frequency_pipeline(
-        x, LIGHT, seed=np.random.SeedSequence(0), detail=True
-    )
+    den, bands, comps = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(0))
     col_sum = np.zeros_like(den)
     for _, series in comps:
         col_sum += series
@@ -127,14 +125,14 @@ def test_pipeline_detail_components_sum_to_denoised():
 
 def test_pipeline_bands_sum_to_denoised():
     x = make_signal()
-    den, bands = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(0))
+    den, bands, _ = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(0))
     rel = np.max(np.abs(bands.total() - den)) / np.max(np.abs(den))
     assert rel < 1e-12
 
 
 def test_pipeline_denoised_drops_power():
     x = make_signal()
-    den, _ = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(0))
+    den, _, _ = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(0))
     assert float(np.var(den)) < float(np.var(x))
     # and stays close to the clean structure underneath
     assert np.corrcoef(den, x)[0, 1] > 0.95
@@ -159,7 +157,7 @@ def test_pipeline_needs_two_modes():
 
 def test_component_ids_are_stable_and_descriptive():
     x = make_signal(256)
-    _, _, comps = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(2), detail=True)
+    _, _, comps = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(2))
     ids = [cid for cid, _ in comps]
     assert len(ids) == len(set(ids))
     assert any("sub" in cid for cid in ids)  # the most complex mode was expanded

@@ -4,14 +4,21 @@ A module-scoped workspace runs the whole chain once on a small synthetic
 dataset; individual tests then assert on its outputs and exit behavior.
 """
 
+import argparse
 import csv
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from conftest import child_env
+
+from chargecast import cli
+from chargecast import io as cio
+from chargecast.channels import assemble_channels
+from chargecast.config import load_config
 
 LIGHT_INI = """\
 [synth]
@@ -95,6 +102,23 @@ def workspace(tmp_path_factory):
     return ws, common
 
 
+@pytest.fixture(scope="module")
+def decomposed(workspace):
+    """decompose run once on the workspace inputs; its completed process."""
+    _, common = workspace
+    return run("decompose", *common)
+
+
+@pytest.fixture
+def data_copy(workspace, tmp_path):
+    """The workspace inputs and checkpoints copied to a fresh output directory."""
+    ws, _ = workspace
+    names = ("series.csv", "adjacency.csv", "holidays.txt", "temperature.csv", "backbone.npz", "model.npz")
+    for name in names:
+        (tmp_path / name).write_bytes((ws / name).read_bytes())
+    return tmp_path, ("--config", str(ws / "light.ini"), "--seed", "11", "--out-dir", str(tmp_path))
+
+
 class TestPipelineOutputs:
     def test_synth_outputs_exist(self, workspace):
         ws, _ = workspace
@@ -146,22 +170,19 @@ class TestPipelineOutputs:
             for cell in row[1:]:
                 assert np.isfinite(float(cell))
 
-    def test_config_echo_with_hash(self, workspace):
-        ws, common = workspace
-        proc = run("granulate", *common)
+    def test_config_echo_with_hash(self, decomposed):
+        proc = decomposed
         assert "seeds.root = 11" in proc.stdout
         assert any(line.startswith("config_hash = ") for line in proc.stdout.splitlines())
 
-    def test_granulate_output(self, workspace):
-        ws, common = workspace
-        run("granulate", *common)
+    def test_granulate_output(self, workspace, decomposed):
+        ws, _ = workspace
         header, rows = read_csv(ws / "granules_w24.csv")
         assert len(rows) == 30 * 24
         assert len(header) == 5
 
-    def test_select_ranks_features(self, workspace):
-        ws, common = workspace
-        run("select", *common)
+    def test_select_ranks_features(self, workspace, decomposed):
+        ws, _ = workspace
         header, rows = read_csv(ws / "feature_weights.csv")
         assert header == ["feature", "weight"]
         names = [r[0] for r in rows]
@@ -171,9 +192,8 @@ class TestPipelineOutputs:
 
 
 class TestDecomposeDump:
-    def test_components_sum_to_denoised(self, workspace):
-        ws, common = workspace
-        run("decompose", "--dump", *common)
+    def test_components_sum_to_denoised(self, workspace, decomposed):
+        ws, _ = workspace
         _, den_rows = read_csv(ws / "denoised.csv")
         header, comp_rows = read_csv(ws / "components_st00.csv")
         assert header[0] == "timestamp"
@@ -183,13 +203,64 @@ class TestDecomposeDump:
             want = float(den_row[1])
             assert abs(total - want) <= 1e-9 * max(1.0, abs(want))
 
-    def test_band_files_written_per_station(self, workspace):
-        ws, common = workspace
-        run("decompose", *common)
+    def test_band_files_written_per_station(self, workspace, decomposed):
+        ws, _ = workspace
         for node in ("st00", "st01", "st02", "st03"):
             header, rows = read_csv(ws / f"bands_{node}.csv")
             assert header == ["timestamp", "band_high", "band_mid", "band_low"]
             assert len(rows) == 30 * 24
+
+
+def csv_matrix(path):
+    """The numeric columns of a CSV as a float array; repr-written floats round-trip."""
+    _, rows = read_csv(path)
+    return np.array([[float(cell) for cell in row[1:]] for row in rows])
+
+
+class TestViewsOfTheModelChannels:
+    """decompose's files hold exactly what an in-process assemble_channels gives the model."""
+
+    @pytest.fixture(scope="class")
+    def assembled(self, workspace):
+        ws, _ = workspace
+        cfg = load_config(str(ws / "light.ini"), {("seeds", "root"): "11", ("io", "out_dir"): str(ws)})
+        series, calendar, _ = cio.load_charging_csv(str(ws / "series.csv"), kind=cfg.kind())
+        calendar = cio.apply_holidays(calendar, cio.load_holidays(str(ws / "holidays.txt")))
+        temperature = cio.load_charging_csv(str(ws / "temperature.csv"))[0].values[:, 0, 0]
+        return assemble_channels(
+            series, calendar, cfg.seed(), cfg.channel_config(), exogenous={"temperature": temperature}
+        )
+
+    def channel(self, assembled, name):
+        return assembled.series.values[:, :, assembled.channel_names.index(name)]
+
+    def test_granule_file_is_the_granule_channel(self, workspace, decomposed, assembled):
+        ws, _ = workspace
+        got = csv_matrix(ws / "granules_w24.csv")
+        assert np.array_equal(got, self.channel(assembled, "granule24"))
+
+    def test_denoised_and_band_files_are_the_channels(self, workspace, decomposed, assembled):
+        ws, _ = workspace
+        assert np.array_equal(csv_matrix(ws / "denoised.csv"), self.channel(assembled, "denoised"))
+        bands = np.stack([self.channel(assembled, b) for b in ("band_high", "band_mid", "band_low")], axis=2)
+        for i, node in enumerate(("st00", "st01", "st02", "st03")):
+            assert np.array_equal(csv_matrix(ws / f"bands_{node}.csv"), bands[:, i])
+
+    def test_feature_weights_are_the_assembled_weights(self, workspace, decomposed, assembled):
+        ws, _ = workspace
+        _, rows = read_csv(ws / "feature_weights.csv")
+        got = {name: float(weight) for name, weight in rows}
+        want = dict(zip(assembled.feature_names, assembled.weights.weights))
+        assert got == want
+
+
+def test_readme_commands_table_lists_every_subcommand():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Commands", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(subcommands.choices)
 
 
 class TestDeterminism:
@@ -215,7 +286,7 @@ class TestExitCodes:
         assert "configuration error:" in proc.stderr
 
     def test_missing_series_exits_3(self, tmp_path):
-        proc = run("granulate", "--out-dir", str(tmp_path), check=False)
+        proc = run("decompose", "--out-dir", str(tmp_path), check=False)
         assert proc.returncode == 3
         assert "data error:" in proc.stderr
 
@@ -234,17 +305,46 @@ class TestExitCodes:
         proc = run("transmogrify", check=False)
         assert proc.returncode == 2
 
-    def test_evaluate_without_checkpoint_exits_3(self, workspace, tmp_path):
-        ws, _ = workspace
+    def test_evaluate_without_checkpoint_exits_3(self, data_copy):
+        out_dir, common = data_copy
         # valid data directory, but no checkpoint has been trained here
-        for name in ("series.csv", "adjacency.csv", "holidays.txt", "temperature.csv"):
-            (tmp_path / name).write_bytes((ws / name).read_bytes())
-        proc = run(
-            "evaluate",
-            "--config", str(ws / "light.ini"),
-            "--seed", "11",
-            "--out-dir", str(tmp_path),
-            check=False,
-        )
+        (out_dir / "model.npz").unlink()
+        proc = run("evaluate", *common, check=False)
         assert proc.returncode == 3
         assert "data error:" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    def test_missing_adjacency_fails_before_the_front_end(self, data_copy, monkeypatch, command):
+        out_dir, common = data_copy
+        (out_dir / "adjacency.csv").unlink()
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        assert cli.main([command, *common]) == 3
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "command, checkpoint",
+        [("train", "backbone.npz"), ("evaluate", "model.npz"), ("forecast", "model.npz")],
+    )
+    def test_checkpoint_for_another_model_config_exits_2(self, data_copy, command, checkpoint):
+        out_dir, common = data_copy
+        before = (out_dir / "model.npz").read_bytes()
+        proc = run(command, *common, "--lookback", "6", check=False)
+        assert proc.returncode == 2
+        assert "configuration error:" in proc.stderr
+        assert str(out_dir / checkpoint) in proc.stderr
+        assert (out_dir / "model.npz").read_bytes() == before
+
+    @pytest.mark.parametrize("command, damage", [("evaluate", "truncated"), ("forecast", "foreign")])
+    def test_malformed_checkpoint_exits_3(self, data_copy, command, damage):
+        out_dir, common = data_copy
+        path = out_dir / "model.npz"
+        if damage == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            np.savez(path, weights=np.zeros(3))
+        proc = run(command, *common, check=False)
+        assert proc.returncode == 3
+        assert "data error:" in proc.stderr
+        assert "Traceback" not in proc.stderr

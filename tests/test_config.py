@@ -78,7 +78,13 @@ class TestRejection:
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="not a boolean"):
-            load_config(overrides={("train", "use_bands"): "maybe"})
+            load_config(overrides={("train", "use_freq_loss"): "maybe"})
+
+    def test_channel_switches_are_unknown_keys(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[train]\nuse_bands = false\n")
+        with pytest.raises(ConfigError, match="unknown key 'use_bands' in \\[train\\]"):
+            load_config(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):

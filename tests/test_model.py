@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chargecast.autodiff import no_grad
-from chargecast.errors import ConfigError
+from chargecast.errors import ConfigError, DataError
 from chargecast.model import (
     ModelConfig,
     PositionalEncoding,
@@ -510,3 +510,21 @@ class TestCheckpoint:
         np.savez(old, **arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
             load_checkpoint(old)
+
+    @pytest.mark.parametrize("save", [np.savez, np.save], ids=["npz_without_meta", "bare_array"])
+    def test_foreign_numpy_file_is_a_data_error(self, tmp_path, save):
+        path = tmp_path / "other.npz"
+        with open(path, "wb") as fh:
+            save(fh, np.zeros(3))
+        with pytest.raises(DataError, match="not a chargecast checkpoint"):
+            load_checkpoint(str(path))
+
+    def test_truncated_checkpoint_is_a_data_error(self, tmp_path):
+        rng = np.random.default_rng(34)
+        model = build_model(TINY, rng, n_max=16)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            load_checkpoint(str(path))

@@ -14,7 +14,6 @@ from chargecast.relieff import (
     CONTINUOUS,
     DISCRETE,
     FeatureTable,
-    holiday_indicator,
     relieff,
     select_features,
     write_weights_csv,
@@ -220,22 +219,11 @@ def test_select_features_orders_by_weight_then_index():
     assert all(vals[i] >= vals[i + 1] for i in range(3))
 
 
-def test_holiday_indicator_marks_matching_days():
-    from chargecast.domain import CalendarFrame
-
-    ts = np.datetime64("2024-03-01T00", "h") + np.arange(72).astype("timedelta64[h]")
-    cal = CalendarFrame(ts)
-    flags = holiday_indicator(cal, [np.datetime64("2024-03-02", "D")])
-    assert flags[:24].sum() == 0
-    assert flags[24:48].sum() == 24
-    assert flags[48:].sum() == 0
-
-
 def test_weights_csv_is_ranked(tmp_path):
     table = informative_table(1)
     w = relieff(table, k=5, seed=1)
     path = tmp_path / "w.csv"
-    write_weights_csv(path, table, w)
+    write_weights_csv(path, table.feature_names, w)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "feature,weight"
     weights = [float(line.split(",")[1]) for line in lines[1:]]
