@@ -98,9 +98,8 @@ def write_charging_csv(path, timestamps, node_ids, values) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", *node_ids])
-        for t in range(values.shape[0]):
-            stamp = np.datetime_as_string(np.datetime64(timestamps[t], "h"))
-            writer.writerow([stamp, *[repr(float(v)) for v in values[t]]])
+        columns = [_float_text(values[:, j]) for j in range(values.shape[1])]
+        writer.writerows(zip(_hour_stamps(timestamps, values.shape[0]), *columns))
 
 
 def load_adjacency_csv(path, node_ids) -> StationGraph:
@@ -191,15 +190,25 @@ def apply_holidays(calendar: CalendarFrame, holiday_days) -> CalendarFrame:
     return CalendarFrame(calendar.timestamps, flags)
 
 
+def _hour_stamps(timestamps, n: int) -> list:
+    """The first n timestamps as ISO strings at hour resolution."""
+    return np.datetime_as_string(np.asarray(timestamps[:n]).astype("datetime64[h]")).tolist()
+
+
+def _float_text(values) -> list:
+    """repr() of every value (C order), one conversion per array."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
 def write_components_csv(path, timestamps, components) -> None:
     """components: ordered (id, series) pairs, one column each."""
     ids = [cid for cid, _ in components]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", *ids])
-        for t in range(len(timestamps)):
-            stamp = np.datetime_as_string(np.datetime64(timestamps[t], "h"))
-            writer.writerow([stamp, *[repr(float(series[t])) for _, series in components]])
+        n = len(timestamps)
+        columns = [_float_text(np.asarray(series)[:n]) for _, series in components]
+        writer.writerows(zip(_hour_stamps(timestamps, n), *columns))
 
 
 def write_predictions_csv(path, window_starts, node_ids, predictions, truths) -> None:
@@ -209,13 +218,17 @@ def write_predictions_csv(path, window_starts, node_ids, predictions, truths) ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start", "step", "station", "y_true", "y_pred"])
-        for w in range(predictions.shape[0]):
-            stamp = np.datetime_as_string(np.datetime64(window_starts[w], "h"))
-            for s in range(predictions.shape[1]):
-                for n, node in enumerate(node_ids):
-                    writer.writerow(
-                        [stamp, s + 1, node, repr(float(truths[w, s, n, 0])), repr(float(predictions[w, s, n, 0]))]
-                    )
+        windows, steps = predictions.shape[:2]
+        nodes = len(node_ids)
+        keys = (
+            (stamp, s + 1, node)
+            for stamp in _hour_stamps(window_starts, windows)
+            for s in range(steps)
+            for node in node_ids
+        )
+        y_true = _float_text(truths[:, :, :nodes, 0])
+        y_pred = _float_text(predictions[:, :, :nodes, 0])
+        writer.writerows((*key, t, p) for key, t, p in zip(keys, y_true, y_pred))
 
 
 def write_epoch_log(path, log) -> None:

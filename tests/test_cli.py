@@ -254,6 +254,79 @@ class TestViewsOfTheModelChannels:
         assert got == want
 
 
+def loop_write_charging_csv(path, timestamps, node_ids, values):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", *node_ids])
+        for t in range(values.shape[0]):
+            stamp = np.datetime_as_string(np.datetime64(timestamps[t], "h"))
+            writer.writerow([stamp, *[repr(float(v)) for v in values[t]]])
+
+
+def loop_write_components_csv(path, timestamps, components):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", *[cid for cid, _ in components]])
+        for t in range(len(timestamps)):
+            stamp = np.datetime_as_string(np.datetime64(timestamps[t], "h"))
+            writer.writerow([stamp, *[repr(float(series[t])) for _, series in components]])
+
+
+def loop_write_predictions_csv(path, window_starts, node_ids, predictions, truths):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window_start", "step", "station", "y_true", "y_pred"])
+        for w in range(predictions.shape[0]):
+            stamp = np.datetime_as_string(np.datetime64(window_starts[w], "h"))
+            for s in range(predictions.shape[1]):
+                for n, node in enumerate(node_ids):
+                    writer.writerow(
+                        [stamp, s + 1, node, repr(float(truths[w, s, n, 0])), repr(float(predictions[w, s, n, 0]))]
+                    )
+
+
+class TestWritersMatchTheLoopForm:
+    """The column-wise CSV writers give the bytes of the per-cell loop they replace."""
+
+    def same_bytes(self, tmp_path, original, write, loop_write, *args):
+        write(tmp_path / "columns.csv", *args)
+        loop_write(tmp_path / "loop.csv", *args)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert (tmp_path / "columns.csv").read_bytes() == original.read_bytes()
+
+    def test_components_csv(self, workspace, decomposed, tmp_path):
+        ws, _ = workspace
+        for name in ("components_st00.csv", "bands_st03.csv"):
+            header, rows = read_csv(ws / name)
+            stamps = np.array([r[0] for r in rows], dtype="datetime64[h]")
+            values = csv_matrix(ws / name)
+            components = [(cid, values[:, j]) for j, cid in enumerate(header[1:])]
+            self.same_bytes(
+                tmp_path, ws / name, cio.write_components_csv, loop_write_components_csv, stamps, components
+            )
+
+    def test_charging_csv(self, workspace, decomposed, tmp_path):
+        ws, _ = workspace
+        header, rows = read_csv(ws / "denoised.csv")
+        stamps = np.array([r[0] for r in rows], dtype="datetime64[h]")
+        self.same_bytes(
+            tmp_path, ws / "denoised.csv", cio.write_charging_csv, loop_write_charging_csv,
+            stamps, header[1:], csv_matrix(ws / "denoised.csv"),
+        )
+
+    def test_predictions_csv(self, workspace, tmp_path):
+        ws, _ = workspace
+        _, rows = read_csv(ws / "predictions.csv")
+        nodes = list(dict.fromkeys(r[2] for r in rows))
+        steps = max(int(r[1]) for r in rows)
+        cells = np.array([[float(r[3]), float(r[4])] for r in rows]).reshape(-1, steps, len(nodes), 2)
+        starts = np.array([r[0] for r in rows[:: steps * len(nodes)]], dtype="datetime64[h]")
+        self.same_bytes(
+            tmp_path, ws / "predictions.csv", cio.write_predictions_csv, loop_write_predictions_csv,
+            starts, nodes, cells[..., 1:], cells[..., :1],
+        )
+
+
 def test_readme_commands_table_lists_every_subcommand():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("## Commands", 1)[1].split("\n## ", 1)[0]
