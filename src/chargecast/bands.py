@@ -110,10 +110,13 @@ def band_recombine(components, complexity) -> BandSet:
     return BandSet(high=sums[2], mid=sums[1], low=sums[0], membership=membership)
 
 
-def _complexity_scores(components, cfg: DecomposeConfig) -> np.ndarray:
-    scores = np.array(
-        [float(np.mean(msse_curve(c, cfg.m, cfg.r_frac, cfg.tau_max))) for c in components]
-    )
+def _mean_msse(components, cfg: DecomposeConfig) -> list:
+    """Raw complexity score of each component: its mean multiscale entropy."""
+    return [float(np.mean(msse_curve(c, cfg.m, cfg.r_frac, cfg.tau_max))) for c in components]
+
+
+def _complexity_scores(raw) -> np.ndarray:
+    scores = np.asarray(raw, dtype=float)
     finite = scores[np.isfinite(scores)]
     if finite.size < scores.size:
         # entropy curves can hit the +inf no-match sentinel; rank such
@@ -141,23 +144,25 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     retained = modes[:-1]
     denoised = sum_components([m.samples for m in retained])
 
-    mode_scores = _complexity_scores([m.samples for m in retained], cfg)
-    target = int(np.argmax(mode_scores))
+    # each component is scored once: the retained modes here, the new
+    # sub-components below; the +inf cap is applied per ranked list
+    mode_scores = _mean_msse([m.samples for m in retained], cfg)
+    target = int(np.argmax(_complexity_scores(mode_scores)))
     sub = iceemdan(retained[target].samples, cfg.ensemble_n, cfg.noise_amp, seed, cfg.sift)
 
     components = []
     ids = []
+    raw = []
     for i, mode in enumerate(retained):
         if i == target:
-            for j, imf in enumerate(sub.imfs):
-                components.append(imf)
-                ids.append(f"mode{i}_sub{j}")
-            components.append(sub.residual)
-            ids.append(f"mode{i}_subres")
+            parts = [*sub.imfs, sub.residual]
+            components.extend(parts)
+            ids.extend([f"mode{i}_sub{j}" for j in range(len(sub.imfs))] + [f"mode{i}_subres"])
+            raw.extend(_mean_msse(parts, cfg))
         else:
             components.append(mode.samples)
             ids.append(f"mode{i}")
+            raw.append(mode_scores[i])
 
-    scores = _complexity_scores(components, cfg)
-    bands = band_recombine(components, scores)
+    bands = band_recombine(components, _complexity_scores(raw))
     return denoised, bands, tuple(zip(ids, components))

@@ -7,17 +7,21 @@ The entropy is -ln(A/B) over ordered template pairs.
 
 The counts come from a sort-and-sweep over template pairs rather than a
 dense n x n distance matrix. The n = N - m start positions are sorted by
-their lag-0 value; a pair can only match if its lag-0 values differ by at
-most r, so for each sorted row ``np.searchsorted`` bounds the later rows
-that may match at ``value + r + slack``. The slack, a few ulps of
-max(|x|, r), covers the rounding of that bound and of the computed
-difference, so every pair the predicate accepts lies inside its window.
-Every candidate pair is then re-tested with the exact predicate
-``max_lag |x[i+lag] - x[j+lag]| <= r`` (lag 0 included), and the
-predicate is symmetric, so counting unordered pairs and doubling gives
-the same integers as the dense count. Candidates are gathered in chunks
-of at most ``_CHUNK_PAIRS`` pairs, which keeps working memory at
-O(n + _CHUNK_PAIRS) instead of O(n^2).
+their lag-0 value. For each sorted row ``np.searchsorted`` bounds the
+later rows that may match at ``value + r + slack``; the slack, a few ulps
+of max(|x|, r), covers the rounding of that bound, so every partner the
+predicate accepts lies inside this window. Within it the computed lag-0
+distance ``fl(lead[q] - lead[p])`` is monotone in q, so the partners that
+pass the exact lag-0 test ``|x[i] - x[j]| <= r`` form a prefix of the
+window; a bisection over all rows in lockstep finds each row's exact
+stop in about log2(widest window) passes of O(n) work. Lag 0 is thereby decided once per row
+and never re-tested per pair: each pair inside the exact window is tested
+only at lags 1..m, with the same predicate. The predicate is symmetric,
+so counting unordered pairs and doubling gives the same integers as the
+dense count. Pairs are enumerated row by row in chunks of whole rows
+holding at most ``_CHUNK_PAIRS`` pairs (a row with more partners goes
+through alone), which keeps working memory at O(n + _CHUNK_PAIRS) instead
+of O(n^2).
 """
 
 from __future__ import annotations
@@ -78,30 +82,54 @@ def sample_entropy(series, m: int = 2, r: float = 0.0) -> float:
     return float(-np.log(a / b))
 
 
+def _partner_stops(lead: np.ndarray, r: float, scale: float) -> np.ndarray:
+    """Exclusive end of each sorted row's lag-0 partners.
+
+    lead is sorted ascending; row p matches rows p+1 .. stop[p]-1 at lag 0
+    (``|lead[p] - lead[q]| <= r``) and no later row. scale is max(|x|, r),
+    which sizes the slack of the searchsorted bound.
+    """
+    n = lead.size
+    slack = _SLACK_ULPS * np.spacing(scale)
+    # the answer lies in [lo, hi]: rows below lo pass, rows from hi on fail
+    lo = np.arange(1, n + 1)
+    hi = np.searchsorted(lead, lead + r + slack, side="right")
+    # each pass at least halves every row's hi - lo; all rows move in step
+    for _ in range(int(np.max(hi - lo)).bit_length()):
+        mid = (lo + hi) >> 1
+        ok = (lo < hi) & (np.abs(lead - lead[np.minimum(mid, n - 1)]) <= r)
+        lo = np.where(ok, mid + 1, lo)
+        hi = np.where(ok, hi, mid)
+    return lo
+
+
 def _match_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     """(A, B): ordered pairs of (m+1)- and m-templates within distance r."""
     n = x.size - m
     order = np.argsort(x[:n], kind="stable")
     # lag-major template values in lag-0 sorted order: cols[lag][p]
     cols = [x[lag : lag + n][order] for lag in range(m + 1)]
-    lead = cols[0]
-    slack = _SLACK_ULPS * np.spacing(max(float(np.max(np.abs(x))), r))
-    # sorted rows p+1 .. stop[p]-1 are the only possible partners of row p
-    stop = np.searchsorted(lead, lead + r + slack, side="right")
+    stop = _partner_stops(cols[0], r, max(float(np.max(np.abs(x))), r))
     counts = stop - np.arange(1, n + 1)
     ends = np.cumsum(counts)
-    total = int(ends[-1])
     a = b = 0
-    for start in range(0, total, _CHUNK_PAIRS):
-        pair = np.arange(start, min(start + _CHUNK_PAIRS, total))
-        i = np.searchsorted(ends, pair, side="right")
-        j = pair - ends[i] + stop[i]
-        for col in cols[:m]:
+    first = 0
+    while first < n:
+        base = ends[first] - counts[first]
+        last = max(int(np.searchsorted(ends, base + _CHUNK_PAIRS, side="right")), first + 1)
+        rows = np.arange(first, last)
+        per_row = counts[first:last]
+        i = np.repeat(rows, per_row)
+        # the pair at chunk offset o in row p pairs it with row p + 1 + o - s,
+        # s being the chunk offset of row p's first pair
+        j = i + 1 + np.arange(i.size) - np.repeat(ends[first:last] - per_row - base, per_row)
+        for col in cols[1:m]:
             keep = np.abs(col[i] - col[j]) <= r
             i = i[keep]
             j = j[keep]
         b += i.size
         a += int(np.count_nonzero(np.abs(cols[m][i] - cols[m][j]) <= r))
+        first = last
     return 2 * a, 2 * b
 
 

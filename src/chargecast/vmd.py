@@ -3,10 +3,17 @@
 Extracts K band-limited modes by minimizing summed spectral bandwidth
 subject to (exact or relaxed) reconstruction. The solver runs the
 standard ADMM updates in the Fourier domain: a Wiener-filter mode update,
-a power-weighted center-frequency update over the positive half spectrum,
-and dual ascent on the reconstruction multiplier. The input is
-mirror-extended by half its length on each side to suppress boundary
-effects, and the extension is cropped off the returned modes.
+a power-weighted center-frequency update, and dual ascent on the
+reconstruction multiplier. The input is mirror-extended by half its
+length on each side to suppress boundary effects, and the extension is
+cropped off the returned modes.
+
+The updates act on the one-sided (analytic) spectrum, as in
+Dragomiretskiy & Zosso (IEEE TSP 2014): the target's negative half is
+zeroed, so every mode spectrum and the multiplier stay identically zero
+there. The solver therefore iterates on the non-negative half of the
+shifted frequency grid only and rebuilds the two-sided, Hermitian
+spectra just for the final inverse FFT.
 """
 
 from __future__ import annotations
@@ -93,44 +100,53 @@ def vmd(signal, cfg: VmdConfig) -> list:
         raise ValueError(f"signal length {x.size} too short for K={cfg.K} modes")
 
     ext, lpad = _mirror_extend(x)
-    n_ext = ext.size
+    n_ext = ext.size  # 2 * x.size, so both halves of the grid have `half` bins
     half = n_ext // 2
-    freqs = np.arange(n_ext) / n_ext - 0.5
-
-    f_hat = np.fft.fftshift(np.fft.fft(ext))
-    f_plus = f_hat.copy()
-    f_plus[:half] = 0.0
+    # non-negative half of the shifted grid np.arange(n_ext) / n_ext - 0.5
+    pos = np.arange(half, n_ext) / n_ext - 0.5
+    f_plus = np.fft.fftshift(np.fft.fft(ext))[half:]
 
     if cfg.init == 1:
         omega = (0.5 / cfg.K) * np.arange(cfg.K)
     else:
         omega = np.zeros(cfg.K)
 
-    u_hat = np.zeros((cfg.K, n_ext), dtype=complex)
-    lam = np.zeros(n_ext, dtype=complex)
-    pos = freqs[half:]
+    u_hat = np.zeros((cfg.K, half), dtype=complex)
+    lam = np.zeros(half, dtype=complex)
+    # |u_hat|^2 and |u_hat - u_prev|^2 on the full grid, zero below half:
+    # the stop test sums them in exactly the two-sided order
+    power = np.zeros((cfg.K, n_ext))
+    step = np.zeros((cfg.K, n_ext))
 
     for it in range(cfg.max_iter):
         u_prev = u_hat.copy()
+        # the previous iteration left |u_prev|^2 in power
+        den = power.sum(axis=1)
         others = u_hat.sum(axis=0)
+        half_lam = lam / 2.0
         for k in range(cfg.K):
             others -= u_hat[k]
-            u_hat[k] = (f_plus - others + lam / 2.0) / (
-                1.0 + 2.0 * cfg.alpha * (freqs - omega[k]) ** 2
+            u_hat[k] = (f_plus - others + half_lam) / (
+                1.0 + 2.0 * cfg.alpha * (pos - omega[k]) ** 2
             )
-            power = np.abs(u_hat[k, half:]) ** 2
-            total = power.sum()
+            mode_power = power[k, half:]
+            np.square(np.abs(u_hat[k]), out=mode_power)
+            total = mode_power.sum()
             if total > 0.0:
-                omega[k] = float((pos * power).sum() / total)
+                omega[k] = float((pos * mode_power).sum() / total)
             others += u_hat[k]
         if cfg.tau > 0.0:
             lam = lam + cfg.tau * (f_plus - others)
-        num = np.abs(u_hat - u_prev) ** 2
-        den = (np.abs(u_prev) ** 2).sum(axis=1)
-        if it > 0 and np.all(den > 0.0):
-            change = float((num.sum(axis=1) / den).sum())
-            if change < cfg.tol:
-                break
+        if it > 0:
+            np.square(np.abs(u_hat - u_prev), out=step[:, half:])
+            num = step.sum(axis=1)
+            # a mode that is zero and stays zero (an all-zero input) has
+            # not changed; any other mode with den == 0 blocks the stop
+            moved = den > 0.0
+            if np.all(moved | (num == 0.0)):
+                change = float((num[moved] / den[moved]).sum())
+                if change < cfg.tol:
+                    break
     else:
         warnings.warn(
             f"vmd did not converge: K={cfg.K}, alpha={cfg.alpha} reached "
@@ -139,10 +155,10 @@ def vmd(signal, cfg: VmdConfig) -> list:
             stacklevel=2,
         )
 
-    # rebuild two-sided spectra, invert, and crop the mirror extension
-    full = np.zeros_like(u_hat)
-    full[:, half:] = u_hat[:, half:]
-    full[:, 1 : half + 1] = np.conj(u_hat[:, -1 : half - 1 : -1])
+    # rebuild the Hermitian two-sided spectra, invert, and crop the extension
+    full = np.zeros((cfg.K, n_ext), dtype=complex)
+    full[:, half:] = u_hat
+    full[:, 1 : half + 1] = np.conj(u_hat[:, ::-1])
     full[:, 0] = np.conj(full[:, -1])
     time_modes = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=1), axis=1))
     time_modes = time_modes[:, lpad : lpad + x.size]

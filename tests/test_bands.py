@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chargecast import bands as bands_mod
 from chargecast import synth
 from chargecast.bands import BandSet, DecomposeConfig, band_recombine, multi_frequency_pipeline
+from chargecast.entropy import msse_curve
 from chargecast.vmd import VmdConfig
 
 
@@ -164,6 +166,63 @@ def test_component_ids_are_stable_and_descriptive():
     assert len(ids) == len(set(ids))
     assert any("sub" in cid for cid in ids)  # the most complex mode was expanded
     assert all(cid.startswith("mode") for cid in ids)
+
+
+def counting(fn):
+    def wrapped(*args, **kwargs):
+        wrapped.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def test_pipeline_scores_each_component_once(monkeypatch):
+    score = counting(bands_mod.msse_curve)
+    monkeypatch.setattr(bands_mod, "msse_curve", score)
+    _, _, comps = multi_frequency_pipeline(make_signal(), LIGHT, seed=np.random.SeedSequence(0))
+    n_sub = sum("_sub" in cid for cid, _ in comps)  # IMFs plus the residual
+    assert n_sub >= 2
+    assert score.calls == (LIGHT.vmd.K - 1) + n_sub
+
+
+def rescored_bands(comps, cfg, score):
+    """Bands from scoring every final component afresh, +inf capped over the list."""
+    raw = np.array([float(np.mean(score(s, cfg.m, cfg.r_frac, cfg.tau_max))) for _, s in comps])
+    finite = raw[np.isfinite(raw)]
+    if finite.size < raw.size:
+        raw = np.where(np.isfinite(raw), raw, (finite.max() if finite.size else 0.0) + 1.0)
+    return band_recombine([s for _, s in comps], raw)
+
+
+@pytest.mark.parametrize("infinite", [None, "retained_mode", "sub_component"])
+def test_bands_match_rescoring_every_component(monkeypatch, infinite):
+    x = make_signal()
+    seed = np.random.SeedSequence(3)
+    score = msse_curve
+    if infinite is not None:
+        # one component's entropy curve hits the +inf no-match sentinel; a
+        # retained mode that does becomes the most complex one and is expanded
+        _, _, plain = multi_frequency_pipeline(x, LIGHT, seed=seed)
+        kept = "mode0" if infinite == "retained_mode" else "_sub0"
+        cid, target = next((cid, s) for cid, s in plain if cid.endswith(kept))
+
+        def score(series, m, r_frac, tau_max):
+            if np.array_equal(series, target):
+                return np.full(tau_max, np.inf)
+            return msse_curve(series, m, r_frac, tau_max)
+
+        monkeypatch.setattr(bands_mod, "msse_curve", score)
+    _, got, comps = multi_frequency_pipeline(x, LIGHT, seed=seed)
+    ids = [c for c, _ in comps]
+    if infinite == "retained_mode":
+        assert "mode0_sub0" in ids
+    elif infinite == "sub_component":
+        assert np.array_equal(dict(comps)[cid], target)
+    want = rescored_bands(comps, LIGHT, score)
+    assert got.membership == want.membership
+    for band in ("high", "mid", "low"):
+        assert np.array_equal(getattr(got, band), getattr(want, band))
 
 
 def test_year_long_series_decomposes_in_bounded_memory():

@@ -143,10 +143,30 @@ def test_sweep_matches_oracle_on_hard_series(name, x, m, r):
 
 
 def test_multi_chunk_sweep_matches_oracle(monkeypatch):
-    # a handful of pairs per chunk makes rows straddle chunk boundaries
+    # a handful of pairs per chunk packs only a few whole rows per chunk
     monkeypatch.setattr(entropy, "_CHUNK_PAIRS", 3)
     for _, x, m, r in ORACLE_CASES:
         assert_matches_oracle(x, m, r)
+
+
+def test_one_pair_chunks_match_oracle(monkeypatch):
+    # every row with more than one partner goes through alone
+    monkeypatch.setattr(entropy, "_CHUNK_PAIRS", 1)
+    for _, x, m, r in ORACLE_CASES:
+        assert_matches_oracle(x, m, r)
+
+
+@pytest.mark.parametrize("name", ["rounding_edge", "ties_offset"])
+def test_partner_stops_are_exact(name):
+    _, x, m, r = next(c for c in ORACLE_CASES if c[0] == name)
+    n = x.size - m
+    lead = np.sort(x[:n], kind="stable")
+    stops = entropy._partner_stops(lead, r, max(float(np.max(np.abs(x))), r))
+    for p in range(n):
+        # every later row, not only those inside the searchsorted window
+        partners = [q for q in range(p + 1, n) if abs(lead[p] - lead[q]) <= r]
+        assert stops[p] == p + 1 + len(partners)
+        assert partners == list(range(p + 1, stops[p]))
 
 
 def test_year_of_hourly_data_in_bounded_memory():

@@ -7,6 +7,9 @@ first, then misses per class weighted by prior odds. It shares no code
 with the implementation.
 """
 
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from chargecast.relieff import (
     select_features,
     write_weights_csv,
 )
+
+relieff_module = importlib.import_module("chargecast.relieff")
 
 
 def oracle_relieff(values, kinds, labels, k, m_samples, seed):
@@ -231,10 +236,11 @@ def test_weights_csv_is_ranked(tmp_path):
 
 
 def loop_form_relieff(table, k, m_samples, seed):
-    """relieff's former update: one -= / += per neighbor row, in visit order.
+    """relieff's former loop: per visit, a full diff matrix, a stable
+    argsort of every class pool, and one -= / += per neighbor row.
 
-    Visits, ranges, diffs and neighbor ranking are computed exactly as in
-    the implementation, so only the way updates are applied differs.
+    The blocked implementation must add the same numbers in the same order,
+    so its weights are bit-identical to these.
     """
     vals, labels = table.values, table.labels
     classes, counts = np.unique(labels, return_counts=True)
@@ -292,4 +298,52 @@ def test_batched_updates_are_bitwise_the_loop_form():
         got = relieff(table, k=5, m_samples=m_samples, seed=31)
     assert 2 in got.clamped  # class 2 cannot supply 5 hits or misses
     want = loop_form_relieff(table, 5, m_samples, 31)
+    assert np.array_equal(got.weights, want)
+
+
+def loop_form_tables():
+    """(name, table, k): distance ties, discrete-only columns, clamped classes."""
+    rng = np.random.default_rng(78)
+    # six distinct rows, each repeated: a visit ties at distance 0 with its
+    # duplicates, which may sort before it in its own class pool
+    base = np.column_stack([rng.normal(size=6), rng.integers(0, 2, size=6).astype(float)])
+    pick = rng.integers(0, 6, size=30)
+    duplicated = FeatureTable(base[pick], (CONTINUOUS, DISCRETE), (pick + rng.integers(0, 2, size=30)) % 2)
+
+    # 0/1 columns: most distances tie, and tied rows differ in their diffs
+    discrete = FeatureTable(
+        rng.integers(0, 2, size=(40, 3)).astype(float),
+        (DISCRETE,) * 3,
+        np.arange(40) % 3,
+    )
+
+    # with k = 3, a class of one row has no hits at all and one of three
+    # rows only two
+    clamped = FeatureTable(
+        rng.normal(size=(20, 2)), (CONTINUOUS,) * 2, np.array([0] * 16 + [1] * 3 + [2])
+    )
+    return [
+        ("duplicated_rows", duplicated, 4),
+        ("discrete_only", discrete, 6),
+        ("clamped_classes", clamped, 3),
+    ]
+
+
+LOOP_FORM_TABLES = loop_form_tables()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 21], ids=["one_visit_blocks", "default_blocks"])
+@pytest.mark.parametrize(
+    "name,table,k", LOOP_FORM_TABLES, ids=[case[0] for case in LOOP_FORM_TABLES]
+)
+def test_blocked_updates_are_bitwise_the_loop_form(monkeypatch, name, table, k, block_bytes):
+    monkeypatch.setattr(relieff_module, "_BLOCK_BYTES", block_bytes)
+    m_samples = 2 * table.M + 7
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = relieff(table, k=k, m_samples=m_samples, seed=31)
+    small = [c for c in np.unique(table.labels) if np.sum(table.labels == c) < k + 1]
+    assert sorted(got.clamped) == small
+    assert bool(caught) == bool(small)
+    want = loop_form_relieff(table, k, m_samples, 31)
     assert np.array_equal(got.weights, want)
