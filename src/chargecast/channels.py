@@ -8,10 +8,20 @@ summarize daily and weekly windows of the denoised series; the calendar
 contributes a holiday flag; and exogenous series enter through ReliefF
 ranking. Channel 0 is always the denoised target, which downstream
 windowing uses as the supervision signal.
+
+Stations decompose independently, so ``assemble_channels`` runs them in
+forked worker processes, one per CPU this process may use (at most one per
+station). With a single usable CPU, no ``fork`` start method, or inside a
+daemon process (such as a pool worker), they run one after another in this
+process instead. Both ways call the same per-station function with the same
+seeds, so the outputs do not depend on the worker count. Warnings a station
+raises are relayed in station order, prefixed with ``station <i>: ``.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +105,46 @@ def build_feature_table(target_mean, exogenous, holiday_flag) -> FeatureTable:
     )
 
 
+def _station(job):
+    """Decompose one station; returns (recorded warnings, pipeline output).
+
+    Warnings are recorded rather than shown, as (category, text, filename,
+    lineno), so the caller can relay them the same way whether this ran in
+    a worker process or in its own.
+    """
+    signal, decompose, seed = job
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = multi_frequency_pipeline(signal, decompose, seed=seed)
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught], out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay in-process
+        return 1
+
+
+def _decompose_stations(jobs) -> list:
+    """``_station`` results in station order, from forked workers when more than one CPU is usable.
+
+    Workers are forked, not spawned: a spawned worker re-imports the package
+    (a few tenths of a second), which would cost more than it saves at light
+    settings. A station that raises ends the call with its exception (pickled
+    back from a worker with its type and message), and no station's warnings
+    are relayed.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return pool.map(_station, jobs, chunksize=1)
+    return list(map(_station, jobs))
+
+
 def assemble_channels(
     series: SeriesTensor,
     calendar: CalendarFrame,
@@ -116,9 +166,10 @@ def assemble_channels(
     mid = np.empty((t_len, n))
     low = np.empty((t_len, n))
     components = []
-    for i in range(n):
-        signal = series.values[:, i, 0]
-        den, bands, comps = multi_frequency_pipeline(signal, cfg.decompose, seed=station_seeds[i])
+    jobs = [(series.values[:, i, 0], cfg.decompose, station_seeds[i]) for i in range(n)]
+    for i, (caught, (den, bands, comps)) in enumerate(_decompose_stations(jobs)):
+        for category, text, filename, lineno in caught:
+            warnings.warn_explicit(f"station {i}: {text}", category, filename, lineno)
         denoised[:, i] = den
         high[:, i] = bands.high
         mid[:, i] = bands.mid

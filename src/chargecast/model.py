@@ -13,9 +13,10 @@ Attention runs with the heads as an array axis: q, k and v are reshaped to
 array operations. The low-rank adapters of a graph block are stacked the
 same way, one (H, W, r) and one (H, r, d_k) factor each for query and value,
 so a block adds the same number of autodiff nodes whatever the head count.
-Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``;
-this layout is checkpoint version 2, and version-1 files (one tensor per
-head) are rejected.
+Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
+and the NF4 codes of the quantized bases two per byte (low nibble first);
+this layout is checkpoint version 3, and older files (version 1: one tensor
+per head; version 2: one byte per code) are rejected.
 """
 
 from __future__ import annotations
@@ -479,7 +480,24 @@ def _adapters(cfg: ModelConfig, l_q: np.ndarray, l_v: np.ndarray) -> HeadAdapter
 
 # -- checkpointing ------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
+
+
+def _pack_codes(codes: np.ndarray) -> np.ndarray:
+    """Two 4-bit codes per byte, ``lo | hi << 4``; an odd count pads the last high nibble with 0."""
+    flat = codes.reshape(-1)
+    if flat.size % 2:
+        flat = np.append(flat, np.uint8(0))
+    return flat[0::2] | (flat[1::2] << 4)
+
+
+def _unpack_codes(packed: np.ndarray, size: int, name: str) -> np.ndarray:
+    if packed.dtype != np.uint8 or packed.shape != ((size + 1) // 2,):
+        raise DataError(f"checkpoint codes of {name} do not hold {size} packed 4-bit codes")
+    codes = np.empty(2 * packed.size, dtype=np.uint8)
+    codes[0::2] = packed & 0x0F
+    codes[1::2] = packed >> 4
+    return codes[:size]
 
 
 def save_checkpoint(model: PfgaModel, path: str) -> None:
@@ -525,7 +543,7 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
                     "superblock": qt.superblock,
                 }
             )
-            arrays[f"q_codes__{tag}"] = qt.codes
+            arrays[f"q_codes__{tag}"] = _pack_codes(qt.codes)
             arrays[f"q_scale_codes__{tag}"] = qt.scale_codes
             arrays[f"q_scale_min__{tag}"] = qt.scale_min
             arrays[f"q_scale_step__{tag}"] = qt.scale_step
@@ -566,8 +584,9 @@ def load_checkpoint(path: str) -> PfgaModel:
             if qname in quant_info:
                 info = quant_info[qname]
                 tag = f"block{i}__{wname}"
+                size = int(np.prod(info["shape"]))
                 qt = QuantizedTensor(
-                    codes=arrays[f"q_codes__{tag}"],
+                    codes=_unpack_codes(arrays[f"q_codes__{tag}"], size, qname),
                     scale_codes=arrays[f"q_scale_codes__{tag}"],
                     scale_min=arrays[f"q_scale_min__{tag}"],
                     scale_step=arrays[f"q_scale_step__{tag}"],

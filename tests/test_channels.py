@@ -1,12 +1,17 @@
 """Tests for model-input channel assembly."""
 
+import multiprocessing
+import os
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from chargecast.bands import DecomposeConfig
 from chargecast.channels import ChannelConfig, assemble_channels, build_feature_table
 from chargecast.domain import CalendarFrame, SeriesTensor
-from chargecast.errors import ConfigError, DataError
+from chargecast.errors import ConfigError, DataError, NumericError
 from chargecast.vmd import VmdConfig
 
 LIGHT = DecomposeConfig(vmd=VmdConfig(K=4, alpha=200.0), ensemble_n=4, noise_amp=0.1)
@@ -163,3 +168,120 @@ class TestValidation:
             ChannelConfig(top_n=-1)
         with pytest.raises(ConfigError, match="granule_windows"):
             ChannelConfig(granule_windows=())
+
+
+def with_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs look usable; returns the start methods of every pool built."""
+    started = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        started.append(method)
+        return real(method)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return started
+
+
+def assert_same_channels(a, b):
+    assert np.array_equal(a.series.values, b.series.values)
+    assert a.channel_names == b.channel_names
+    assert len(a.components) == len(b.components)
+    for comps_a, comps_b in zip(a.components, b.components):
+        assert [cid for cid, _ in comps_a] == [cid for cid, _ in comps_b]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(comps_a, comps_b))
+    if a.weights is None:
+        assert b.weights is None
+    else:
+        assert np.array_equal(a.weights.weights, b.weights.weights)
+        assert (a.weights.k, a.weights.m_samples, a.weights.clamped) == (
+            b.weights.k,
+            b.weights.m_samples,
+            b.weights.clamped,
+        )
+    assert a.feature_names == b.feature_names
+    assert a.selected == b.selected
+
+
+def serial_and_pooled(monkeypatch, run):
+    """Outcome of ``run()`` with one usable CPU and with two, plus the pools started."""
+    with monkeypatch.context() as m:
+        with_cpus(m, 1)
+        serial = run()
+    with monkeypatch.context() as m:
+        started = with_cpus(m, 2)
+        pooled = run()
+    return serial, pooled, started
+
+
+class TestStationWorkers:
+    @pytest.mark.parametrize("n", [1, 2, 3], ids=["one_station", "one_per_cpu", "more_stations_than_cpus"])
+    def test_pool_matches_serial_run(self, monkeypatch, n):
+        series, calendar = toy_inputs(n=n, seed=n)
+        run = lambda: assemble_channels(series, calendar, seed=5, cfg=light_cfg())  # noqa: E731
+        serial, pooled, started = serial_and_pooled(monkeypatch, run)
+        assert started == ([] if n == 1 else ["fork"])
+        assert_same_channels(serial, pooled)
+
+    def test_pool_matches_serial_run_with_exogenous_inputs(self, monkeypatch):
+        series, calendar = toy_inputs(n=3, seed=4)
+        rng = np.random.default_rng(14)
+        exog = {
+            "temp": series.values[:, :, 0].mean(axis=1) + 0.01 * rng.normal(size=96),
+            "drv": rng.normal(size=(96, 3)),
+        }
+        run = lambda: assemble_channels(series, calendar, seed=6, cfg=light_cfg(top_n=2), exogenous=exog)  # noqa: E731
+        serial, pooled, started = serial_and_pooled(monkeypatch, run)
+        assert started == ["fork"]
+        assert serial.weights is not None and serial.selected
+        assert_same_channels(serial, pooled)
+
+    def test_station_error_in_a_worker_keeps_type_and_message(self, monkeypatch):
+        series, calendar = toy_inputs(n=2)
+        values = series.values.copy()
+        values[:, 1, 0] = 1e154 * (1.0 + np.arange(96) % 5)
+        series = SeriesTensor(values)
+
+        def run():
+            with pytest.raises(NumericError) as info:
+                assemble_channels(series, calendar, seed=3, cfg=light_cfg())
+            return info.value
+
+        serial, pooled, started = serial_and_pooled(monkeypatch, run)
+        assert started == ["fork"]
+        assert type(pooled) is type(serial)
+        assert str(pooled) == str(serial)
+
+    def test_relayed_warnings_match_the_serial_run(self, monkeypatch):
+        series, calendar = toy_inputs(n=3)
+        stubborn = DecomposeConfig(vmd=VmdConfig(K=4, alpha=200.0, max_iter=1), ensemble_n=4, noise_amp=0.1)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assemble_channels(series, calendar, seed=3, cfg=light_cfg(decompose=stubborn))
+            # RuntimeWarning only: from Python 3.12 forking a threaded process adds a DeprecationWarning
+            return [(w.category, str(w.message), w.filename, w.lineno) for w in caught if w.category is RuntimeWarning]
+
+        serial, pooled, started = serial_and_pooled(monkeypatch, run)
+        assert started == ["fork"]
+        assert pooled == serial
+        assert [text.split(":")[0] for _, text, _, _ in serial] == ["station 0", "station 1", "station 2"]
+        assert all("vmd did not converge" in text for _, text, _, _ in serial)
+
+    @pytest.mark.parametrize("blocker", ["one_cpu", "no_fork", "daemon"])
+    def test_no_pool_starts_when_it_cannot_help(self, monkeypatch, blocker):
+        series, calendar = toy_inputs(n=2)
+        want = assemble_channels(series, calendar, seed=3, cfg=light_cfg())
+
+        def refuse(method=None):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if blocker == "one_cpu" else {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        if blocker == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if blocker == "daemon":
+            monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+        assert_same_channels(assemble_channels(series, calendar, seed=3, cfg=light_cfg()), want)

@@ -374,6 +374,19 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "numeric failure:" in proc.stderr
 
+    def test_overflow_in_a_second_station_exits_4(self, tmp_path):
+        # with two usable CPUs station b fails in a worker process
+        stamps = np.datetime64("2024-01-01T00") + np.arange(48).astype("timedelta64[h]")
+        with open(tmp_path / "series.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "a", "b"])
+            for i, ts in enumerate(stamps):
+                writer.writerow([str(ts), repr(3.0 + float(np.sin(i / 4.0))), repr(1e154 * (1.0 + (i % 5)))])
+        proc = run("decompose", "--out-dir", str(tmp_path), check=False)
+        assert proc.returncode == 4
+        assert "numeric failure: mode extraction produced non-finite samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_command_exits_2(self):
         proc = run("transmogrify", check=False)
         assert proc.returncode == 2

@@ -433,3 +433,12 @@ def test_import_loads_no_scipy_module():
         [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_multiprocessing_module():
+    # the station pool imports multiprocessing only when it starts one
+    probe = "import sys, chargecast; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

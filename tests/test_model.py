@@ -24,6 +24,7 @@ from chargecast.model import (
     save_checkpoint,
     trainable_parameter_count,
 )
+from chargecast.quantize import dequantize
 
 TINY = ModelConfig(
     d_embed=8,
@@ -495,21 +496,71 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert [b.masked for b in loaded.blocks] == [True, True]
 
-    def test_version_1_checkpoint_is_rejected(self, tmp_path):
-        rng = np.random.default_rng(33)
+    def saved_arrays(self, tmp_path, seed, version=None):
+        """Arrays of a saved partial-mode TINY checkpoint, with ``version`` written into its meta."""
+        rng = np.random.default_rng(seed)
         model = build_model(TINY, rng, n_max=16)
         freeze_and_adapt(model, rng, freeze_mode="partial")
         path = str(tmp_path / "model.npz")
         save_checkpoint(model, path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
-        meta["version"] = 1
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        if version is not None:
+            meta = json.loads(bytes(arrays["meta_json"]).decode())
+            meta["version"] = version
+            arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        return model, arrays
+
+    def test_version_1_checkpoint_is_rejected(self, tmp_path):
+        _, arrays = self.saved_arrays(tmp_path, 33, version=1)
         old = str(tmp_path / "old.npz")
         np.savez(old, **arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
             load_checkpoint(old)
+
+    def test_version_2_checkpoint_is_rejected(self, tmp_path):
+        model, arrays = self.saved_arrays(tmp_path, 35, version=2)
+        for i, blk in enumerate(model.blocks):
+            for name, qt in blk.quant.items():
+                arrays[f"q_codes__block{i}__{name}"] = qt.codes  # version 2: one byte per code
+        old = str(tmp_path / "old.npz")
+        np.savez(old, **arrays)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
+            load_checkpoint(old)
+
+    def test_odd_code_count_packs_two_codes_per_byte(self, tmp_path):
+        # width 9: every attention basis holds 81 codes, an odd count
+        cfg = ModelConfig(d_embed=3, lookback=6, horizon=2, c_in=3, f_frozen=1, u_unfrozen=1, heads=3, rank=2)
+        rng = np.random.default_rng(36)
+        model = build_model(cfg, rng, n_max=16)
+        freeze_and_adapt(model, rng, freeze_mode="partial")
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, str(path))
+        loaded = load_checkpoint(str(path))
+        with np.load(path) as data:
+            stored = {k: data[k] for k in data.files if k.startswith("q_codes__")}
+        blk_a, blk_b = model.blocks[-1], loaded.blocks[-1]
+        assert len(stored) == len(blk_a.quant) == 4
+        for name, qt in blk_a.quant.items():
+            assert qt.codes.size == 81
+            packed = stored[f"q_codes__block1__{name}"]
+            assert packed.dtype == np.uint8 and packed.shape == (41,)
+            assert packed[-1] >> 4 == 0
+            assert np.array_equal(blk_b.quant[name].codes, qt.codes)
+            assert blk_b.quant[name].codes.dtype == np.uint8
+            assert np.array_equal(dequantize(blk_b.quant[name]), dequantize(qt))
+        again = tmp_path / "again.npz"
+        save_checkpoint(loaded, str(again))
+        save_checkpoint(model, str(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_short_packed_codes_are_a_data_error(self, tmp_path):
+        _, arrays = self.saved_arrays(tmp_path, 37)
+        arrays["q_codes__block1__w_q"] = arrays["q_codes__block1__w_q"][:-1]
+        path = str(tmp_path / "short.npz")
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="block1.w_q"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("save", [np.savez, np.save], ids=["npz_without_meta", "bare_array"])
     def test_foreign_numpy_file_is_a_data_error(self, tmp_path, save):
