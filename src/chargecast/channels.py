@@ -55,6 +55,10 @@ class ChannelConfig:
             raise ConfigError("top_n must be >= 0")
         if not self.granule_windows:
             raise ConfigError("granule_windows must name at least one window")
+        if min(self.granule_windows) < 1:
+            raise ConfigError(f"granule windows must be >= 1, got {self.granule_windows}")
+        if len(set(self.granule_windows)) != len(self.granule_windows):
+            raise ConfigError(f"granule windows must not repeat, got {self.granule_windows}")
 
 
 @dataclass(frozen=True)

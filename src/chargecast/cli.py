@@ -11,6 +11,10 @@ Every command resolves its configuration from flag > file > default, echoes
 the resolved values with a hash, and is deterministic given the same inputs
 and root seed. Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numeric failure.
+
+Graph masking is decided once, when ``train`` adapts the backbone under
+``[train] use_graph_mask``; the checkpoint records it, and ``evaluate`` and
+``forecast`` follow the checkpoint.
 """
 
 from __future__ import annotations
@@ -297,10 +301,7 @@ def _cmd_pretrain(args) -> int:
     model_cfg = cfg.model_config(c_in=channel_count)
     model = build_model(model_cfg, seeds.substream(seed, "model.init"))
     train_cfg = dataclasses.replace(
-        cfg.train_config(),
-        max_epochs=cfg.get("train", "pretrain_epochs"),
-        freeze_mode="none",
-        use_graph_mask=True,
+        cfg.train_config(), max_epochs=cfg.get("train", "pretrain_epochs"), freeze_mode="none"
     )
     loss_cfg = cfg.loss_config()
     for j, (train_w, valid_w, graph) in enumerate(samples):
@@ -330,7 +331,7 @@ def _cmd_train(args) -> int:
         model,
         seeds.substream(cfg.seed(), "model.init"),
         freeze_mode=train_cfg.freeze_mode,
-        use_graph_mask=train_cfg.use_graph_mask,
+        use_graph_mask=cfg.get("train", "use_graph_mask"),
     )
     result = fit(model, train_w, valid_w, graph, train_cfg, cfg.loss_config())
     ckpt_path = _write_path(cfg, "checkpoint")
@@ -348,9 +349,7 @@ def _cmd_evaluate(args) -> int:
     _echo(cfg)
     assembled, calendar, node_ids, graph, (_, _, test_w), parts = _prepare_training_data(cfg)
     model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
-    report = evaluate(
-        model, test_w, graph, use_graph_mask=cfg.get("train", "use_graph_mask")
-    )
+    report = evaluate(model, test_w, graph)
     metrics_path = _out_path(cfg, "metrics.json")
     cio.write_metrics_json(metrics_path, report.as_json_dict())
     test_start = parts[0].T + parts[1].T
@@ -379,10 +378,7 @@ def _cmd_forecast(args) -> int:
     hours = np.array([calendar.hour_of_day[-1]])
     dows = np.array([calendar.day_of_week[-1]])
     with no_grad():
-        pred = forward_batch(
-            model, hist, hours, dows, graph.adjacency,
-            use_graph_mask=cfg.get("train", "use_graph_mask"),
-        ).data[0, :, :, 0]
+        pred = forward_batch(model, hist, hours, dows, graph.adjacency).data[0, :, :, 0]
     future = calendar.timestamps[-1] + np.arange(1, s + 1).astype("timedelta64[h]")
     path = _out_path(cfg, "forecast.csv")
     cio.write_charging_csv(path, future, node_ids, pred)

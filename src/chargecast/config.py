@@ -11,8 +11,6 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bands import DecomposeConfig
 from .channels import ChannelConfig
 from .emd import SiftConfig
@@ -83,8 +81,6 @@ SCHEMA = {
         "u_unfrozen": ("2", int),
         "heads": ("4", int),
         "rank": ("4", int),
-        "block_size_q": ("64", int),
-        "ln_eps": ("1e-5", float),
         "lookback": ("12", int),
         "horizon": ("3", int),
     },
@@ -93,8 +89,6 @@ SCHEMA = {
         "max_epochs": ("300", int),
         "pretrain_epochs": ("40", int),
         "batch_size": ("64", int),
-        "optimizer": ("adam", str),
-        "use_freq_loss": ("true", _parse_bool),
         "use_graph_mask": ("true", _parse_bool),
         "freeze_mode": ("partial", str),
     },
@@ -168,19 +162,15 @@ class PipelineConfig:
             u_unfrozen=self.get("model", "u_unfrozen"),
             heads=self.get("model", "heads"),
             rank=self.get("model", "rank"),
-            block_size_q=self.get("model", "block_size_q"),
-            ln_eps=self.get("model", "ln_eps"),
         )
 
     def train_config(self) -> TrainConfig:
+        """[train] use_graph_mask is not part of it: it marks the model's blocks at adaptation."""
         return TrainConfig(
             learning_rate=self.get("train", "learning_rate"),
             max_epochs=self.get("train", "max_epochs"),
             batch_size=self.get("train", "batch_size"),
             seed=self.get("seeds", "root"),
-            optimizer_kind=self.get("train", "optimizer"),
-            use_freq_loss=self.get("train", "use_freq_loss"),
-            use_graph_mask=self.get("train", "use_graph_mask"),
             freeze_mode=self.get("train", "freeze_mode"),
         )
 
@@ -211,7 +201,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     """Merge defaults, an optional INI-style file, and flag overrides.
 
     overrides maps (section, key) to source strings. Unknown sections or
-    keys from either layer are rejected.
+    keys from either layer are rejected, and so is any value that a typed
+    sub-config refuses, so a bad setting fails before any input is read.
     """
     raw = {(s, k): SCHEMA[s][k][0] for s in SCHEMA for k in SCHEMA[s]}
 
@@ -241,6 +232,18 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     for section in SCHEMA:
         for key in SCHEMA[section]:
             cfg.get(section, key)  # force-parse so bad values fail up front
-    if not np.isfinite(cfg.get("loss", "lambda_freq")):
-        raise ConfigError("lambda_freq must be finite")
+    sub_configs = (
+        ("[vmd]", cfg.vmd_config),
+        ("[fig]/[relieff]", cfg.channel_config),
+        ("[train]", cfg.train_config),
+        ("[loss]", cfg.loss_config),
+        ("[model]", lambda: cfg.model_config(c_in=1)),
+        ("[data]", cfg.ratios),
+        ("[data]", cfg.kind),
+    )
+    for section, make in sub_configs:
+        try:
+            make()
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{section} {exc}") from exc
     return cfg

@@ -90,23 +90,17 @@ def fig_granulate(series, window: int) -> GranuleSeries:
     return GranuleSeries(window=window, granules=granules)
 
 
-def granule_channels(series, windows=DEFAULT_WINDOWS, T: int | None = None) -> dict:
+def granule_channels(series, windows=DEFAULT_WINDOWS) -> dict:
     """Step-hold channels of granule cores, one per window size.
 
     Each channel repeats the covering granule's core across that window's
     steps and holds the last core for steps past the final full window.
-    Returns {window: array of length T} with T defaulting to the series
-    length.
+    Returns {window: array as long as the series}.
     """
     x = np.asarray(series, dtype=float)
-    length = x.size if T is None else int(T)
     out = {}
     for window in windows:
-        gs = fig_granulate(x, int(window))
-        cores = gs.cores()
-        channel = np.repeat(cores, window)
-        if channel.size < length:
-            pad = np.full(length - channel.size, cores[-1])
-            channel = np.concatenate([channel, pad])
-        out[int(window)] = channel[:length]
+        cores = fig_granulate(x, int(window)).cores()
+        held = np.repeat(cores, window)
+        out[int(window)] = np.concatenate([held, np.full(x.size - held.size, cores[-1])])
     return out

@@ -31,6 +31,14 @@ __all__ = [
 ]
 
 
+def _reject_duplicates(path, ids, what: str) -> None:
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise DataError(f"{path}: station id {i!r} repeats in the {what}")
+        seen.add(i)
+
+
 def _read_rows(path) -> list:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -53,6 +61,7 @@ def load_charging_csv(path, kind: str | None = None):
     if len(header) < 2:
         raise DataError(f"{path}: header must name a timestamp column and one station")
     node_ids = tuple(h.strip() for h in header[1:])
+    _reject_duplicates(path, node_ids, "header")
 
     stamps = []
     values = np.empty((len(rows) - 1, len(node_ids)))
@@ -108,6 +117,7 @@ def load_adjacency_csv(path, node_ids) -> StationGraph:
     if not rows:
         raise DataError(f"{path}: empty adjacency file")
     header = [h.strip() for h in rows[0][1:]]
+    _reject_duplicates(path, header, "header")
     wanted = [str(i) for i in node_ids]
     if sorted(header) != sorted(wanted):
         unknown = sorted(set(header) ^ set(wanted))
@@ -130,6 +140,7 @@ def load_adjacency_csv(path, node_ids) -> StationGraph:
             if value not in (0.0, 1.0):
                 raise DataError(f"{path}: row {r}: entry {cell!r} is not 0 or 1")
             raw[r - 2, c] = value
+    _reject_duplicates(path, row_ids, "row ids")
     if sorted(row_ids) != sorted(wanted):
         raise DataError(f"{path}: adjacency row ids do not match the series ids")
 

@@ -19,7 +19,6 @@ from .errors import ConfigError, DataError
 __all__ = [
     "LossConfig",
     "mae_loss",
-    "dft",
     "frequency_loss",
     "combined_loss",
     "metrics",
@@ -48,14 +47,6 @@ def _pair(pred, truth):
 def mae_loss(pred, truth) -> Tensor:
     p, t = _pair(pred, truth)
     return (p - t).abs().mean()
-
-
-def dft(x) -> np.ndarray:
-    """Discrete Fourier transform X_k = sum_t x_t exp(-2i*pi*k*t/T)."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise DataError("dft of an empty sequence")
-    return np.fft.fft(x)
 
 
 def _dft_mats(s: int):

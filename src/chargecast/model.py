@@ -14,9 +14,18 @@ array operations. The low-rank adapters of a graph block are stacked the
 same way, one (H, W, r) and one (H, r, d_k) factor each for query and value,
 so a block adds the same number of autodiff nodes whatever the head count.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
-and the NF4 codes of the quantized bases two per byte (low nibble first);
-this layout is checkpoint version 3, and older files (version 1: one tensor
-per head; version 2: one byte per code) are rejected.
+and the NF4 codes of the quantized bases two per byte (low nibble first).
+The layout is checkpoint version 4: its ``config`` holds the architecture
+sizes only (no ``block_size_q`` or ``ln_eps``; each quantized tensor records
+its own block size) and there is no ``n_max``, since the positional rows
+are computed for each forward's node count. Older files (version 1: one
+tensor per head; version 2: one byte per code; version 3: ``n_max`` and
+the two one-value knobs) are rejected.
+
+Whether a block's attention is masked by the station graph is recorded on
+the block alone (``PfgaBlockParams.masked``): ``build_model`` marks the
+graph blocks, ``freeze_and_adapt`` re-marks them for fine-tuning, and the
+checkpoint keeps the marks, so every forward obeys the model it runs.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ __all__ = [
     "HeadAdapters",
     "PfgaBlockParams",
     "PfgaModel",
-    "PositionalEncoding",
     "graph_attention_block",
     "forward_batch",
     "mask_bias",
@@ -49,6 +57,7 @@ __all__ = [
 ]
 
 MASK_FILL = -1e9
+LN_EPS = 1e-5
 
 FREEZE_MODES = ("partial", "none", "all_graph")
 
@@ -65,8 +74,6 @@ class ModelConfig:
     u_unfrozen: int = 2
     heads: int = 4
     rank: int = 4
-    block_size_q: int = 64
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         if self.d_embed < 1:
@@ -81,10 +88,6 @@ class ModelConfig:
             raise ConfigError("f_frozen must be >= 0")
         if self.u_unfrozen < 1:
             raise ConfigError("u_unfrozen must be >= 1")
-        if self.block_size_q < 1:
-            raise ConfigError("block_size_q must be >= 1")
-        if not (np.isfinite(self.ln_eps) and self.ln_eps > 0):
-            raise ConfigError("ln_eps must be positive")
 
     @property
     def width(self) -> int:
@@ -95,21 +98,12 @@ class ModelConfig:
         return self.width // self.heads
 
 
-class PositionalEncoding:
-    """Sinusoidal table over node index, deterministic in (n_max, width)."""
-
-    def __init__(self, n_max: int, width: int):
-        position = np.arange(n_max, dtype=float)[:, None]
-        dim = np.arange(width, dtype=float)[None, :]
-        angle = position / np.power(10000.0, 2.0 * (dim // 2) / width)
-        table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-        table.setflags(write=False)
-        self.table = table
-
-    def rows(self, n: int) -> np.ndarray:
-        if n > self.table.shape[0]:
-            return PositionalEncoding(n, self.table.shape[1]).table
-        return self.table[:n]
+def _positional_rows(n: int, width: int) -> np.ndarray:
+    """Sinusoidal encoding of node indices 0..n-1: sine on even dims, cosine on odd."""
+    position = np.arange(n, dtype=float)[:, None]
+    dim = np.arange(width, dtype=float)[None, :]
+    angle = position / np.power(10000.0, 2.0 * (dim // 2) / width)
+    return np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 @dataclass
@@ -203,7 +197,6 @@ class PfgaModel:
     blocks: tuple
     head_w: Tensor
     head_b: Tensor
-    pe: PositionalEncoding
 
     def named_parameters(self):
         pairs = list(self.embed.named())
@@ -245,11 +238,11 @@ def trainable_parameter_count(cfg: ModelConfig, freeze_mode: str = "partial") ->
 # -- transformer blocks -------------------------------------------------------
 
 
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    return centered / (var + LN_EPS).sqrt() * gamma + beta
 
 
 def mask_bias(adjacency: np.ndarray) -> np.ndarray:
@@ -289,9 +282,9 @@ def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarr
 
 
 def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
-    normed = _layer_norm(x, blk.ln1_gamma, blk.ln1_beta, cfg.ln_eps)
+    normed = _layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
     x = x + _attention(normed, blk, cfg, bias)
-    normed2 = _layer_norm(x, blk.ln2_gamma, blk.ln2_beta, cfg.ln_eps)
+    normed2 = _layer_norm(x, blk.ln2_gamma, blk.ln2_beta)
     ffn = (normed2 @ blk.w_1 + blk.b_1).relu() @ blk.w_2 + blk.b_2
     return x + ffn
 
@@ -324,7 +317,7 @@ def _embed_batch(model: PfgaModel, hist: np.ndarray, hours: np.ndarray, dows: np
     e_t = take_rows(e.w_d, hours) + take_rows(e.w_w, dows)
     e_t = e_t.reshape(b, 1, cfg.d_embed).broadcast_to((b, n, cfg.d_embed))
     fused = concat([e_p, e_s, e_t], axis=-1) @ e.theta_f_w + e.theta_f_b
-    return fused + Tensor(model.pe.rows(n))
+    return fused + Tensor(_positional_rows(n, cfg.width))
 
 
 def forward_batch(
@@ -333,9 +326,12 @@ def forward_batch(
     hours: np.ndarray,
     dows: np.ndarray,
     adjacency: np.ndarray,
-    use_graph_mask: bool = True,
 ) -> Tensor:
-    """Predict (B, S, N, 1) from histories (B, P, N, C) and anchor clock fields."""
+    """Predict (B, S, N, 1) from histories (B, P, N, C) and anchor clock fields.
+
+    Blocks marked ``masked`` attend along the adjacency only; the adjacency
+    values are read only when some block is masked.
+    """
     cfg = model.config
     hist = np.asarray(hist, dtype=float)
     if hist.ndim != 4 or hist.shape[1] != cfg.lookback or hist.shape[3] != cfg.c_in:
@@ -352,7 +348,7 @@ def forward_batch(
     adjacency = np.asarray(adjacency, dtype=float)
     if adjacency.shape != (n, n):
         raise ConfigError("adjacency shape does not match node count")
-    bias = mask_bias(adjacency) if use_graph_mask else None
+    bias = mask_bias(adjacency) if any(blk.masked for blk in model.blocks) else None
 
     x = _embed_batch(model, hist, hours, dows)
     for blk in model.blocks:
@@ -368,8 +364,11 @@ def _tensor(data, trainable: bool) -> Tensor:
     return Tensor(np.asarray(data, dtype=float), requires_grad=trainable)
 
 
-def build_model(cfg: ModelConfig, rng: np.random.Generator, n_max: int = 64) -> PfgaModel:
-    """Full-precision stack with every parameter trainable (the pretraining form)."""
+def build_model(cfg: ModelConfig, rng: np.random.Generator) -> PfgaModel:
+    """Full-precision stack with every parameter trainable (the pretraining form).
+
+    The graph blocks (the last u_unfrozen) are marked masked.
+    """
     w = cfg.width
     flat = cfg.lookback * cfg.c_in
 
@@ -412,7 +411,6 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, n_max: int = 64) -> 
         blocks=tuple(blocks),
         head_w=_tensor(weight(w, cfg.horizon), True),
         head_b=_tensor(np.zeros(cfg.horizon), True),
-        pe=PositionalEncoding(n_max, w),
     )
 
 
@@ -432,8 +430,10 @@ def freeze_and_adapt(
     partial: blocks 1..F fully frozen; graph-block attention bases quantized
     to 4 bits and frozen; their layer norms stay trainable and fresh low-rank
     adapters are attached. none: everything stays trainable in full precision.
-    all_graph: every block becomes adjacency-masked, everything trainable.
-    The input model is modified in place and returned.
+    all_graph: every block is a graph block, everything trainable.
+    use_graph_mask marks the graph blocks masked (True) or unmasked (False);
+    the other blocks are unmasked. The input model is modified in place and
+    returned.
     """
     cfg = model.config
     if freeze_mode not in FREEZE_MODES:
@@ -441,12 +441,9 @@ def freeze_and_adapt(
     model.freeze_mode = freeze_mode
 
     for i, blk in enumerate(model.blocks):
-        is_graph = i >= cfg.f_frozen
-        if freeze_mode == "all_graph":
-            blk.masked = True
-            continue
+        is_graph = freeze_mode == "all_graph" or i >= cfg.f_frozen
         blk.masked = is_graph and use_graph_mask
-        if freeze_mode == "none":
+        if freeze_mode != "partial":
             continue
         if not is_graph:
             for _, t in blk.named(""):
@@ -455,7 +452,7 @@ def freeze_and_adapt(
         blk.quant = {}
         for name in ("w_q", "w_k", "w_v", "w_o"):
             t = getattr(blk, name)
-            qt = quantize(t.data, block_size=cfg.block_size_q)
+            qt = quantize(t.data)
             t.data = dequantize(qt)
             _set_trainable(t, False)
             blk.quant[name] = qt
@@ -480,7 +477,7 @@ def _adapters(cfg: ModelConfig, l_q: np.ndarray, l_v: np.ndarray) -> HeadAdapter
 
 # -- checkpointing ------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 
 
 def _pack_codes(codes: np.ndarray) -> np.ndarray:
@@ -505,7 +502,6 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
     meta = {
         "version": _CHECKPOINT_VERSION,
         "freeze_mode": model.freeze_mode,
-        "n_max": int(model.pe.table.shape[0]),
         "config": {
             "d_embed": cfg.d_embed,
             "lookback": cfg.lookback,
@@ -515,8 +511,6 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
             "u_unfrozen": cfg.u_unfrozen,
             "heads": cfg.heads,
             "rank": cfg.rank,
-            "block_size_q": cfg.block_size_q,
-            "ln_eps": cfg.ln_eps,
         },
         "masked": [bool(b.masked) for b in model.blocks],
         "trainable": [],
@@ -568,7 +562,7 @@ def load_checkpoint(path: str) -> PfgaModel:
     if not np.array_equal(arrays.pop("nf4_codebook"), NF4_CODEBOOK):
         raise ConfigError("checkpoint codebook does not match this build")
     cfg = ModelConfig(**meta["config"])
-    model = build_model(cfg, np.random.default_rng(0), n_max=meta["n_max"])
+    model = build_model(cfg, np.random.default_rng(0))
     model.freeze_mode = meta["freeze_mode"]
     trainable = set(meta["trainable"])
 

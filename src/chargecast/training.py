@@ -1,8 +1,8 @@
-"""Optimizers, the fine-tuning loop, and the evaluation protocol."""
+"""The Adam optimizer, the fine-tuning loop, and the evaluation protocol."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,15 +16,12 @@ from .model import FREEZE_MODES, PfgaModel, forward_batch
 __all__ = [
     "TrainConfig",
     "Adam",
-    "MomentumSgd",
     "FitResult",
     "EvalReport",
     "fit",
     "evaluate",
     "persistence_forecast",
 ]
-
-OPTIMIZER_KINDS = ("adam", "momentum")
 
 
 @dataclass(frozen=True)
@@ -33,9 +30,6 @@ class TrainConfig:
     max_epochs: int = 300
     batch_size: int = 64
     seed: int = 0
-    optimizer_kind: str = "adam"
-    use_freq_loss: bool = True
-    use_graph_mask: bool = True
     freeze_mode: str = "partial"
 
     def __post_init__(self):
@@ -43,8 +37,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("max_epochs and batch_size must be positive")
-        if self.optimizer_kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"optimizer_kind must be one of {OPTIMIZER_KINDS}")
         if self.freeze_mode not in FREEZE_MODES:
             raise ConfigError(f"freeze_mode must be one of {FREEZE_MODES}")
 
@@ -73,26 +65,6 @@ class Adam:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class MomentumSgd:
-    def __init__(self, params, lr: float, momentum: float = 0.9):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.v = [np.zeros_like(t.data) for t in self.params]
-
-    def step(self):
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.v[i] = self.momentum * self.v[i] + g
-            p.data = p.data - self.lr * self.v[i]
-
-
-def _make_optimizer(kind: str, params, lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    return MomentumSgd(params, lr)
-
-
 def _stack_batch(samples):
     hist = np.stack([s.history for s in samples])
     target = np.stack([s.target for s in samples])
@@ -117,23 +89,21 @@ def fit(
     train_cfg: TrainConfig,
     loss_cfg: LossConfig,
 ) -> FitResult:
-    """Seeded mini-batch descent on the combined loss over trainable parameters.
+    """Seeded Adam mini-batch descent on the combined loss over trainable parameters.
 
     Per epoch the samples are reshuffled from the train.shuffle substream,
     the validation MAE is logged, and the best-validation parameter state is
     retained and restored into the model at the end. A non-finite loss
-    aborts with the offending epoch. Ablation flags take effect here:
-    use_freq_loss=False forces the frequency weight to zero and
-    use_graph_mask=False runs attention unmasked.
+    aborts with the offending epoch. The ablations are set before the call:
+    loss_cfg.lambda_freq = 0 drops the frequency term, and the blocks'
+    ``masked`` marks (see ``freeze_and_adapt``) decide graph masking.
     """
     if len(train_samples) == 0 or len(valid_samples) == 0:
         raise DataError("fit requires non-empty train and validation sets")
-    eff_loss = loss_cfg if train_cfg.use_freq_loss else LossConfig(lambda_freq=0.0)
     params = model.trainable_parameters()
-    optimizer = _make_optimizer(train_cfg.optimizer_kind, [t for _, t in params], train_cfg.learning_rate)
+    optimizer = Adam([t for _, t in params], train_cfg.learning_rate)
     rng = seeds.substream(train_cfg.seed, "train.shuffle")
     adjacency = graph.adjacency
-    mask_on = train_cfg.use_graph_mask
 
     valid_hist, valid_target, valid_hours, valid_dows = _stack_batch(valid_samples)
 
@@ -146,8 +116,8 @@ def fit(
         for lo in range(0, n, train_cfg.batch_size):
             batch = [train_samples[i] for i in order[lo : lo + train_cfg.batch_size]]
             hist, target, hours, dows = _stack_batch(batch)
-            pred = forward_batch(model, hist, hours, dows, adjacency, use_graph_mask=mask_on)
-            loss = combined_loss(pred, target, eff_loss)
+            pred = forward_batch(model, hist, hours, dows, adjacency)
+            loss = combined_loss(pred, target, loss_cfg)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -157,9 +127,7 @@ def fit(
         train_loss = total / n
 
         with no_grad():
-            valid_pred = forward_batch(
-                model, valid_hist, valid_hours, valid_dows, adjacency, use_graph_mask=mask_on
-            )
+            valid_pred = forward_batch(model, valid_hist, valid_hours, valid_dows, adjacency)
         valid_mae = float(np.mean(np.abs(valid_pred.data - valid_target)))
         if not np.isfinite(valid_mae):
             raise NumericError(f"non-finite validation error at epoch {epoch}")
@@ -203,7 +171,6 @@ def evaluate(
     model: PfgaModel,
     test_samples,
     graph: StationGraph,
-    use_graph_mask: bool = True,
     chunk: int = 256,
 ) -> EvalReport:
     if chunk < 1:
@@ -216,9 +183,7 @@ def evaluate(
         batch = test_samples[lo : lo + chunk]
         hist, target, hours, dows = _stack_batch(batch)
         with no_grad():
-            out = forward_batch(
-                model, hist, hours, dows, graph.adjacency, use_graph_mask=use_graph_mask
-            )
+            out = forward_batch(model, hist, hours, dows, graph.adjacency)
         preds.append(out.data)
         truths.append(target)
     predictions = np.concatenate(preds)

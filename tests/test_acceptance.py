@@ -628,9 +628,9 @@ def test_criterion_11_forecast_skill_and_ablations(tmp_path):
         save_checkpoint(backbone, backbone_path)
 
         variants = {
-            "full": dict(mask=True, freq=True),
-            "unmasked": dict(mask=False, freq=True),
-            "time_only": dict(mask=True, freq=False),
+            "full": dict(mask=True, lambda_freq=0.1),
+            "unmasked": dict(mask=False, lambda_freq=0.1),
+            "time_only": dict(mask=True, lambda_freq=0.0),
         }
         run_seeds = (211, 212, 213, 214, 215)
         maes = {name: [] for name in variants}
@@ -646,11 +646,10 @@ def test_criterion_11_forecast_skill_and_ablations(tmp_path):
                 fit(
                     model, train_w, valid_w, graph,
                     TrainConfig(learning_rate=0.02, max_epochs=15, batch_size=64,
-                                seed=seed, freeze_mode="partial",
-                                use_graph_mask=flags["mask"], use_freq_loss=flags["freq"]),
-                    LossConfig(lambda_freq=0.1),
+                                seed=seed, freeze_mode="partial"),
+                    LossConfig(lambda_freq=flags["lambda_freq"]),
                 )
-                report = evaluate(model, test_w, graph, use_graph_mask=flags["mask"])
+                report = evaluate(model, test_w, graph)
                 maes[name].append(report.aggregate["mae"])
                 if name == "full":
                     baselines.append(report.baseline["mae"])

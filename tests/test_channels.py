@@ -168,6 +168,10 @@ class TestValidation:
             ChannelConfig(top_n=-1)
         with pytest.raises(ConfigError, match="granule_windows"):
             ChannelConfig(granule_windows=())
+        with pytest.raises(ConfigError, match="windows must be >= 1"):
+            ChannelConfig(granule_windows=(24, 0))
+        with pytest.raises(ConfigError, match="windows must not repeat"):
+            ChannelConfig(granule_windows=(24, 168, 24))
 
 
 def with_cpus(monkeypatch, cpus):

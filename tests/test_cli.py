@@ -343,6 +343,14 @@ class TestDeterminism:
         run("evaluate", *common)
         assert (ws / "metrics.json").read_bytes() == before
 
+    def test_evaluate_follows_the_checkpoint_mask(self, workspace, data_copy):
+        ws, _ = workspace
+        out_dir, _ = data_copy
+        unmasked = out_dir / "unmasked.ini"
+        unmasked.write_text(LIGHT_INI + "use_graph_mask = false\n")  # [train] is the last section
+        run("evaluate", "--config", str(unmasked), "--seed", "11", "--out-dir", str(out_dir))
+        assert (out_dir / "metrics.json").read_bytes() == (ws / "metrics.json").read_bytes()
+
     def test_train_rerun_gives_identical_checkpoint(self, workspace):
         ws, common = workspace
         before = (ws / "model.npz").read_bytes()
@@ -386,6 +394,37 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "numeric failure: mode extraction produced non-finite samples" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_duplicate_station_id_exits_3(self, tmp_path):
+        stamps = np.datetime64("2024-01-01T00") + np.arange(48).astype("timedelta64[h]")
+        with open(tmp_path / "series.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "a", "a", "b"])
+            for i, ts in enumerate(stamps):
+                writer.writerow([str(ts), *(repr(float(i % 7 + k)) for k in range(3))])
+        proc = run("decompose", "--out-dir", str(tmp_path), check=False)
+        assert proc.returncode == 3
+        assert "data error:" in proc.stderr and "'a' repeats" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, section, line",
+        [
+            ("decompose", "vmd", "k = 0"),
+            ("decompose", "fig", "windows = 0"),
+            ("decompose", "train", "learning_rate = -1"),
+            ("train", "fig", "windows = 24,24"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_before_reading_data(
+        self, tmp_path, monkeypatch, capsys, command, section, line
+    ):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{line}\n")
+        reads = []
+        monkeypatch.setattr(cli.cio, "load_charging_csv", lambda *a, **kw: reads.append(a))
+        assert cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert reads == []
+        assert f"configuration error: [{section}]" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         proc = run("transmogrify", check=False)

@@ -21,7 +21,7 @@ class TestDefaults:
         assert cfg.decompose_config().ensemble_n == 100
         assert cfg.channel_config().granule_windows == (24, 168)
         assert cfg.model_config(c_in=6).c_in == 6
-        assert cfg.train_config().optimizer_kind == "adam"
+        assert cfg.train_config().freeze_mode == "partial"
         assert cfg.loss_config().lambda_freq == 0.1
         assert cfg.ratios() == (0.8, 0.1, 0.1)
         assert cfg.kind() == "volume"
@@ -78,7 +78,7 @@ class TestRejection:
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError, match="not a boolean"):
-            load_config(overrides={("train", "use_freq_loss"): "maybe"})
+            load_config(overrides={("train", "use_graph_mask"): "maybe"})
 
     def test_channel_switches_are_unknown_keys(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -97,18 +97,42 @@ class TestRejection:
             load_config(str(path))
 
     def test_ratio_sum_enforced(self):
-        cfg = load_config(overrides={("data", "train_ratio"): "0.9"})
-        with pytest.raises(ConfigError, match="sum to 1"):
-            cfg.ratios()
+        with pytest.raises(ConfigError, match=r"\[data\] split ratios must sum to 1"):
+            load_config(overrides={("data", "train_ratio"): "0.9"})
 
     def test_bad_kind(self):
-        cfg = load_config(overrides={("data", "kind"): "load"})
-        with pytest.raises(ConfigError, match="volume or occupancy"):
-            cfg.kind()
+        with pytest.raises(ConfigError, match=r"\[data\] data kind must be volume or occupancy"):
+            load_config(overrides={("data", "kind"): "load"})
 
     def test_non_finite_lambda(self):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=r"\[loss\] lambda_freq must be finite"):
             load_config(overrides={("loss", "lambda_freq"): "nan"})
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("vmd", "k", "0", r"\[vmd\] K must be >= 1"),
+            ("fig", "windows", "0", r"\[fig\]/\[relieff\] granule windows must be >= 1"),
+            ("fig", "windows", "24,24", r"\[fig\]/\[relieff\] granule windows must not repeat"),
+            ("relieff", "top_n", "-1", r"\[fig\]/\[relieff\] top_n must be >= 0"),
+            ("train", "learning_rate", "-1", r"\[train\] learning_rate must be positive"),
+            ("train", "freeze_mode", "solid", r"\[train\] freeze_mode"),
+            ("model", "heads", "5", r"\[model\] heads must be >= 1 and divide"),
+        ],
+    )
+    def test_out_of_range_values_fail_at_load(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides={(section, key): value})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("train", "optimizer"), ("train", "use_freq_loss"), ("model", "block_size_q"), ("model", "ln_eps")],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, section, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(str(path))
 
     def test_empty_windows(self):
         with pytest.raises(ConfigError, match="window"):

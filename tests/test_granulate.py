@@ -78,13 +78,6 @@ def test_channels_repeat_cores_and_pad_tail():
     np.testing.assert_array_equal(chan[8:], np.full(2, g1.m))  # tail holds last core
 
 
-def test_channels_respect_explicit_length():
-    x = np.arange(8, dtype=float)
-    chan = granule_channels(x, windows=(4,), T=12)[4]
-    assert chan.shape == (12,)
-    assert np.all(chan[8:] == chan[7])
-
-
 def test_window_longer_than_series_raises():
     with pytest.raises(ValueError):
         fig_granulate(np.arange(3, dtype=float), window=5)

@@ -82,6 +82,12 @@ class TestChargingCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_charging_csv(tmp_path / "absent.csv")
 
+    def test_duplicate_station_id_is_named(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,a,a,b\n2024-03-01T00,1,2,3\n")
+        with pytest.raises(DataError, match="station id 'a' repeats in the header"):
+            load_charging_csv(path)
+
     def test_occupancy_range_warning(self, tmp_path):
         path = tmp_path / "series.csv"
         write_charging_csv(path, hourly_stamps(3), ("a",), np.array([[0.2], [0.9], [1.4]]))
@@ -133,6 +139,19 @@ class TestAdjacencyCsv:
         )
         with pytest.raises(DataError, match=r"\[s0\]\[s1\]"):
             load_adjacency_csv(path, ("s0", "s1"))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("station,a,a,b\na,1,1,0\na,1,1,0\nb,0,0,1\n", "header"),
+            ("station,a,b\na,1,0\na,0,1\n", "row ids"),
+        ],
+    )
+    def test_duplicate_station_id_is_named(self, tmp_path, text, where):
+        path = tmp_path / "adjacency.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"station id 'a' repeats in the {where}"):
+            load_adjacency_csv(path, ("a", "b"))
 
     def test_non_binary_entry(self, tmp_path):
         path = tmp_path / "adjacency.csv"

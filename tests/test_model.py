@@ -14,7 +14,7 @@ from chargecast.autodiff import no_grad
 from chargecast.errors import ConfigError, DataError
 from chargecast.model import (
     ModelConfig,
-    PositionalEncoding,
+    _positional_rows,
     build_model,
     forward_batch,
     freeze_and_adapt,
@@ -53,6 +53,13 @@ def random_batch(rng, cfg, b=2, n=5):
     return hist, hours, dows
 
 
+def unmask(model):
+    """Clear every block's mask mark: the model then attends over all nodes."""
+    for blk in model.blocks:
+        blk.masked = False
+    return model
+
+
 def tape_size(out):
     """Number of autodiff nodes reachable from out, leaves included."""
     seen, stack = set(), [out]
@@ -84,32 +91,25 @@ class TestModelConfig:
     def test_positive_sizes(self):
         with pytest.raises(ConfigError):
             ModelConfig(lookback=0)
-        with pytest.raises(ConfigError):
-            ModelConfig(ln_eps=0.0)
 
 
 class TestPositionalEncoding:
-    def test_deterministic_and_read_only(self):
-        a = PositionalEncoding(16, 24)
-        b = PositionalEncoding(16, 24)
-        assert np.array_equal(a.table, b.table)
-        with pytest.raises(ValueError):
-            a.table[0, 0] = 5.0
+    def test_deterministic(self):
+        assert np.array_equal(_positional_rows(16, 24), _positional_rows(16, 24))
 
     def test_rows_prefix_property(self):
-        pe = PositionalEncoding(16, 24)
-        assert np.array_equal(pe.rows(5), pe.table[:5])
+        assert np.array_equal(_positional_rows(5, 24), _positional_rows(16, 24)[:5])
 
-    def test_rows_beyond_capacity_extends(self):
-        pe = PositionalEncoding(4, 24)
-        rows = pe.rows(9)
-        assert rows.shape == (9, 24)
-        assert np.array_equal(rows[:4], pe.table)
+    def test_rows_have_no_node_cap(self):
+        rows = _positional_rows(129, 24)
+        assert rows.shape == (129, 24)
+        assert np.array_equal(rows[:64], _positional_rows(64, 24))
 
     def test_even_dims_sine_odd_dims_cosine(self):
-        pe = PositionalEncoding(8, 6)
-        assert np.allclose(pe.table[0, 0::2], 0.0)
-        assert np.allclose(pe.table[0, 1::2], 1.0)
+        rows = _positional_rows(8, 6)
+        assert np.allclose(rows[0, 0::2], 0.0)
+        assert np.allclose(rows[0, 1::2], 1.0)
+        assert np.allclose(rows[3, 0], np.sin(3.0)) and np.allclose(rows[3, 1], np.cos(3.0))
 
 
 class TestEmbeddingHelpers:
@@ -189,14 +189,14 @@ class TestMaskSoundness:
 
     def test_unmasked_block_mixes_everything(self):
         rng = np.random.default_rng(79)
-        model = build_model(TINY, rng)
+        model = unmask(build_model(TINY, rng))
         n = 6
         hist, hours, dows = random_batch(rng, TINY, b=1, n=n)
         bumped = hist.copy()
         bumped[:, :, 3] += rng.normal(size=(TINY.lookback, TINY.c_in))
         sparse = np.eye(n)
-        base = forward_batch(model, hist, hours, dows, sparse, use_graph_mask=False).data
-        moved = forward_batch(model, bumped, hours, dows, sparse, use_graph_mask=False).data
+        base = forward_batch(model, hist, hours, dows, sparse).data
+        moved = forward_batch(model, bumped, hours, dows, sparse).data
         deltas = np.max(np.abs(moved - base)[0, :, :, 0], axis=0)
         assert np.all(deltas > 1e-10)
 
@@ -275,8 +275,8 @@ class TestBuildModel:
         hist, hours, dows = random_batch(rng, TINY, b=2, n=4)
         with pytest.raises(ConfigError, match="diagonal"):
             forward_batch(model, hist, hours, dows, np.zeros((4, 4)))
-        # the unmasked path never reads the adjacency values
-        forward_batch(model, hist, hours, dows, np.zeros((4, 4)), use_graph_mask=False)
+        # with no block masked the adjacency values are never read
+        forward_batch(unmask(model), hist, hours, dows, np.zeros((4, 4)))
 
     def test_tape_size_does_not_grow_with_heads(self):
         sizes = []
@@ -296,8 +296,8 @@ class TestBuildModel:
         hist, hours, dows = random_batch(rng, TINY, b=2, n=5)
         sparse = np.eye(5)
         ones = np.ones((5, 5))
-        unmasked = forward_batch(model, hist, hours, dows, sparse, use_graph_mask=False)
-        complete = forward_batch(model, hist, hours, dows, ones, use_graph_mask=True)
+        complete = forward_batch(model, hist, hours, dows, ones)
+        unmasked = forward_batch(unmask(model), hist, hours, dows, sparse)
         assert np.allclose(unmasked.data, complete.data, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("freeze_mode", ["partial", "none", "all_graph"])
@@ -406,6 +406,13 @@ class TestFreezeAndAdapt:
         freeze_and_adapt(model, rng, freeze_mode="partial", use_graph_mask=False)
         assert all(not b.masked for b in model.blocks)
 
+    @pytest.mark.parametrize("freeze_mode", ["none", "all_graph"])
+    def test_mask_flag_respected_in_none_and_all_graph(self, freeze_mode):
+        rng = np.random.default_rng(21)
+        model = build_model(TINY, rng)
+        freeze_and_adapt(model, rng, freeze_mode=freeze_mode, use_graph_mask=False)
+        assert all(not b.masked for b in model.blocks)
+
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(17)
         model = build_model(TINY, rng)
@@ -439,7 +446,7 @@ class TestTrainableCount:
 class TestCheckpoint:
     def roundtrip(self, tmp_path, mode):
         rng = np.random.default_rng(30)
-        model = build_model(TINY, rng, n_max=16)
+        model = build_model(TINY, rng)
         freeze_and_adapt(model, rng, freeze_mode=mode)
         hist, hours, dows = random_batch(rng, TINY, b=2, n=5)
         adj = random_symmetric_adjacency(rng, 5)
@@ -476,7 +483,7 @@ class TestCheckpoint:
 
     def test_adapter_values_are_restored(self, tmp_path):
         rng = np.random.default_rng(31)
-        model = build_model(TINY, rng, n_max=16)
+        model = build_model(TINY, rng)
         freeze_and_adapt(model, rng, freeze_mode="partial")
         a = model.blocks[-1].adapters
         a.m_q.data = rng.normal(size=a.m_q.data.shape)
@@ -489,7 +496,7 @@ class TestCheckpoint:
 
     def test_masked_flags_survive(self, tmp_path):
         rng = np.random.default_rng(32)
-        model = build_model(TINY, rng, n_max=16)
+        model = build_model(TINY, rng)
         freeze_and_adapt(model, rng, freeze_mode="all_graph")
         path = str(tmp_path / "model.npz")
         save_checkpoint(model, path)
@@ -499,7 +506,7 @@ class TestCheckpoint:
     def saved_arrays(self, tmp_path, seed, version=None):
         """Arrays of a saved partial-mode TINY checkpoint, with ``version`` written into its meta."""
         rng = np.random.default_rng(seed)
-        model = build_model(TINY, rng, n_max=16)
+        model = build_model(TINY, rng)
         freeze_and_adapt(model, rng, freeze_mode="partial")
         path = str(tmp_path / "model.npz")
         save_checkpoint(model, path)
@@ -528,11 +535,45 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
             load_checkpoint(old)
 
+    def test_version_3_checkpoint_is_rejected(self, tmp_path):
+        _, arrays = self.saved_arrays(tmp_path, 38, version=3)
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        meta["n_max"] = 64  # version 3 also stored these three fields
+        meta["config"].update(block_size_q=64, ln_eps=1e-5)
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        old = str(tmp_path / "old.npz")
+        np.savez(old, **arrays)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 3"):
+            load_checkpoint(old)
+
+    def test_meta_holds_sizes_and_per_tensor_block_sizes_only(self, tmp_path):
+        _, arrays = self.saved_arrays(tmp_path, 39)
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        assert meta["version"] == 4
+        assert "n_max" not in meta
+        assert set(meta["config"]) == {
+            "d_embed", "lookback", "horizon", "c_in", "f_frozen", "u_unfrozen", "heads", "rank"
+        }
+        assert [q["block_size"] for q in meta["quantized"]] == [64] * 4
+
+    def test_unmasked_marks_survive(self, tmp_path):
+        rng = np.random.default_rng(40)
+        model = build_model(TINY, rng)
+        freeze_and_adapt(model, rng, freeze_mode="partial", use_graph_mask=False)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert [b.masked for b in loaded.blocks] == [False, False]
+        hist, hours, dows = random_batch(rng, TINY, b=2, n=4)
+        sparse = np.eye(4)
+        want = forward_batch(model, hist, hours, dows, sparse).data
+        assert np.array_equal(forward_batch(loaded, hist, hours, dows, sparse).data, want)
+
     def test_odd_code_count_packs_two_codes_per_byte(self, tmp_path):
         # width 9: every attention basis holds 81 codes, an odd count
         cfg = ModelConfig(d_embed=3, lookback=6, horizon=2, c_in=3, f_frozen=1, u_unfrozen=1, heads=3, rank=2)
         rng = np.random.default_rng(36)
-        model = build_model(cfg, rng, n_max=16)
+        model = build_model(cfg, rng)
         freeze_and_adapt(model, rng, freeze_mode="partial")
         path = tmp_path / "model.npz"
         save_checkpoint(model, str(path))
@@ -572,7 +613,7 @@ class TestCheckpoint:
 
     def test_truncated_checkpoint_is_a_data_error(self, tmp_path):
         rng = np.random.default_rng(34)
-        model = build_model(TINY, rng, n_max=16)
+        model = build_model(TINY, rng)
         path = tmp_path / "model.npz"
         save_checkpoint(model, str(path))
         data = path.read_bytes()
