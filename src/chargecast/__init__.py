@@ -9,7 +9,7 @@ from .domain import (
     CalendarFrame,
     SeriesTensor,
     StationGraph,
-    WindowedSample,
+    Windows,
     make_windows,
     split_dataset,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "StationGraph",
     "TrainConfig",
     "VmdConfig",
-    "WindowedSample",
+    "Windows",
     "assemble_channels",
     "build_model",
     "combined_loss",

@@ -15,6 +15,7 @@ import numpy as np
 
 from .emd import SiftConfig, iceemdan
 from .entropy import msse_curve
+from .errors import ConfigError
 from .vmd import VmdConfig, sum_components, vmd
 
 __all__ = [
@@ -51,6 +52,12 @@ class DecomposeConfig:
     m: int = 2
     r_frac: float = 0.15
     tau_max: int = 5
+
+    def __post_init__(self):
+        if self.ensemble_n < 1:
+            raise ConfigError(f"ensemble_n must be >= 1, got {self.ensemble_n}")
+        if self.noise_amp < 0:
+            raise ConfigError(f"noise_amp must be >= 0, got {self.noise_amp}")
 
 
 def _kmeans3(scores: np.ndarray) -> np.ndarray:

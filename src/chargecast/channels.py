@@ -53,6 +53,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.top_n < 0:
             raise ConfigError("top_n must be >= 0")
+        if self.relieff_k < 1:
+            raise ConfigError(f"relieff_k must be >= 1, got {self.relieff_k}")
         if not self.granule_windows:
             raise ConfigError("granule_windows must name at least one window")
         if min(self.granule_windows) < 1:

@@ -164,20 +164,15 @@ def _synth_exogenous(cfg: PipelineConfig, rng: np.random.Generator, t_len: int) 
 
 
 def _split_windows(cfg: PipelineConfig, assembled_series: SeriesTensor, calendar: CalendarFrame):
-    ratios = cfg.ratios()
     p = cfg.get("model", "lookback")
     s = cfg.get("model", "horizon")
     try:
-        parts = split_dataset(assembled_series, ratios)
+        parts = split_dataset(assembled_series, cfg.ratios(), min_len=p + s)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     windows = []
     start = 0
-    for label, part in zip(("train", "valid", "test"), parts):
-        if part.T < p + s:
-            raise DataError(
-                f"{label} split has {part.T} steps; need at least lookback+horizon={p + s}"
-            )
+    for part in parts:
         cal = calendar.slice_time(start, start + part.T)
         windows.append(make_windows(part, cal, p, s))
         start += part.T

@@ -234,6 +234,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             cfg.get(section, key)  # force-parse so bad values fail up front
     sub_configs = (
         ("[vmd]", cfg.vmd_config),
+        ("[iceemdan]", cfg.decompose_config),
         ("[fig]/[relieff]", cfg.channel_config),
         ("[train]", cfg.train_config),
         ("[loss]", cfg.loss_config),

@@ -9,12 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SeriesTensor",
     "StationGraph",
     "CalendarFrame",
-    "WindowedSample",
+    "Windows",
     "split_dataset",
     "make_windows",
 ]
@@ -30,8 +31,9 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class SeriesTensor:
     """Charging data of shape (T, N, C): hours x stations x channels.
 
-    Channel 0 is the forecast target (hourly volume in kWh, or occupancy
-    as a fraction in [0, 1]).
+    Channel 0 is the forecast target. In raw inputs it is the observed
+    hourly volume (kWh) or occupancy (a fraction in [0, 1]); in an
+    assembled channel stack it is the VMD-denoised target series.
     """
 
     values: np.ndarray
@@ -140,27 +142,31 @@ class CalendarFrame:
 
 
 @dataclass(frozen=True)
-class WindowedSample:
-    """One training sample: P history steps, S target steps, history calendar.
+class Windows:
+    """Stride-1 forecast windows, window-first.
 
-    The target starts one step after the history ends; both are contiguous
-    views into the source tensor.
+    ``history`` is (B, P, N, C) and ``target`` (B, S, N, 1), the target
+    starting one step after the history ends; ``hours`` and ``dows`` (B,)
+    are the hour and day-of-week of each window's last history step, the
+    forecast anchor.
     """
 
     history: np.ndarray
     target: np.ndarray
-    hour_of_day: np.ndarray
-    day_of_week: np.ndarray
-    holiday_flag: np.ndarray
+    hours: np.ndarray
+    dows: np.ndarray
 
-    @property
-    def anchor_hour(self) -> int:
-        """Hour of the final history step, the forecast anchor."""
-        return int(self.hour_of_day[-1])
+    def __post_init__(self):
+        lengths = [len(a) for a in (self.history, self.target, self.hours, self.dows)]
+        if len(set(lengths)) != 1:
+            raise ValueError(f"window fields disagree on their leading axis: {lengths}")
 
-    @property
-    def anchor_dow(self) -> int:
-        return int(self.day_of_week[-1])
+    def __len__(self) -> int:
+        return len(self.hours)
+
+    def take(self, idx):
+        """(history, target, hours, dows) of the windows selected by ``idx``."""
+        return self.history[idx], self.target[idx], self.hours[idx], self.dows[idx]
 
 
 def split_dataset(series: SeriesTensor, ratios, min_len: int = 1):
@@ -190,11 +196,11 @@ def split_dataset(series: SeriesTensor, ratios, min_len: int = 1):
     return train, valid, test
 
 
-def make_windows(series: SeriesTensor, calendar: CalendarFrame, P: int, S: int):
-    """Enumerate all stride-1 windows of P history and S target steps.
+def make_windows(series: SeriesTensor, calendar: CalendarFrame, P: int, S: int) -> Windows:
+    """All stride-1 windows of P history and S target steps, by start time.
 
-    Returns exactly T - P - S + 1 samples ordered by start time. History
-    and target are read-only views into the series (no copies).
+    There are exactly T - P - S + 1 windows. History and target are
+    read-only views into the series (no copies).
     """
     if P < 1 or S < 1:
         raise ValueError(f"P and S must be >= 1, got P={P}, S={S}")
@@ -206,15 +212,11 @@ def make_windows(series: SeriesTensor, calendar: CalendarFrame, P: int, S: int):
     if total < P + S:
         raise ValueError(f"series length {total} is shorter than P+S={P + S}")
     vals = series.values
-    samples = []
-    for i in range(total - P - S + 1):
-        samples.append(
-            WindowedSample(
-                history=vals[i : i + P],
-                target=vals[i + P : i + P + S, :, 0:1],
-                hour_of_day=calendar.hour_of_day[i : i + P],
-                day_of_week=calendar.day_of_week[i : i + P],
-                holiday_flag=calendar.holiday_flag[i : i + P],
-            )
-        )
-    return samples
+    history = sliding_window_view(vals[: total - S], P, axis=0)
+    target = sliding_window_view(vals[P:, :, 0:1], S, axis=0)
+    return Windows(
+        history=np.moveaxis(history, -1, 1),
+        target=np.moveaxis(target, -1, 1),
+        hours=calendar.hour_of_day[P - 1 : total - S],
+        dows=calendar.day_of_week[P - 1 : total - S],
+    )

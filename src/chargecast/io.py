@@ -223,7 +223,12 @@ def write_components_csv(path, timestamps, components) -> None:
 
 
 def write_predictions_csv(path, window_starts, node_ids, predictions, truths) -> None:
-    """Long format: one row per (window, horizon step, station)."""
+    """Long format: one row per (window, horizon step, station).
+
+    ``window_start`` is the hour of horizon step 1. ``y_true`` and ``y_pred``
+    are in the units of channel 0, the VMD-denoised series, not the raw
+    observations.
+    """
     predictions = np.asarray(predictions)
     truths = np.asarray(truths)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import seeds
 from .autodiff import no_grad
-from .domain import StationGraph
+from .domain import StationGraph, Windows
 from .errors import ConfigError, DataError, NumericError
 from .losses import LossConfig, combined_loss, metrics
 from .model import FREEZE_MODES, PfgaModel, forward_batch
@@ -65,14 +65,6 @@ class Adam:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _stack_batch(samples):
-    hist = np.stack([s.history for s in samples])
-    target = np.stack([s.target for s in samples])
-    hours = np.array([s.anchor_hour for s in samples])
-    dows = np.array([s.anchor_dow for s in samples])
-    return hist, target, hours, dows
-
-
 @dataclass
 class FitResult:
     model: PfgaModel
@@ -83,39 +75,38 @@ class FitResult:
 
 def fit(
     model: PfgaModel,
-    train_samples,
-    valid_samples,
+    train: Windows,
+    valid: Windows,
     graph: StationGraph,
     train_cfg: TrainConfig,
     loss_cfg: LossConfig,
 ) -> FitResult:
     """Seeded Adam mini-batch descent on the combined loss over trainable parameters.
 
-    Per epoch the samples are reshuffled from the train.shuffle substream,
-    the validation MAE is logged, and the best-validation parameter state is
-    retained and restored into the model at the end. A non-finite loss
+    Per epoch the training windows are reshuffled from the train.shuffle
+    substream, the validation MAE is logged, and the best-validation parameter
+    state is retained and restored into the model at the end. A non-finite loss
     aborts with the offending epoch. The ablations are set before the call:
     loss_cfg.lambda_freq = 0 drops the frequency term, and the blocks'
     ``masked`` marks (see ``freeze_and_adapt``) decide graph masking.
     """
-    if len(train_samples) == 0 or len(valid_samples) == 0:
+    if len(train) == 0 or len(valid) == 0:
         raise DataError("fit requires non-empty train and validation sets")
     params = model.trainable_parameters()
     optimizer = Adam([t for _, t in params], train_cfg.learning_rate)
     rng = seeds.substream(train_cfg.seed, "train.shuffle")
     adjacency = graph.adjacency
 
-    valid_hist, valid_target, valid_hours, valid_dows = _stack_batch(valid_samples)
+    valid_hist, valid_target, valid_hours, valid_dows = valid.take(slice(None))
 
     log = []
     best = None  # (valid_mae, epoch, state)
-    n = len(train_samples)
+    n = len(train)
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         for lo in range(0, n, train_cfg.batch_size):
-            batch = [train_samples[i] for i in order[lo : lo + train_cfg.batch_size]]
-            hist, target, hours, dows = _stack_batch(batch)
+            hist, target, hours, dows = train.take(order[lo : lo + train_cfg.batch_size])
             pred = forward_batch(model, hist, hours, dows, adjacency)
             loss = combined_loss(pred, target, loss_cfg)
             value = float(loss.data)
@@ -123,7 +114,7 @@ def fit(
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             loss.backward()
             optimizer.step()
-            total += value * len(batch)
+            total += value * len(hours)
         train_loss = total / n
 
         with no_grad():
@@ -141,14 +132,9 @@ def fit(
     return FitResult(model=model, log=log, best_epoch=best[1], best_valid_mae=best[0])
 
 
-def persistence_forecast(samples) -> np.ndarray:
+def persistence_forecast(windows: Windows) -> np.ndarray:
     """Repeat each window's last observed target-channel value across the horizon."""
-    preds = []
-    for s in samples:
-        last = s.history[-1, :, 0]  # (N,)
-        horizon = s.target.shape[0]
-        preds.append(np.repeat(last[None, :, None], horizon, axis=0))
-    return np.stack(preds)
+    return np.repeat(windows.history[:, -1:, :, 0:1], windows.target.shape[1], axis=1)
 
 
 @dataclass
@@ -169,29 +155,26 @@ class EvalReport:
 
 def evaluate(
     model: PfgaModel,
-    test_samples,
+    test: Windows,
     graph: StationGraph,
     chunk: int = 256,
 ) -> EvalReport:
     if chunk < 1:
         raise ConfigError("chunk must be >= 1")
-    if len(test_samples) == 0:
+    if len(test) == 0:
         raise DataError("evaluate requires a non-empty test set")
     preds = []
-    truths = []
-    for lo in range(0, len(test_samples), chunk):
-        batch = test_samples[lo : lo + chunk]
-        hist, target, hours, dows = _stack_batch(batch)
+    for lo in range(0, len(test), chunk):
+        hist, _, hours, dows = test.take(slice(lo, lo + chunk))
         with no_grad():
             out = forward_batch(model, hist, hours, dows, graph.adjacency)
         preds.append(out.data)
-        truths.append(target)
     predictions = np.concatenate(preds)
-    truth = np.concatenate(truths)
+    truth = np.ascontiguousarray(test.target)
 
     per_step = [metrics(predictions[:, s], truth[:, s]) for s in range(predictions.shape[1])]
     aggregate = metrics(predictions, truth)
-    baseline = metrics(persistence_forecast(test_samples), truth)
+    baseline = metrics(persistence_forecast(test), truth)
     return EvalReport(
         per_step=per_step,
         aggregate=aggregate,

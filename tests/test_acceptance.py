@@ -23,7 +23,7 @@ from chargecast import seeds
 from chargecast.autodiff import Tensor
 from chargecast.bands import DecomposeConfig, band_recombine
 from chargecast.channels import ChannelConfig, assemble_channels
-from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, WindowedSample, make_windows, split_dataset
+from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, Windows, make_windows, split_dataset
 from chargecast.emd import emd, iceemdan
 from chargecast.entropy import msse_curve, sample_entropy
 from chargecast.granulate import fig_granulate, membership
@@ -386,19 +386,13 @@ TINY_MODEL = ModelConfig(
 
 
 def toy_windows(rng, count, n_nodes, cfg):
-    samples = []
+    hists, targets, hours, dows = [], [], [], []
     for _ in range(count):
-        hour = int(rng.integers(0, 24))
-        samples.append(
-            WindowedSample(
-                history=rng.normal(size=(cfg.lookback, n_nodes, cfg.c_in)),
-                target=rng.normal(size=(cfg.horizon, n_nodes, 1)),
-                hour_of_day=np.full(cfg.lookback, hour),
-                day_of_week=np.full(cfg.lookback, int(rng.integers(0, 7))),
-                holiday_flag=np.zeros(cfg.lookback, dtype=int),
-            )
-        )
-    return samples
+        hours.append(int(rng.integers(0, 24)))
+        hists.append(rng.normal(size=(cfg.lookback, n_nodes, cfg.c_in)))
+        targets.append(rng.normal(size=(cfg.horizon, n_nodes, 1)))
+        dows.append(int(rng.integers(0, 7)))
+    return Windows(np.stack(hists), np.stack(targets), np.array(hours), np.array(dows))
 
 
 def test_criterion_07_frozen_tensors_stay_frozen():

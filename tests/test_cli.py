@@ -410,6 +410,8 @@ class TestExitCodes:
         "command, section, line",
         [
             ("decompose", "vmd", "k = 0"),
+            ("decompose", "iceemdan", "ensemble_n = 0"),
+            ("train", "iceemdan", "noise_amp = -1"),
             ("decompose", "fig", "windows = 0"),
             ("decompose", "train", "learning_rate = -1"),
             ("train", "fig", "windows = 24,24"),
@@ -425,6 +427,15 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert reads == []
         assert f"configuration error: [{section}]" in capsys.readouterr().err
+
+    def test_test_split_shorter_than_a_window_exits_3(self, data_copy):
+        out_dir, _ = data_copy
+        short = out_dir / "short.ini"
+        # 720 hours leave floor(7.2) = 7 test steps, fewer than lookback+horizon = 11
+        short.write_text(LIGHT_INI + "\n[data]\ntrain_ratio = 0.89\nvalid_ratio = 0.1\ntest_ratio = 0.01\n")
+        proc = run("train", "--config", str(short), "--seed", "11", "--out-dir", str(out_dir), check=False)
+        assert proc.returncode == 3
+        assert "data error: test split has 7 steps" in proc.stderr
 
     def test_unknown_command_exits_2(self):
         proc = run("transmogrify", check=False)

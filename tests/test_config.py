@@ -112,6 +112,9 @@ class TestRejection:
         "section, key, value, message",
         [
             ("vmd", "k", "0", r"\[vmd\] K must be >= 1"),
+            ("iceemdan", "ensemble_n", "0", r"\[iceemdan\] ensemble_n must be >= 1"),
+            ("iceemdan", "noise_amp", "-1", r"\[iceemdan\] noise_amp must be >= 0"),
+            ("relieff", "k", "0", r"\[fig\]/\[relieff\] relieff_k must be >= 1"),
             ("fig", "windows", "0", r"\[fig\]/\[relieff\] granule windows must be >= 1"),
             ("fig", "windows", "24,24", r"\[fig\]/\[relieff\] granule windows must not repeat"),
             ("relieff", "top_n", "-1", r"\[fig\]/\[relieff\] top_n must be >= 0"),

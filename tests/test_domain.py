@@ -5,6 +5,7 @@ from chargecast.domain import (
     CalendarFrame,
     SeriesTensor,
     StationGraph,
+    Windows,
     make_windows,
     split_dataset,
 )
@@ -114,24 +115,50 @@ class TestMakeWindows:
         cal = CalendarFrame(hourly("2024-01-01T00", t_len))
         windows = make_windows(SeriesTensor(vals), cal, p, s)
         assert len(windows) == t_len - p - s + 1
-        w = windows[3]
-        assert np.array_equal(w.history, vals[3:7])
-        assert np.array_equal(w.target, vals[7:9, :, 0:1])
+        assert np.array_equal(windows.history[3], vals[3:7])
+        assert np.array_equal(windows.target[3], vals[7:9, :, 0:1])
 
     def test_target_is_first_channel_only(self):
         vals = np.random.default_rng(0).normal(size=(10, 2, 4))
         cal = CalendarFrame(hourly("2024-01-01T00", 10))
-        w = make_windows(SeriesTensor(vals), cal, 3, 2)[0]
-        assert w.target.shape == (2, 2, 1)
-        assert np.array_equal(w.target[..., 0], vals[3:5, :, 0])
+        windows = make_windows(SeriesTensor(vals), cal, 3, 2)
+        assert windows.target.shape == (6, 2, 2, 1)
+        assert np.array_equal(windows.target[0, ..., 0], vals[3:5, :, 0])
+
+    def test_history_and_target_are_read_only_views(self):
+        series = SeriesTensor(np.random.default_rng(1).normal(size=(20, 3, 2)))
+        windows = make_windows(series, CalendarFrame(hourly("2024-01-01T00", 20)), 5, 3)
+        assert windows.history.shape == (13, 5, 3, 2)
+        for field in (windows.history, windows.target):
+            assert np.shares_memory(field, series.values)
+            assert not field.flags.writeable
 
     def test_anchor_fields_track_last_history_step(self):
         cal = CalendarFrame(hourly("2024-01-01T00", 30))
         vals = np.zeros((30, 1, 1))
         windows = make_windows(SeriesTensor(vals), cal, 5, 1)
-        for i, w in enumerate(windows):
-            assert w.anchor_hour == cal.hour_of_day[i + 4]
-            assert w.anchor_dow == cal.day_of_week[i + 4]
+        assert len(windows.hours) == len(windows.dows) == 25
+        for i in range(len(windows)):
+            assert windows.hours[i] == cal.hour_of_day[i + 4]
+            assert windows.dows[i] == cal.day_of_week[i + 4]
+
+    def test_take_selects_the_same_windows_from_every_field(self):
+        vals = np.arange(40, dtype=float).reshape(20, 2, 1)
+        windows = make_windows(SeriesTensor(vals), CalendarFrame(hourly("2024-01-01T05", 20)), 4, 2)
+        hist, target, hours, dows = windows.take(np.array([7, 2]))
+        assert np.array_equal(hist, np.stack([vals[7:11], vals[2:6]]))
+        assert np.array_equal(target, np.stack([vals[11:13], vals[6:8]]))
+        assert hours.tolist() == [(5 + 10) % 24, (5 + 5) % 24]
+        assert dows.tolist() == [windows.dows[7], windows.dows[2]]
+
+    def test_fields_must_share_leading_axis(self):
+        with pytest.raises(ValueError, match="leading axis"):
+            Windows(
+                history=np.zeros((3, 4, 2, 1)),
+                target=np.zeros((3, 2, 2, 1)),
+                hours=np.zeros(2, dtype=int),
+                dows=np.zeros(3, dtype=int),
+            )
 
     def test_too_short_series_raises(self):
         cal = CalendarFrame(hourly("2024-01-01T00", 4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chargecast.autodiff import Tensor
-from chargecast.domain import StationGraph, WindowedSample
+from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, Windows, make_windows
 from chargecast.errors import ConfigError, DataError, NumericError
 from chargecast.losses import LossConfig, metrics
 from chargecast.model import ModelConfig, build_model, forward_batch, freeze_and_adapt
@@ -33,23 +33,24 @@ N_NODES = 3
 
 def toy_samples(rng, count):
     """Windows whose targets are a fixed multiple of the last observed value."""
-    out = []
+    hists, targets, hours, dows = [], [], [], []
     for _ in range(count):
         hist = rng.normal(size=(CFG.lookback, N_NODES, CFG.c_in))
         last = hist[-1, :, 0]
-        target = np.repeat(0.8 * last[None, :, None], CFG.horizon, axis=0)
-        hours = rng.integers(0, 24, size=CFG.lookback)
-        dows = rng.integers(0, 7, size=CFG.lookback)
-        out.append(
-            WindowedSample(
-                history=hist,
-                target=target,
-                hour_of_day=hours,
-                day_of_week=dows,
-                holiday_flag=np.zeros(CFG.lookback),
-            )
-        )
-    return out
+        hists.append(hist)
+        targets.append(np.repeat(0.8 * last[None, :, None], CFG.horizon, axis=0))
+        hours.append(rng.integers(0, 24, size=CFG.lookback)[-1])
+        dows.append(rng.integers(0, 7, size=CFG.lookback)[-1])
+    return Windows(np.stack(hists), np.stack(targets), np.array(hours), np.array(dows))
+
+
+def persistence_reference(windows):
+    """Loop form of the persistence forecast, one window at a time."""
+    preds = []
+    for hist, target in zip(windows.history, windows.target):
+        last = hist[-1, :, 0]  # (N,)
+        preds.append(np.repeat(last[None, :, None], target.shape[0], axis=0))
+    return np.stack(preds)
 
 
 def toy_graph():
@@ -134,12 +135,8 @@ class TestFit:
         valid = toy_samples(rng, 8)
         model = build_model(CFG, np.random.default_rng(43))
         result = fit(model, train, valid, toy_graph(), quick_cfg(), LossConfig())
-        hist = np.stack([s.history for s in valid])
-        target = np.stack([s.target for s in valid])
-        hours = np.array([s.anchor_hour for s in valid])
-        dows = np.array([s.anchor_dow for s in valid])
-        pred = forward_batch(model, hist, hours, dows, toy_graph().adjacency)
-        mae = float(np.mean(np.abs(pred.data - target)))
+        pred = forward_batch(model, valid.history, valid.hours, valid.dows, toy_graph().adjacency)
+        mae = float(np.mean(np.abs(pred.data - valid.target)))
         assert mae == result.best_valid_mae
 
     def test_same_seed_bitwise_reproducible(self):
@@ -201,7 +198,7 @@ class TestFit:
         rng = np.random.default_rng(55)
         train = toy_samples(rng, 16)
         valid = toy_samples(rng, 6)
-        train[3].history[0, 0, 0] = np.nan
+        train.history[3, 0, 0, 0] = np.nan
         model = build_model(CFG, np.random.default_rng(56))
         with pytest.raises(NumericError, match="epoch 1"):
             fit(model, train, valid, toy_graph(), quick_cfg(max_epochs=3), LossConfig())
@@ -221,8 +218,8 @@ class TestPersistence:
         samples = toy_samples(rng, 4)
         pred = persistence_forecast(samples)
         assert pred.shape == (4, CFG.horizon, N_NODES, 1)
-        for k, s in enumerate(samples):
-            last = s.history[-1, :, 0]
+        for k, hist in enumerate(samples.history):
+            last = hist[-1, :, 0]
             for step in range(CFG.horizon):
                 assert np.array_equal(pred[k, step, :, 0], last)
 
@@ -231,10 +228,19 @@ class TestPersistence:
         rng = np.random.default_rng(61)
         samples = toy_samples(rng, 50)
         pred = persistence_forecast(samples)
-        truth = np.stack([s.target for s in samples])
-        err = np.abs(pred - truth)
-        lasts = np.stack([np.abs(0.2 * s.history[-1, :, 0]) for s in samples])
+        err = np.abs(pred - samples.target)
+        lasts = np.abs(0.2 * samples.history[:, -1, :, 0])
         assert np.allclose(err[:, 0, :, 0], lasts, atol=1e-12)
+
+    @pytest.mark.parametrize("p, s", [(1, 1), (4, 3), (7, 2)])
+    def test_matches_loop_reference_on_series_windows(self, p, s):
+        vals = np.random.default_rng(62).normal(size=(30, 3, 2))
+        stamps = np.datetime64("2024-01-01T00", "h") + np.arange(30).astype("timedelta64[h]")
+        windows = make_windows(SeriesTensor(vals), CalendarFrame(stamps), p, s)
+        pred = persistence_forecast(windows)
+        assert pred.shape == (30 - p - s + 1, s, 3, 1)
+        assert np.array_equal(pred, persistence_reference(windows))
+        assert pred.flags.writeable and not np.shares_memory(pred, windows.history)
 
 
 class TestEvaluate:
@@ -280,16 +286,12 @@ class TestEvaluate:
         rng = np.random.default_rng(69)
         model = build_model(cfg, rng)
         freeze_and_adapt(model, rng, freeze_mode="partial")
-        samples = [
-            WindowedSample(
-                history=rng.normal(size=(cfg.lookback, n_nodes, cfg.c_in)),
-                target=rng.normal(size=(cfg.horizon, n_nodes, 1)),
-                hour_of_day=rng.integers(0, 24, size=cfg.lookback),
-                day_of_week=rng.integers(0, 7, size=cfg.lookback),
-                holiday_flag=np.zeros(cfg.lookback),
-            )
-            for _ in range(1024)
-        ]
+        samples = Windows(
+            history=rng.normal(size=(1024, cfg.lookback, n_nodes, cfg.c_in)),
+            target=rng.normal(size=(1024, cfg.horizon, n_nodes, 1)),
+            hours=rng.integers(0, 24, size=1024),
+            dows=rng.integers(0, 7, size=1024),
+        )
         graph = StationGraph([f"s{k}" for k in range(n_nodes)], np.ones((n_nodes, n_nodes)))
         tracemalloc.start()
         try:
