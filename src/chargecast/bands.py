@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emd import SiftConfig, iceemdan
+from .emd import iceemdan
 from .entropy import msse_curve
 from .errors import ConfigError
 from .vmd import VmdConfig, sum_components, vmd
@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 _BAND_NAMES = ("low", "mid", "high")
+
+# multiscale sample entropy of each component: embedding dimension,
+# tolerance as a fraction of the component's std, and coarse-graining scales
+ENTROPY_M = 2
+ENTROPY_R_FRAC = 0.15
+ENTROPY_TAU_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -43,15 +49,11 @@ class BandSet:
 
 @dataclass(frozen=True)
 class DecomposeConfig:
-    """Bundle of sub-configs for the multi-frequency pipeline."""
+    """The multi-frequency pipeline's settings: VMD and the ICEEMDAN ensemble."""
 
     vmd: VmdConfig = field(default_factory=VmdConfig)
-    sift: SiftConfig = field(default_factory=SiftConfig)
     ensemble_n: int = 100
     noise_amp: float = 0.2
-    m: int = 2
-    r_frac: float = 0.15
-    tau_max: int = 5
 
     def __post_init__(self):
         if self.ensemble_n < 1:
@@ -117,9 +119,11 @@ def band_recombine(components, complexity) -> BandSet:
     return BandSet(high=sums[2], mid=sums[1], low=sums[0], membership=membership)
 
 
-def _mean_msse(components, cfg: DecomposeConfig) -> list:
+def _mean_msse(components) -> list:
     """Raw complexity score of each component: its mean multiscale entropy."""
-    return [float(np.mean(msse_curve(c, cfg.m, cfg.r_frac, cfg.tau_max))) for c in components]
+    return [
+        float(np.mean(msse_curve(c, ENTROPY_M, ENTROPY_R_FRAC, ENTROPY_TAU_MAX))) for c in components
+    ]
 
 
 def _complexity_scores(raw) -> np.ndarray:
@@ -153,9 +157,9 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
 
     # each component is scored once: the retained modes here, the new
     # sub-components below; the +inf cap is applied per ranked list
-    mode_scores = _mean_msse([m.samples for m in retained], cfg)
+    mode_scores = _mean_msse([m.samples for m in retained])
     target = int(np.argmax(_complexity_scores(mode_scores)))
-    sub = iceemdan(retained[target].samples, cfg.ensemble_n, cfg.noise_amp, seed, cfg.sift)
+    sub = iceemdan(retained[target].samples, cfg.ensemble_n, cfg.noise_amp, seed)
 
     components = []
     ids = []
@@ -165,7 +169,7 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
             parts = [*sub.imfs, sub.residual]
             components.extend(parts)
             ids.extend([f"mode{i}_sub{j}" for j in range(len(sub.imfs))] + [f"mode{i}_subres"])
-            raw.extend(_mean_msse(parts, cfg))
+            raw.extend(_mean_msse(parts))
         else:
             components.append(mode.samples)
             ids.append(f"mode{i}")

@@ -47,7 +47,6 @@ _PRETRAIN_STATION_OFFSETS = (-2, 0, 2)
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="INI-style config file")
     sub.add_argument("--seed", type=int, default=None, help="root seed (overrides [seeds] root)")
-    sub.add_argument("--kind", choices=("volume", "occupancy"), default=None)
     sub.add_argument("--horizon", type=int, default=None, help="forecast steps")
     sub.add_argument("--lookback", type=int, default=None, help="history steps per window")
     sub.add_argument("--out-dir", default=None, help="directory for outputs and default input paths")
@@ -56,7 +55,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 def _overrides(args) -> dict:
     pairs = {
         "seed": ("seeds", "root"),
-        "kind": ("data", "kind"),
         "horizon": ("model", "horizon"),
         "lookback": ("model", "lookback"),
         "out_dir": ("io", "out_dir"),
@@ -98,7 +96,7 @@ def _write_path(cfg: PipelineConfig, key: str) -> str:
 
 
 def _load_series(cfg: PipelineConfig):
-    series, calendar, node_ids = cio.load_charging_csv(_path(cfg, "series"), kind=cfg.kind())
+    series, calendar, node_ids = cio.load_charging_csv(_path(cfg, "series"))
     holidays_path = _path(cfg, "holidays")
     if os.path.exists(holidays_path):
         calendar = cio.apply_holidays(calendar, cio.load_holidays(holidays_path))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .bands import DecomposeConfig
 from .channels import ChannelConfig
-from .emd import SiftConfig
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import ModelConfig
@@ -56,7 +55,6 @@ SCHEMA = {
     },
     "seeds": {"root": ("0", int)},
     "data": {
-        "kind": ("volume", str),
         "train_ratio": ("0.8", float),
         "valid_ratio": ("0.1", float),
         "test_ratio": ("0.1", float),
@@ -139,7 +137,6 @@ class PipelineConfig:
     def decompose_config(self) -> DecomposeConfig:
         return DecomposeConfig(
             vmd=self.vmd_config(),
-            sift=SiftConfig(),
             ensemble_n=self.get("iceemdan", "ensemble_n"),
             noise_amp=self.get("iceemdan", "noise_amp"),
         )
@@ -153,16 +150,8 @@ class PipelineConfig:
         )
 
     def model_config(self, c_in: int) -> ModelConfig:
-        return ModelConfig(
-            d_embed=self.get("model", "d_embed"),
-            lookback=self.get("model", "lookback"),
-            horizon=self.get("model", "horizon"),
-            c_in=c_in,
-            f_frozen=self.get("model", "f_frozen"),
-            u_unfrozen=self.get("model", "u_unfrozen"),
-            heads=self.get("model", "heads"),
-            rank=self.get("model", "rank"),
-        )
+        """The [model] keys are ModelConfig's field names; c_in comes from the data."""
+        return ModelConfig(c_in=c_in, **{key: self.get("model", key) for key in SCHEMA["model"]})
 
     def train_config(self) -> TrainConfig:
         """[train] use_graph_mask is not part of it: it marks the model's blocks at adaptation."""
@@ -189,12 +178,6 @@ class PipelineConfig:
 
     def seed(self) -> int:
         return self.get("seeds", "root")
-
-    def kind(self) -> str:
-        kind = self.get("data", "kind")
-        if kind not in ("volume", "occupancy"):
-            raise ConfigError(f"data kind must be volume or occupancy, got {kind!r}")
-        return kind
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:
@@ -235,12 +218,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     sub_configs = (
         ("[vmd]", cfg.vmd_config),
         ("[iceemdan]", cfg.decompose_config),
-        ("[fig]/[relieff]", cfg.channel_config),
+        ("[fig]", lambda: ChannelConfig(granule_windows=cfg.get("fig", "windows"))),
+        ("[relieff]", lambda: ChannelConfig(relieff_k=cfg.get("relieff", "k"), top_n=cfg.get("relieff", "top_n"))),
         ("[train]", cfg.train_config),
         ("[loss]", cfg.loss_config),
         ("[model]", lambda: cfg.model_config(c_in=1)),
         ("[data]", cfg.ratios),
-        ("[data]", cfg.kind),
     )
     for section, make in sub_configs:
         try:

@@ -32,8 +32,9 @@ class SeriesTensor:
     """Charging data of shape (T, N, C): hours x stations x channels.
 
     Channel 0 is the forecast target. In raw inputs it is the observed
-    hourly volume (kWh) or occupancy (a fraction in [0, 1]); in an
-    assembled channel stack it is the VMD-denoised target series.
+    hourly per-station quantity (charging volume, an occupancy share or any
+    other; every series is treated alike and predictions are not clipped);
+    in an assembled channel stack it is the VMD-denoised target series.
     """
 
     values: np.ndarray

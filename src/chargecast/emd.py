@@ -43,19 +43,16 @@ _EVAL_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class SiftConfig:
-    """Sifting stop rule: SD threshold between siftings, iteration caps."""
+    """Sifting stop rule: SD threshold between siftings, sifting cap per IMF."""
 
     sd_threshold: float = 0.2
     max_siftings: int = 10
-    max_imfs: int | None = None
 
     def __post_init__(self):
         if self.sd_threshold <= 0:
             raise ValueError(f"sd_threshold must be > 0, got {self.sd_threshold}")
         if self.max_siftings < 1:
             raise ValueError(f"max_siftings must be >= 1, got {self.max_siftings}")
-        if self.max_imfs is not None and self.max_imfs < 0:
-            raise ValueError(f"max_imfs must be >= 0, got {self.max_imfs}")
 
 
 @dataclass(frozen=True)
@@ -290,8 +287,7 @@ def _sift_levels(rows: np.ndarray, cfg: SiftConfig):
     """
     residual = rows
     alive = np.arange(rows.shape[0])
-    level = 0
-    while alive.size and (cfg.max_imfs is None or level < cfg.max_imfs):
+    while alive.size:
         h = residual[alive]
         extrema = _extrema_masks(h)
         keep = _enough_extrema(extrema)
@@ -331,7 +327,6 @@ def _sift_levels(rows: np.ndarray, cfg: SiftConfig):
                 break
         yield alive, h, int(sifting.size)
         residual[alive] -= h
-        level += 1
 
 
 def _check_signal(signal) -> np.ndarray:

@@ -47,12 +47,11 @@ def _read_rows(path) -> list:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def load_charging_csv(path, kind: str | None = None):
-    """Parse a series CSV into (SeriesTensor, CalendarFrame).
+def load_charging_csv(path):
+    """Parse a series CSV into (SeriesTensor, CalendarFrame, node_ids).
 
     Layout: header ``timestamp,<station>,...``; one ISO-8601 hourly
-    timestamp per row; every cell numeric. kind='occupancy' additionally
-    warns when values leave [0, 1].
+    timestamp per row; every cell numeric and finite.
     """
     rows = _read_rows(path)
     if len(rows) < 2:
@@ -92,11 +91,6 @@ def load_charging_csv(path, kind: str | None = None):
     if not np.all(np.isfinite(values)):
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"{path}: row {int(r) + 2}: non-finite value for {node_ids[int(c)]}")
-    if kind == "occupancy" and (values.min() < 0.0 or values.max() > 1.0):
-        warnings.warn(
-            f"{path}: occupancy values outside [0, 1] (min {values.min():g}, max {values.max():g})",
-            stacklevel=2,
-        )
     series = SeriesTensor(values[:, :, None])
     calendar = CalendarFrame(ts)
     return series, calendar, node_ids

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -60,6 +60,9 @@ MASK_FILL = -1e9
 LN_EPS = 1e-5
 
 FREEZE_MODES = ("partial", "none", "all_graph")
+
+# the attention bases of a graph block, stored NF4-quantized when it is partially frozen
+_QUANTIZED_BASES = ("w_q", "w_k", "w_v", "w_o")
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,11 @@ def _positional_rows(n: int, width: int) -> np.ndarray:
     return np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
 
 
+def _tensor_fields(params, prefix: str) -> list:
+    """(prefix + field name, tensor) for each Tensor field of a dataclass, in field order."""
+    return [(prefix + f.name, t) for f in fields(params) if isinstance(t := getattr(params, f.name), Tensor)]
+
+
 @dataclass
 class EmbeddingParams:
     theta_p_w: Tensor
@@ -116,18 +124,6 @@ class EmbeddingParams:
     b_s: Tensor
     theta_f_w: Tensor
     theta_f_b: Tensor
-
-    def named(self):
-        return [
-            ("embed.theta_p_w", self.theta_p_w),
-            ("embed.theta_p_b", self.theta_p_b),
-            ("embed.w_d", self.w_d),
-            ("embed.w_w", self.w_w),
-            ("embed.w_s", self.w_s),
-            ("embed.b_s", self.b_s),
-            ("embed.theta_f_w", self.theta_f_w),
-            ("embed.theta_f_b", self.theta_f_b),
-        ]
 
 
 @dataclass
@@ -162,30 +158,9 @@ class PfgaBlockParams:
     quant: dict = field(default_factory=dict)
 
     def named(self, prefix: str):
-        pairs = [
-            (f"{prefix}.ln1_gamma", self.ln1_gamma),
-            (f"{prefix}.ln1_beta", self.ln1_beta),
-            (f"{prefix}.ln2_gamma", self.ln2_gamma),
-            (f"{prefix}.ln2_beta", self.ln2_beta),
-            (f"{prefix}.w_q", self.w_q),
-            (f"{prefix}.w_k", self.w_k),
-            (f"{prefix}.w_v", self.w_v),
-            (f"{prefix}.w_o", self.w_o),
-            (f"{prefix}.w_1", self.w_1),
-            (f"{prefix}.b_1", self.b_1),
-            (f"{prefix}.w_2", self.w_2),
-            (f"{prefix}.b_2", self.b_2),
-        ]
+        pairs = _tensor_fields(self, f"{prefix}.")
         if self.adapters is not None:
-            a = self.adapters
-            pairs.extend(
-                [
-                    (f"{prefix}.heads.l_q", a.l_q),
-                    (f"{prefix}.heads.m_q", a.m_q),
-                    (f"{prefix}.heads.l_v", a.l_v),
-                    (f"{prefix}.heads.m_v", a.m_v),
-                ]
-            )
+            pairs += _tensor_fields(self.adapters, f"{prefix}.heads.")
         return pairs
 
 
@@ -199,12 +174,10 @@ class PfgaModel:
     head_b: Tensor
 
     def named_parameters(self):
-        pairs = list(self.embed.named())
+        pairs = _tensor_fields(self.embed, "embed.")
         for i, blk in enumerate(self.blocks):
-            pairs.extend(blk.named(f"block{i}"))
-        pairs.append(("head_w", self.head_w))
-        pairs.append(("head_b", self.head_b))
-        return pairs
+            pairs += blk.named(f"block{i}")
+        return pairs + _tensor_fields(self, "")  # head_w, head_b
 
     def trainable_parameters(self):
         return [(n, t) for n, t in self.named_parameters() if t.requires_grad]
@@ -450,7 +423,7 @@ def freeze_and_adapt(
                 _set_trainable(t, False)
             continue
         blk.quant = {}
-        for name in ("w_q", "w_k", "w_v", "w_o"):
+        for name in _QUANTIZED_BASES:
             t = getattr(blk, name)
             qt = quantize(t.data)
             t.data = dequantize(qt)
@@ -498,20 +471,10 @@ def _unpack_codes(packed: np.ndarray, size: int, name: str) -> np.ndarray:
 
 
 def save_checkpoint(model: PfgaModel, path: str) -> None:
-    cfg = model.config
     meta = {
         "version": _CHECKPOINT_VERSION,
         "freeze_mode": model.freeze_mode,
-        "config": {
-            "d_embed": cfg.d_embed,
-            "lookback": cfg.lookback,
-            "horizon": cfg.horizon,
-            "c_in": cfg.c_in,
-            "f_frozen": cfg.f_frozen,
-            "u_unfrozen": cfg.u_unfrozen,
-            "heads": cfg.heads,
-            "rank": cfg.rank,
-        },
+        "config": asdict(model.config),
         "masked": [bool(b.masked) for b in model.blocks],
         "trainable": [],
         "quantized": [],
@@ -573,7 +536,7 @@ def load_checkpoint(path: str) -> PfgaModel:
         if f"block{i}__heads__l_q" in arrays:
             l_shape = (cfg.heads, cfg.width, cfg.rank)
             blk.adapters = _adapters(cfg, np.zeros(l_shape), np.zeros(l_shape))
-        for wname in ("w_q", "w_k", "w_v", "w_o"):
+        for wname in _QUANTIZED_BASES:
             qname = f"block{i}.{wname}"
             if qname in quant_info:
                 info = quant_info[qname]

@@ -186,9 +186,10 @@ def test_pipeline_scores_each_component_once(monkeypatch):
     assert score.calls == (LIGHT.vmd.K - 1) + n_sub
 
 
-def rescored_bands(comps, cfg, score):
+def rescored_bands(comps, score):
     """Bands from scoring every final component afresh, +inf capped over the list."""
-    raw = np.array([float(np.mean(score(s, cfg.m, cfg.r_frac, cfg.tau_max))) for _, s in comps])
+    params = (bands_mod.ENTROPY_M, bands_mod.ENTROPY_R_FRAC, bands_mod.ENTROPY_TAU_MAX)
+    raw = np.array([float(np.mean(score(s, *params))) for _, s in comps])
     finite = raw[np.isfinite(raw)]
     if finite.size < raw.size:
         raw = np.where(np.isfinite(raw), raw, (finite.max() if finite.size else 0.0) + 1.0)
@@ -219,7 +220,7 @@ def test_bands_match_rescoring_every_component(monkeypatch, infinite):
         assert "mode0_sub0" in ids
     elif infinite == "sub_component":
         assert np.array_equal(dict(comps)[cid], target)
-    want = rescored_bands(comps, LIGHT, score)
+    want = rescored_bands(comps, score)
     assert got.membership == want.membership
     for band in ("high", "mid", "low"):
         assert np.array_equal(getattr(got, band), getattr(want, band))

@@ -224,7 +224,7 @@ class TestViewsOfTheModelChannels:
     def assembled(self, workspace):
         ws, _ = workspace
         cfg = load_config(str(ws / "light.ini"), {("seeds", "root"): "11", ("io", "out_dir"): str(ws)})
-        series, calendar, _ = cio.load_charging_csv(str(ws / "series.csv"), kind=cfg.kind())
+        series, calendar, _ = cio.load_charging_csv(str(ws / "series.csv"))
         calendar = cio.apply_holidays(calendar, cio.load_holidays(str(ws / "holidays.txt")))
         temperature = cio.load_charging_csv(str(ws / "temperature.csv"))[0].values[:, 0, 0]
         return assemble_channels(
@@ -415,6 +415,7 @@ class TestExitCodes:
             ("decompose", "fig", "windows = 0"),
             ("decompose", "train", "learning_rate = -1"),
             ("train", "fig", "windows = 24,24"),
+            ("decompose", "relieff", "k = 0"),
         ],
     )
     def test_out_of_range_value_exits_2_before_reading_data(
@@ -440,6 +441,11 @@ class TestExitCodes:
     def test_unknown_command_exits_2(self):
         proc = run("transmogrify", check=False)
         assert proc.returncode == 2
+
+    def test_removed_kind_flag_exits_2(self, tmp_path):
+        proc = run("synth", "--kind", "volume", "--out-dir", str(tmp_path), check=False)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --kind" in proc.stderr
 
     def test_evaluate_without_checkpoint_exits_3(self, data_copy):
         out_dir, common = data_copy

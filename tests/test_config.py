@@ -2,8 +2,14 @@
 
 import pytest
 
+from chargecast.bands import DecomposeConfig
+from chargecast.channels import ChannelConfig
 from chargecast.config import SCHEMA, load_config
 from chargecast.errors import ConfigError
+from chargecast.losses import LossConfig
+from chargecast.model import ModelConfig
+from chargecast.training import TrainConfig
+from chargecast.vmd import VmdConfig
 
 
 class TestDefaults:
@@ -24,7 +30,15 @@ class TestDefaults:
         assert cfg.train_config().freeze_mode == "partial"
         assert cfg.loss_config().lambda_freq == 0.1
         assert cfg.ratios() == (0.8, 0.1, 0.1)
-        assert cfg.kind() == "volume"
+
+    def test_schema_defaults_equal_the_dataclass_defaults(self):
+        cfg = load_config()
+        assert cfg.vmd_config() == VmdConfig()
+        assert cfg.decompose_config() == DecomposeConfig()
+        assert cfg.channel_config() == ChannelConfig()
+        assert cfg.model_config(c_in=1) == ModelConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.loss_config() == LossConfig()
 
     def test_every_schema_default_parses(self):
         cfg = load_config()
@@ -100,10 +114,6 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"\[data\] split ratios must sum to 1"):
             load_config(overrides={("data", "train_ratio"): "0.9"})
 
-    def test_bad_kind(self):
-        with pytest.raises(ConfigError, match=r"\[data\] data kind must be volume or occupancy"):
-            load_config(overrides={("data", "kind"): "load"})
-
     def test_non_finite_lambda(self):
         with pytest.raises(ConfigError, match=r"\[loss\] lambda_freq must be finite"):
             load_config(overrides={("loss", "lambda_freq"): "nan"})
@@ -114,10 +124,10 @@ class TestRejection:
             ("vmd", "k", "0", r"\[vmd\] K must be >= 1"),
             ("iceemdan", "ensemble_n", "0", r"\[iceemdan\] ensemble_n must be >= 1"),
             ("iceemdan", "noise_amp", "-1", r"\[iceemdan\] noise_amp must be >= 0"),
-            ("relieff", "k", "0", r"\[fig\]/\[relieff\] relieff_k must be >= 1"),
-            ("fig", "windows", "0", r"\[fig\]/\[relieff\] granule windows must be >= 1"),
-            ("fig", "windows", "24,24", r"\[fig\]/\[relieff\] granule windows must not repeat"),
-            ("relieff", "top_n", "-1", r"\[fig\]/\[relieff\] top_n must be >= 0"),
+            ("relieff", "k", "0", r"\[relieff\] relieff_k must be >= 1"),
+            ("fig", "windows", "0", r"\[fig\] granule windows must be >= 1"),
+            ("fig", "windows", "24,24", r"\[fig\] granule windows must not repeat"),
+            ("relieff", "top_n", "-1", r"\[relieff\] top_n must be >= 0"),
             ("train", "learning_rate", "-1", r"\[train\] learning_rate must be positive"),
             ("train", "freeze_mode", "solid", r"\[train\] freeze_mode"),
             ("model", "heads", "5", r"\[model\] heads must be >= 1 and divide"),
@@ -129,7 +139,13 @@ class TestRejection:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("train", "optimizer"), ("train", "use_freq_loss"), ("model", "block_size_q"), ("model", "ln_eps")],
+        [
+            ("train", "optimizer"),
+            ("train", "use_freq_loss"),
+            ("model", "block_size_q"),
+            ("model", "ln_eps"),
+            ("data", "kind"),
+        ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, section, key):
         path = tmp_path / "run.ini"

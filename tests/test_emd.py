@@ -328,7 +328,7 @@ def loop_emd(x, cfg):
     """One realization's EMD as a loop of scalar envelope fits."""
     imfs = []
     residual = x.copy()
-    while cfg.max_imfs is None or len(imfs) < cfg.max_imfs:
+    while True:
         maxima, minima = ref_extrema(residual)
         if maxima.size < 2 or minima.size < 2:
             break
@@ -373,7 +373,7 @@ def assert_same_decomposition(got, imfs, residual):
     np.testing.assert_array_equal(got.residual, residual)
 
 
-@pytest.mark.parametrize("cfg", [SiftConfig(), SiftConfig(sd_threshold=0.05, max_siftings=4, max_imfs=3)], ids=["default", "capped"])
+@pytest.mark.parametrize("cfg", [SiftConfig(), SiftConfig(sd_threshold=0.05, max_siftings=4)], ids=["default", "capped"])
 def test_iceemdan_equals_per_realization_loop(cfg):
     rng = np.random.default_rng(13)
     x = np.cumsum(rng.normal(size=180)) + 2.0 * np.sin(np.arange(180) / 3.0)

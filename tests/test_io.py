@@ -88,21 +88,6 @@ class TestChargingCsv:
         with pytest.raises(DataError, match="station id 'a' repeats in the header"):
             load_charging_csv(path)
 
-    def test_occupancy_range_warning(self, tmp_path):
-        path = tmp_path / "series.csv"
-        write_charging_csv(path, hourly_stamps(3), ("a",), np.array([[0.2], [0.9], [1.4]]))
-        with pytest.warns(UserWarning, match="occupancy"):
-            load_charging_csv(path, kind="occupancy")
-
-    def test_volume_kind_does_not_warn_on_big_values(self, tmp_path):
-        import warnings
-
-        path = tmp_path / "series.csv"
-        write_charging_csv(path, hourly_stamps(3), ("a",), np.array([[5.0], [9.0], [14.0]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            load_charging_csv(path, kind="volume")
-
 
 class TestAdjacencyCsv:
     def test_roundtrip(self, tmp_path):
