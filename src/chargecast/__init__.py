@@ -13,7 +13,7 @@ from .domain import (
     make_windows,
     split_dataset,
 )
-from .emd import SiftConfig, emd, iceemdan
+from .emd import emd, iceemdan
 from .entropy import msse_curve, sample_entropy
 from .errors import ChargecastError, ConfigError, DataError, NumericError
 from .granulate import fig_granulate, granule_channels, membership
@@ -57,7 +57,6 @@ __all__ = [
     "PipelineConfig",
     "QuantizedTensor",
     "SeriesTensor",
-    "SiftConfig",
     "StationGraph",
     "TrainConfig",
     "VmdConfig",

@@ -97,9 +97,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
 
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._lift(other)
         out_data = self.data * other.data
@@ -126,9 +123,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
     def __matmul__(self, other):
         other = Tensor._lift(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
@@ -149,16 +143,6 @@ class Tensor:
                 other._accum(np.swapaxes(self.data, -1, -2) @ out.grad)
 
         return Tensor._result(out_data, (self, other), backward)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(out):
-            self._accum(out.grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._result(out_data, (self,), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
 
@@ -185,12 +169,6 @@ class Tensor:
             self._accum(out.grad * out_data)
 
         return Tensor._result(out_data, (self,), backward)
-
-    def log(self):
-        def backward(out):
-            self._accum(out.grad / self.data)
-
-        return Tensor._result(np.log(self.data), (self,), backward)
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
@@ -254,16 +232,6 @@ class Tensor:
 
         def backward(out):
             self._accum(out.grad)
-
-        return Tensor._result(out_data, (self,), backward)
-
-    def __getitem__(self, key):
-        out_data = self.data[key]
-
-        def backward(out):
-            g = np.zeros_like(self.data)
-            np.add.at(g, key, out.grad)  # a repeated fancy index adds up
-            self._accum(g)
 
         return Tensor._result(out_data, (self,), backward)
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emd import iceemdan
+from .emd import iceemdan, imf_sum
 from .entropy import msse_curve
 from .errors import ConfigError
-from .vmd import VmdConfig, sum_components, vmd
+from .vmd import VmdConfig, vmd
 
 __all__ = [
     "BandSet",
@@ -153,11 +153,12 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     if len(modes) < 2:
         raise ValueError("pipeline requires K >= 2 so the noise mode can be dropped")
     retained = modes[:-1]
-    denoised = sum_components([m.samples for m in retained])
+    samples = [m.samples for m in retained]
+    denoised = imf_sum(samples, samples[0].size)
 
     # each component is scored once: the retained modes here, the new
     # sub-components below; the +inf cap is applied per ranked list
-    mode_scores = _mean_msse([m.samples for m in retained])
+    mode_scores = _mean_msse(samples)
     target = int(np.argmax(_complexity_scores(mode_scores)))
     sub = iceemdan(retained[target].samples, cfg.ensemble_n, cfg.noise_amp, seed)
 

@@ -24,7 +24,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -67,30 +66,23 @@ def _overrides(args) -> dict:
     return out
 
 
-def _resolve_config(args) -> PipelineConfig:
-    return load_config(args.config, _overrides(args))
-
-
 def _echo(cfg: PipelineConfig) -> None:
     sys.stdout.write(cfg.resolved_text())
     print(f"config_hash = {cfg.config_hash()}")
 
 
+def _resolve(cfg: PipelineConfig, name: str) -> str:
+    """name under [io] out_dir; an absolute name stays as it is."""
+    return os.path.join(cfg.get("io", "out_dir"), name)
+
+
 def _path(cfg: PipelineConfig, key: str) -> str:
-    raw = cfg.get("io", key)
-    if os.path.isabs(raw):
-        return raw
-    return os.path.join(cfg.get("io", "out_dir"), raw)
+    return _resolve(cfg, cfg.get("io", key))
 
 
 def _out_path(cfg: PipelineConfig, name: str) -> str:
-    out_dir = cfg.get("io", "out_dir")
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def _write_path(cfg: PipelineConfig, key: str) -> str:
-    path = _path(cfg, key)
+    """name resolved as for reading, with its directory created."""
+    path = _resolve(cfg, name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     return path
 
@@ -103,12 +95,15 @@ def _load_series(cfg: PipelineConfig):
     return series, calendar, node_ids
 
 
-def _load_graph(cfg: PipelineConfig, node_ids) -> StationGraph:
-    return cio.load_adjacency_csv(_path(cfg, "adjacency"), node_ids)
-
-
 def _align_exogenous(calendar: CalendarFrame, node_ids, exo_series, exo_cal, exo_ids, name):
-    """Join an exogenous table onto the target timeline by timestamp."""
+    """Join an exogenous table onto the target timeline by timestamp.
+
+    The table holds one shared column or one column per station id.
+    """
+    if len(exo_ids) != 1 and set(exo_ids) != set(node_ids):
+        raise DataError(
+            f"exogenous series {name!r} columns {list(exo_ids)} are neither the station ids nor one shared column"
+        )
     pos = np.searchsorted(exo_cal.timestamps, calendar.timestamps)
     pos_ok = pos < exo_cal.T
     safe = np.where(pos_ok, pos, 0)
@@ -119,27 +114,16 @@ def _align_exogenous(calendar: CalendarFrame, node_ids, exo_series, exo_cal, exo
     values = exo_series.values[pos, :, 0]  # (T, N_exo)
     if list(exo_ids) == list(node_ids):
         return values
-    if set(exo_ids) == set(node_ids):
-        order = [list(exo_ids).index(nid) for nid in node_ids]
-        return values[:, order]
     if len(exo_ids) == 1:
         return values[:, 0]
-    warnings.warn(
-        f"exogenous series {name!r} columns {list(exo_ids)} do not match the "
-        f"station ids; using their mean",
-        stacklevel=2,
-    )
-    return values.mean(axis=1)
+    return values[:, [list(exo_ids).index(nid) for nid in node_ids]]
 
 
 def _load_exogenous(cfg: PipelineConfig, calendar: CalendarFrame, node_ids) -> dict:
     out = {}
     for raw in cfg.get("io", "exogenous"):
-        path = raw if os.path.isabs(raw) else os.path.join(cfg.get("io", "out_dir"), raw)
+        path = _resolve(cfg, raw)
         name = os.path.splitext(os.path.basename(path))[0]
-        if not os.path.exists(path):
-            warnings.warn(f"exogenous file {path} not found; candidate set shrinks", stacklevel=2)
-            continue
         exo_series, exo_cal, exo_ids = cio.load_charging_csv(path)
         out[name] = _align_exogenous(calendar, node_ids, exo_series, exo_cal, exo_ids, name)
     return out
@@ -184,7 +168,7 @@ def _front_end(cfg: PipelineConfig, with_graph: bool):
     runs, so a missing or bad adjacency file fails fast.
     """
     series, calendar, node_ids = _load_series(cfg)
-    graph = _load_graph(cfg, node_ids) if with_graph else None
+    graph = cio.load_adjacency_csv(_path(cfg, "adjacency"), node_ids) if with_graph else None
     exogenous = _load_exogenous(cfg, calendar, node_ids)
     assembled = assemble_channels(
         series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
@@ -208,9 +192,7 @@ def _load_matching_checkpoint(cfg: PipelineConfig, key: str, c_in: int):
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
+def _cmd_synth(cfg: PipelineConfig) -> int:
     result = synth.generate(
         seed=cfg.seed(),
         n_stations=cfg.get("synth", "stations"),
@@ -218,11 +200,11 @@ def _cmd_synth(args) -> int:
         graph_density=cfg.get("synth", "density"),
         noise_amp=cfg.get("synth", "noise_amp"),
     )
-    series_path = _write_path(cfg, "series")
+    series_path = _out_path(cfg, cfg.get("io", "series"))
     cio.write_charging_csv(series_path, result.timestamps, result.node_ids, result.values)
-    adjacency_path = _write_path(cfg, "adjacency")
+    adjacency_path = _out_path(cfg, cfg.get("io", "adjacency"))
     cio.write_adjacency_csv(adjacency_path, result.node_ids, result.adjacency)
-    holidays_path = _write_path(cfg, "holidays")
+    holidays_path = _out_path(cfg, cfg.get("io", "holidays"))
     cio.write_holidays(holidays_path, result.holidays)
     manifest_path = _out_path(cfg, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -233,9 +215,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
+def _cmd_decompose(cfg: PipelineConfig) -> int:
     assembled, calendar, node_ids, _ = _front_end(cfg, with_graph=False)
     stamps = calendar.timestamps
     channel = dict(zip(assembled.channel_names, np.moveaxis(assembled.series.values, 2, 0)))
@@ -261,9 +241,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
+def _cmd_pretrain(cfg: PipelineConfig) -> int:
     seed = cfg.seed()
     n_stations = cfg.get("synth", "stations")
     days = cfg.get("synth", "days")
@@ -300,22 +278,15 @@ def _cmd_pretrain(args) -> int:
     for j, (train_w, valid_w, graph) in enumerate(samples):
         result = fit(model, train_w, valid_w, graph, train_cfg, loss_cfg)
         print(f"task {j}: best valid mae {result.best_valid_mae:.6f} at epoch {result.best_epoch}")
-    path = _write_path(cfg, "backbone")
+    path = _out_path(cfg, cfg.get("io", "backbone"))
     save_checkpoint(model, path)
     print(f"wrote {path}")
     return 0
 
 
-def _prepare_training_data(cfg: PipelineConfig):
-    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
-    (train_w, valid_w, test_w), parts = _split_windows(cfg, assembled.series, calendar)
-    return assembled, calendar, node_ids, graph, (train_w, valid_w, test_w), parts
-
-
-def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
-    assembled, _, _, graph, (train_w, valid_w, _), _ = _prepare_training_data(cfg)
+def _cmd_train(cfg: PipelineConfig) -> int:
+    assembled, calendar, _, graph = _front_end(cfg, with_graph=True)
+    (train_w, valid_w, _), _ = _split_windows(cfg, assembled.series, calendar)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
     model = _load_matching_checkpoint(cfg, "backbone", assembled.series.C)
@@ -327,7 +298,7 @@ def _cmd_train(args) -> int:
         use_graph_mask=cfg.get("train", "use_graph_mask"),
     )
     result = fit(model, train_w, valid_w, graph, train_cfg, cfg.loss_config())
-    ckpt_path = _write_path(cfg, "checkpoint")
+    ckpt_path = _out_path(cfg, cfg.get("io", "checkpoint"))
     save_checkpoint(model, ckpt_path)
     log_path = _out_path(cfg, "epochs.tsv")
     cio.write_epoch_log(log_path, result.log)
@@ -337,10 +308,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
-    assembled, calendar, node_ids, graph, (_, _, test_w), parts = _prepare_training_data(cfg)
+def _cmd_evaluate(cfg: PipelineConfig) -> int:
+    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
+    (_, _, test_w), parts = _split_windows(cfg, assembled.series, calendar)
     model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
     report = evaluate(model, test_w, graph)
     metrics_path = _out_path(cfg, "metrics.json")
@@ -357,9 +327,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_forecast(args) -> int:
-    cfg = _resolve_config(args)
-    _echo(cfg)
+def _cmd_forecast(cfg: PipelineConfig) -> int:
     assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
     model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
     p = cfg.get("model", "lookback")
@@ -404,7 +372,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
+        cfg = load_config(args.config, _overrides(args))
+        _echo(cfg)
+        return handler(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

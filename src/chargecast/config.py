@@ -62,9 +62,7 @@ SCHEMA = {
     "vmd": {
         "k": ("8", int),
         "alpha": ("100.0", float),
-        "tau": ("0.0", float),
         "tol": ("1e-7", float),
-        "init": ("1", int),
         "max_iter": ("500", int),
     },
     "iceemdan": {
@@ -128,9 +126,7 @@ class PipelineConfig:
         return VmdConfig(
             K=self.get("vmd", "k"),
             alpha=self.get("vmd", "alpha"),
-            tau=self.get("vmd", "tau"),
             tol=self.get("vmd", "tol"),
-            init=self.get("vmd", "init"),
             max_iter=self.get("vmd", "max_iter"),
         )
 
@@ -172,6 +168,8 @@ class PipelineConfig:
             self.get("data", "valid_ratio"),
             self.get("data", "test_ratio"),
         )
+        if min(r) <= 0:
+            raise ConfigError(f"split ratios must be > 0, got {r}")
         if abs(sum(r) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {r}")
         return r

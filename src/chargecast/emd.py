@@ -3,8 +3,9 @@
 Sifting uses natural cubic spline envelopes through the local extrema,
 with up to two extrema mirrored past each end of the signal to tame the
 splines at the boundaries. A candidate is accepted as an IMF when the
-variance-normalized change between successive siftings drops below the
-threshold or the sifting cap is reached.
+variance-normalized change between successive siftings drops below
+``SD_THRESHOLD`` (Huang et al., Proc. R. Soc. A 1998) or after
+``MAX_SIFTINGS`` siftings.
 
 ``iceemdan`` computes ensemble EMD (Wu & Huang 2009): it averages the
 IMFs of per-realization EMDs of the noise-perturbed signal. It does not
@@ -31,7 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SiftConfig", "ImfSet", "emd", "iceemdan"]
+__all__ = ["ImfSet", "emd", "iceemdan"]
+
+# sifting stop rule: SD threshold between siftings, sifting cap per IMF
+SD_THRESHOLD = 0.2
+MAX_SIFTINGS = 10
 
 # Realizations sift together in chunks of at most this many samples
 # (rows x length), which bounds the batch working set for long series.
@@ -42,24 +47,10 @@ _EVAL_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
-class SiftConfig:
-    """Sifting stop rule: SD threshold between siftings, sifting cap per IMF."""
-
-    sd_threshold: float = 0.2
-    max_siftings: int = 10
-
-    def __post_init__(self):
-        if self.sd_threshold <= 0:
-            raise ValueError(f"sd_threshold must be > 0, got {self.sd_threshold}")
-        if self.max_siftings < 1:
-            raise ValueError(f"max_siftings must be >= 1, got {self.max_siftings}")
-
-
-@dataclass(frozen=True)
 class ImfSet:
     """Ordered IMFs plus the remainder residual.
 
-    sift_capped counts IMF extractions that used all ``max_siftings``
+    sift_capped counts IMF extractions that used all ``MAX_SIFTINGS``
     siftings without the SD rule firing, summed over realizations.
     """
 
@@ -73,6 +64,7 @@ class ImfSet:
 
 
 def imf_sum(imfs, length: int) -> np.ndarray:
+    """Sum of equal-length components, added left to right; zeros if none."""
     if not imfs:
         return np.zeros(length)
     return np.sum(np.stack(imfs), axis=0)
@@ -277,12 +269,12 @@ def _natural_spline_rows(xk: np.ndarray, yk: np.ndarray, nk: np.ndarray, n: int)
     return out
 
 
-def _sift_levels(rows: np.ndarray, cfg: SiftConfig):
+def _sift_levels(rows: np.ndarray):
     """Lockstep EMD of every row of an (R, T) array, which it consumes.
 
     Yields one (row_ids, imfs, capped) triple per IMF index: the rows that
     produced that IMF (ascending), their IMFs, and how many of them used
-    all cfg.max_siftings siftings without the SD rule firing. Each row
+    all MAX_SIFTINGS siftings without the SD rule firing. Each row
     goes through exactly the operations of a one-row decomposition.
     """
     residual = rows
@@ -296,7 +288,7 @@ def _sift_levels(rows: np.ndarray, cfg: SiftConfig):
         if not alive.size:
             return
         sifting = np.arange(alive.size)
-        for it in range(cfg.max_siftings):
+        for it in range(MAX_SIFTINGS):
             if it:
                 extrema = _extrema_masks(h[sifting])
                 ok = _enough_extrema(extrema)
@@ -322,7 +314,7 @@ def _sift_levels(rows: np.ndarray, cfg: SiftConfig):
             h[sifting] = h_new
             # let the next sifting's envelopes reuse this memory
             del env, h_new, scratch, hs
-            sifting = sifting[~(sd < cfg.sd_threshold)]
+            sifting = sifting[~(sd < SD_THRESHOLD)]
             if not sifting.size:
                 break
         yield alive, h, int(sifting.size)
@@ -338,23 +330,22 @@ def _check_signal(signal) -> np.ndarray:
     return x
 
 
-def emd(signal, cfg: SiftConfig | None = None) -> ImfSet:
+def emd(signal) -> ImfSet:
     """Decompose a signal into IMFs by sifting.
 
     A signal with fewer than four extrema is returned whole as the
     residual with zero IMFs.
     """
-    cfg = cfg or SiftConfig()
     x = _check_signal(signal)
     imfs = []
     capped = 0
-    for _, level, n_capped in _sift_levels(x[None, :].copy(), cfg):
+    for _, level, n_capped in _sift_levels(x[None, :].copy()):
         imfs.append(level[0])
         capped += n_capped
     return ImfSet(tuple(imfs), x - imf_sum(imfs, x.size), capped)
 
 
-def iceemdan(signal, ensemble_n: int, noise_amp: float, seed, cfg: SiftConfig | None = None) -> ImfSet:
+def iceemdan(signal, ensemble_n: int, noise_amp: float, seed) -> ImfSet:
     """Ensemble EMD (Wu & Huang 2009): the mean IMFs of noisy realizations.
 
     Each realization adds seeded white noise scaled by
@@ -370,12 +361,11 @@ def iceemdan(signal, ensemble_n: int, noise_amp: float, seed, cfg: SiftConfig | 
         raise ValueError(f"ensemble_n must be >= 1, got {ensemble_n}")
     if noise_amp < 0:
         raise ValueError(f"noise_amp must be >= 0, got {noise_amp}")
-    cfg = cfg or SiftConfig()
     x = _check_signal(signal)
 
     sigma = noise_amp * float(np.std(x))
     if sigma == 0.0:
-        return emd(x, cfg)
+        return emd(x)
 
     if isinstance(seed, np.random.SeedSequence):
         # spawn from a twin so the caller's spawn counter does not move
@@ -396,7 +386,7 @@ def iceemdan(signal, ensemble_n: int, noise_amp: float, seed, cfg: SiftConfig | 
         noisy = np.stack(
             [x + sigma * np.random.default_rng(child).standard_normal(x.size) for child in children[lo:lo + chunk]]
         )
-        for k, (_, level, n_capped) in enumerate(_sift_levels(noisy, cfg)):
+        for k, (_, level, n_capped) in enumerate(_sift_levels(noisy)):
             if k == len(acc):
                 acc.append(np.zeros(x.size))
             # realization order, as the per-realization sum adds them

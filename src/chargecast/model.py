@@ -16,11 +16,8 @@ so a block adds the same number of autodiff nodes whatever the head count.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
 and the NF4 codes of the quantized bases two per byte (low nibble first).
 The layout is checkpoint version 4: its ``config`` holds the architecture
-sizes only (no ``block_size_q`` or ``ln_eps``; each quantized tensor records
-its own block size) and there is no ``n_max``, since the positional rows
-are computed for each forward's node count. Older files (version 1: one
-tensor per head; version 2: one byte per code; version 3: ``n_max`` and
-the two one-value knobs) are rejected.
+sizes only, and each quantized tensor records its own block size. Other
+versions are rejected.
 
 Whether a block's attention is masked by the station graph is recorded on
 the block alone (``PfgaBlockParams.masked``): ``build_model`` marks the

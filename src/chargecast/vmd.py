@@ -1,16 +1,16 @@
 """Variational mode decomposition.
 
 Extracts K band-limited modes by minimizing summed spectral bandwidth
-subject to (exact or relaxed) reconstruction. The solver runs the
-standard ADMM updates in the Fourier domain: a Wiener-filter mode update,
-a power-weighted center-frequency update, and dual ascent on the
-reconstruction multiplier. The input is mirror-extended by half its
-length on each side to suppress boundary effects, and the extension is
-cropped off the returned modes.
+subject to relaxed reconstruction. The solver runs the ADMM updates of
+Dragomiretskiy & Zosso (IEEE TSP 2014) in the Fourier domain without
+dual ascent (their tau = 0, the setting for noisy input): a
+Wiener-filter mode update and a power-weighted center-frequency update,
+with the centers starting evenly spaced at 0.5k/K. The input is
+mirror-extended by half its length on each side to suppress boundary
+effects, and the extension is cropped off the returned modes.
 
-The updates act on the one-sided (analytic) spectrum, as in
-Dragomiretskiy & Zosso (IEEE TSP 2014): the target's negative half is
-zeroed, so every mode spectrum and the multiplier stay identically zero
+The updates act on the one-sided (analytic) spectrum: the target's
+negative half is zeroed, so every mode spectrum stays identically zero
 there. The solver therefore iterates on the non-negative half of the
 shifted frequency grid only and rebuilds the two-sided, Hermitian
 spectra just for the final inverse FFT.
@@ -34,17 +34,13 @@ class VmdConfig:
 
     K : mode count
     alpha : bandwidth penalty
-    tau : ascent step for the reconstruction multiplier (0 disables it)
     tol : stop when the summed relative change of mode spectra drops below
-    init : 0 = all center frequencies start at zero, 1 = uniformly spaced
     max_iter : iteration cap
     """
 
     K: int = 8
     alpha: float = 100.0
-    tau: float = 0.0
     tol: float = 1e-7
-    init: int = 1
     max_iter: int = 500
 
     def __post_init__(self):
@@ -52,14 +48,10 @@ class VmdConfig:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.init not in (0, 1):
-            raise ValueError(f"unknown init scheme {self.init}; use 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -106,13 +98,8 @@ def vmd(signal, cfg: VmdConfig) -> list:
     pos = np.arange(half, n_ext) / n_ext - 0.5
     f_plus = np.fft.fftshift(np.fft.fft(ext))[half:]
 
-    if cfg.init == 1:
-        omega = (0.5 / cfg.K) * np.arange(cfg.K)
-    else:
-        omega = np.zeros(cfg.K)
-
+    omega = (0.5 / cfg.K) * np.arange(cfg.K)
     u_hat = np.zeros((cfg.K, half), dtype=complex)
-    lam = np.zeros(half, dtype=complex)
     # |u_hat|^2 and |u_hat - u_prev|^2 on the full grid, zero below half:
     # the stop test sums them in exactly the two-sided order
     power = np.zeros((cfg.K, n_ext))
@@ -123,20 +110,15 @@ def vmd(signal, cfg: VmdConfig) -> list:
         # the previous iteration left |u_prev|^2 in power
         den = power.sum(axis=1)
         others = u_hat.sum(axis=0)
-        half_lam = lam / 2.0
         for k in range(cfg.K):
             others -= u_hat[k]
-            u_hat[k] = (f_plus - others + half_lam) / (
-                1.0 + 2.0 * cfg.alpha * (pos - omega[k]) ** 2
-            )
+            u_hat[k] = (f_plus - others) / (1.0 + 2.0 * cfg.alpha * (pos - omega[k]) ** 2)
             mode_power = power[k, half:]
             np.square(np.abs(u_hat[k]), out=mode_power)
             total = mode_power.sum()
             if total > 0.0:
                 omega[k] = float((pos * mode_power).sum() / total)
             others += u_hat[k]
-        if cfg.tau > 0.0:
-            lam = lam + cfg.tau * (f_plus - others)
         if it > 0:
             np.square(np.abs(u_hat - u_prev), out=step[:, half:])
             num = step.sum(axis=1)
@@ -166,11 +148,3 @@ def vmd(signal, cfg: VmdConfig) -> list:
     omega = np.clip(omega, 0.0, 0.5)
     order = np.argsort(omega, kind="stable")
     return [Mode(time_modes[k], float(omega[k])) for k in order]
-
-
-def sum_components(components) -> np.ndarray:
-    """Left-to-right accumulation of equal-length arrays."""
-    acc = np.array(components[0], dtype=float)
-    for c in components[1:]:
-        acc += c
-    return acc

@@ -416,6 +416,7 @@ class TestExitCodes:
             ("decompose", "train", "learning_rate = -1"),
             ("train", "fig", "windows = 24,24"),
             ("decompose", "relieff", "k = 0"),
+            ("train", "data", "train_ratio = 1.2\nvalid_ratio = -0.1\ntest_ratio = -0.1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_reading_data(
@@ -463,6 +464,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
         assert cli.main([command, *common]) == 3
         assert calls == []
+
+    @pytest.mark.parametrize("damage", ["missing", "foreign_columns"])
+    def test_bad_exogenous_file_exits_3_before_the_front_end(self, data_copy, monkeypatch, capsys, damage):
+        out_dir, common = data_copy
+        path = out_dir / "temperature.csv"
+        if damage == "missing":
+            path.unlink()
+        else:
+            _, rows = read_csv(path)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([["timestamp", "north", "south"], *([r[0], r[1], r[1]] for r in rows)])
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        assert cli.main(["train", *common]) == 3
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert ("cannot read" if damage == "missing" else "neither the station ids nor one shared column") in err
 
     @pytest.mark.parametrize(
         "command, checkpoint",

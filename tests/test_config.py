@@ -114,6 +114,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"\[data\] split ratios must sum to 1"):
             load_config(overrides={("data", "train_ratio"): "0.9"})
 
+    def test_non_positive_ratio_rejected_even_when_the_sum_is_1(self):
+        ratios = {("data", "train_ratio"): "1.2", ("data", "valid_ratio"): "-0.1", ("data", "test_ratio"): "-0.1"}
+        with pytest.raises(ConfigError, match=r"\[data\] split ratios must be > 0"):
+            load_config(overrides=ratios)
+
     def test_non_finite_lambda(self):
         with pytest.raises(ConfigError, match=r"\[loss\] lambda_freq must be finite"):
             load_config(overrides={("loss", "lambda_freq"): "nan"})
@@ -145,6 +150,8 @@ class TestRejection:
             ("model", "block_size_q"),
             ("model", "ln_eps"),
             ("data", "kind"),
+            ("vmd", "tau"),
+            ("vmd", "init"),
         ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, section, key):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import child_env
 
-from chargecast.emd import SiftConfig, emd, iceemdan, imf_sum
+from chargecast.emd import emd, iceemdan, imf_sum
 
 emd_module = importlib.import_module("chargecast.emd")
 _extrema_masks = emd_module._extrema_masks
@@ -89,10 +89,11 @@ def test_ensemble_seed_changes_output():
     assert not same
 
 
-def test_sift_config_limits_iterations():
+def test_sift_config_limits_iterations(monkeypatch):
     x = np.random.default_rng(2).normal(size=256)
-    res_tight = emd(x, SiftConfig(max_siftings=1))
-    res_loose = emd(x, SiftConfig(max_siftings=10))
+    res_loose = emd(x)
+    monkeypatch.setattr(emd_module, "MAX_SIFTINGS", 1)
+    res_tight = emd(x)
     assert len(res_tight.imfs) >= 1
     assert len(res_loose.imfs) >= 1
 
@@ -324,7 +325,7 @@ def test_envelopes_of_rows_with_very_different_extrema_counts():
 # --- Lockstep sifting against the per-realization loop ------------------------
 
 
-def loop_emd(x, cfg):
+def loop_emd(x):
     """One realization's EMD as a loop of scalar envelope fits."""
     imfs = []
     residual = x.copy()
@@ -333,7 +334,7 @@ def loop_emd(x, cfg):
         if maxima.size < 2 or minima.size < 2:
             break
         h = residual
-        for _ in range(cfg.max_siftings):
+        for _ in range(emd_module.MAX_SIFTINGS):
             maxima, minima = ref_extrema(h)
             if maxima.size < 2 or minima.size < 2:
                 break
@@ -341,21 +342,21 @@ def loop_emd(x, cfg):
             denom = float(np.sum(h * h))
             sd = float(np.sum((h - h_new) ** 2)) / denom if denom > 0 else 0.0
             h = h_new
-            if sd < cfg.sd_threshold:
+            if sd < emd_module.SD_THRESHOLD:
                 break
         imfs.append(h)
         residual = residual - h
     return imfs
 
 
-def loop_iceemdan(x, ensemble_n, noise_amp, seed, cfg):
+def loop_iceemdan(x, ensemble_n, noise_amp, seed):
     """Per-realization ensemble EMD: noise, full EMD, then the mean i-th IMF."""
     sigma = noise_amp * float(np.std(x))
     children = np.random.SeedSequence(seed).spawn(ensemble_n)
     runs = []
     for child in children:
         rng = np.random.default_rng(child)
-        runs.append(loop_emd(x + sigma * rng.standard_normal(x.size), cfg))
+        runs.append(loop_emd(x + sigma * rng.standard_normal(x.size)))
     k_max = max(len(r) for r in runs)
     acc = np.zeros((k_max, x.size))
     for r in runs:
@@ -373,17 +374,19 @@ def assert_same_decomposition(got, imfs, residual):
     np.testing.assert_array_equal(got.residual, residual)
 
 
-@pytest.mark.parametrize("cfg", [SiftConfig(), SiftConfig(sd_threshold=0.05, max_siftings=4)], ids=["default", "capped"])
-def test_iceemdan_equals_per_realization_loop(cfg):
+@pytest.mark.parametrize("stop_rule", [{}, {"SD_THRESHOLD": 0.05, "MAX_SIFTINGS": 4}], ids=["default", "capped"])
+def test_iceemdan_equals_per_realization_loop(monkeypatch, stop_rule):
+    for name, value in stop_rule.items():
+        monkeypatch.setattr(emd_module, name, value)
     rng = np.random.default_rng(13)
     x = np.cumsum(rng.normal(size=180)) + 2.0 * np.sin(np.arange(180) / 3.0)
-    got = iceemdan(x, ensemble_n=6, noise_amp=0.2, seed=42, cfg=cfg)
-    assert_same_decomposition(got, *loop_iceemdan(x, 6, 0.2, 42, cfg))
+    got = iceemdan(x, ensemble_n=6, noise_amp=0.2, seed=42)
+    assert_same_decomposition(got, *loop_iceemdan(x, 6, 0.2, 42))
 
 
 def test_emd_equals_loop_form_with_plateaus():
     x = np.round(3.0 * np.sin(np.arange(160) / 4.0) + np.sin(np.arange(160) / 1.3))
-    imfs = loop_emd(x, SiftConfig())
+    imfs = loop_emd(x)
     assert_same_decomposition(emd(x), imfs, x - imf_sum(imfs, x.size))
 
 
@@ -409,22 +412,24 @@ def test_seed_sequence_is_not_consumed():
     assert_same_decomposition(fresh, a.imfs, a.residual)
 
 
-def test_sift_cap_counts_every_extraction_at_one_sifting():
+def test_sift_cap_counts_every_extraction_at_one_sifting(monkeypatch):
+    monkeypatch.setattr(emd_module, "SD_THRESHOLD", 1e-300)
+    monkeypatch.setattr(emd_module, "MAX_SIFTINGS", 1)
     rng = np.random.default_rng(3)
     x = rng.normal(size=256).cumsum()
-    single = emd(x, SiftConfig(sd_threshold=1e-300, max_siftings=1))
+    single = emd(x)
     assert single.sift_capped == len(single.imfs) > 0
-    ens = iceemdan(x, ensemble_n=5, noise_amp=0.2, seed=1, cfg=SiftConfig(sd_threshold=1e-300, max_siftings=1))
-    per_run = [len(loop_emd(x + 0.2 * float(np.std(x)) * np.random.default_rng(c).standard_normal(x.size),
-                            SiftConfig(sd_threshold=1e-300, max_siftings=1)))
+    ens = iceemdan(x, ensemble_n=5, noise_amp=0.2, seed=1)
+    per_run = [len(loop_emd(x + 0.2 * float(np.std(x)) * np.random.default_rng(c).standard_normal(x.size)))
                for c in np.random.SeedSequence(1).spawn(5)]
     assert ens.sift_capped == sum(per_run)
 
 
-def test_sift_cap_is_zero_when_the_sd_rule_always_fires():
+def test_sift_cap_is_zero_when_the_sd_rule_always_fires(monkeypatch):
+    monkeypatch.setattr(emd_module, "SD_THRESHOLD", 1e300)
     x = np.random.default_rng(3).normal(size=256).cumsum()
-    assert emd(x, SiftConfig(sd_threshold=1e300)).sift_capped == 0
-    assert iceemdan(x, ensemble_n=4, noise_amp=0.2, seed=2, cfg=SiftConfig(sd_threshold=1e300)).sift_capped == 0
+    assert emd(x).sift_capped == 0
+    assert iceemdan(x, ensemble_n=4, noise_amp=0.2, seed=2).sift_capped == 0
 
 
 def test_import_loads_no_scipy_module():

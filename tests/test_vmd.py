@@ -62,11 +62,11 @@ def test_output_length_matches_input():
 
 
 def test_uniform_init_spreads_centers():
-    # init=1 seeds center k at 0.5k/K before iteration begins
+    # center k starts at 0.5k/K before iteration begins
     t = np.arange(256)
     x = np.sin(2 * np.pi * t / 32)
     with pytest.warns(RuntimeWarning, match="did not converge"):
-        modes = vmd(x, VmdConfig(K=2, alpha=2000.0, max_iter=1, tol=1e-30, init=1))
+        modes = vmd(x, VmdConfig(K=2, alpha=2000.0, max_iter=1, tol=1e-30))
     assert modes[0].center_freq != modes[1].center_freq
 
 
@@ -92,8 +92,6 @@ def test_config_validation():
         VmdConfig(alpha=0.0)
     with pytest.raises(ValueError):
         VmdConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        VmdConfig(init=7)
 
 
 def test_nonfinite_mode_guard():
@@ -119,8 +117,8 @@ def test_deterministic():
 def full_spectrum_vmd(signal, cfg):
     """The former solver: every update over the whole two-sided grid.
 
-    The negative half of f_plus is zeroed, so the mode spectra and the
-    multiplier stay zero there; the stop test sums over the full grid.
+    The negative half of f_plus is zeroed, so the mode spectra stay zero
+    there; the stop test sums over the full grid.
     """
     x = np.asarray(signal, dtype=float)
     ext, lpad = _mirror_extend(x)
@@ -129,23 +127,20 @@ def full_spectrum_vmd(signal, cfg):
     freqs = np.arange(n_ext) / n_ext - 0.5
     f_plus = np.fft.fftshift(np.fft.fft(ext))
     f_plus[:half] = 0.0
-    omega = (0.5 / cfg.K) * np.arange(cfg.K) if cfg.init == 1 else np.zeros(cfg.K)
+    omega = (0.5 / cfg.K) * np.arange(cfg.K)
     u_hat = np.zeros((cfg.K, n_ext), dtype=complex)
-    lam = np.zeros(n_ext, dtype=complex)
     pos = freqs[half:]
     for it in range(cfg.max_iter):
         u_prev = u_hat.copy()
         others = u_hat.sum(axis=0)
         for k in range(cfg.K):
             others -= u_hat[k]
-            u_hat[k] = (f_plus - others + lam / 2.0) / (1.0 + 2.0 * cfg.alpha * (freqs - omega[k]) ** 2)
+            u_hat[k] = (f_plus - others) / (1.0 + 2.0 * cfg.alpha * (freqs - omega[k]) ** 2)
             power = np.abs(u_hat[k, half:]) ** 2
             total = power.sum()
             if total > 0.0:
                 omega[k] = float((pos * power).sum() / total)
             others += u_hat[k]
-        if cfg.tau > 0.0:
-            lam = lam + cfg.tau * (f_plus - others)
         num = np.abs(u_hat - u_prev) ** 2
         den = (np.abs(u_prev) ** 2).sum(axis=1)
         if it > 0 and np.all(den > 0.0):
@@ -174,14 +169,11 @@ def converged_warnings(fn, *args):
 @pytest.mark.parametrize(
     "cfg",
     [
-        VmdConfig(K=3, alpha=500.0, init=1),
-        VmdConfig(K=3, alpha=500.0, init=0),
-        VmdConfig(K=3, alpha=500.0, tau=0.001, init=1),
-        VmdConfig(K=3, alpha=500.0, tau=0.001, init=0),
-        VmdConfig(K=4, alpha=2000.0, max_iter=7, init=1),
-        VmdConfig(K=3, alpha=100.0, tau=0.2, max_iter=5, init=0),
+        VmdConfig(K=3, alpha=500.0),
+        VmdConfig(K=4, alpha=2000.0, max_iter=7),
+        VmdConfig(K=3, alpha=100.0, max_iter=5),
     ],
-    ids=["init1", "init0", "tau_init1", "tau_init0", "capped", "capped_tau_init0"],
+    ids=["init1", "capped", "capped_tau_init0"],
 )
 def test_half_spectrum_solver_is_bitwise_the_full_spectrum_one(cfg, length):
     rng = np.random.default_rng(length)
