@@ -6,6 +6,14 @@ tensor with requires_grad set. Broadcasting follows numpy semantics, with
 gradients summed back over the broadcast axes. This is deliberately a
 small engine: only the operations the forecasting network needs exist.
 
+Three layers are single fused nodes with closed-form backward passes:
+``linear`` (x @ w + b), ``layer_norm`` and ``softmax``. Any product with a 2-D
+right operand is a ``linear`` node without bias. Its backward pass is one
+GEMM per operand gradient over the flattened rows, plus a row sum for the
+bias. Its forward pass is one GEMM over the flattened rows too, wherever
+that rounds exactly like numpy's per-window product (see ``_weight_product``),
+so a forward value never depends on how many windows share the call.
+
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
 record no parents and no closure, so an inference pass keeps no tape alive.
@@ -17,7 +25,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "no_grad", "softmax", "take_rows"]
+__all__ = ["Tensor", "concat", "layer_norm", "linear", "no_grad", "softmax", "take_rows"]
 
 _grad_enabled = True
 
@@ -111,35 +119,18 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        out_data = self.data / other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(out.grad / other.data)
-            if other.requires_grad:
-                other._accum(-out.grad * self.data / (other.data * other.data))
-
-        return Tensor._result(out_data, (self, other), backward)
-
     def __matmul__(self, other):
         other = Tensor._lift(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
+        if other.data.ndim == 2:
+            return linear(self, other)
         out_data = self.data @ other.data
 
         def backward(out):
             if self.requires_grad:
                 self._accum(out.grad @ np.swapaxes(other.data, -1, -2))
-            if not other.requires_grad:
-                return
-            if other.data.ndim == 2 and self.data.ndim > 2:
-                # a weight shared by every leading index: one (rows, K)^T @
-                # (rows, M) GEMM, with no (B, K, M) temporary to sum over B
-                k, m = other.data.shape
-                other._accum(self.data.reshape(-1, k).T @ out.grad.reshape(-1, m))
-            else:
+            if other.requires_grad:
                 other._accum(np.swapaxes(self.data, -1, -2) @ out.grad)
 
         return Tensor._result(out_data, (self, other), backward)
@@ -159,14 +150,6 @@ class Tensor:
 
         def backward(out):
             self._accum(out.grad * (1.0 - out_data * out_data))
-
-        return Tensor._result(out_data, (self,), backward)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(out):
-            self._accum(out.grad * out_data)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -295,8 +278,88 @@ def take_rows(table: Tensor, indices) -> Tensor:
     return Tensor._result(out_data, (table,), backward)
 
 
+def _weight_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., K) @ w (K, M), as one GEMM over the flattened rows where that is exact.
+
+    numpy runs a batched product as one small GEMM per leading index. One GEMM
+    over all rows is faster and gives bit-identical rows when each leading
+    index holds at least two rows (a single row goes to gemv, which rounds
+    differently from gemm) and M is a multiple of 8. For other widths OpenBLAS
+    rounds the last column block according to the total row count (numpy
+    2.4.6, OpenBLAS 0.3.31, AVX-512), so such products, like the 3-wide
+    regression head, stay per-window and chunk size never changes a result.
+    """
+    if x.ndim > 2 and x.shape[-2] >= 2 and w.shape[1] % 8 == 0:
+        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+    return x @ w
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x (..., K) @ w (K, M) + b (M,) as one node; b = None leaves out the bias.
+
+    The backward pass takes one GEMM per operand gradient over the flattened
+    rows and a row sum for the bias, skipping any operand without requires_grad.
+    """
+    k, m = w.data.shape
+    out_data = _weight_product(x.data, w.data)
+    if b is not None:
+        out_data += b.data
+
+    def backward(out):
+        g = out.grad.reshape(-1, m)
+        if x.requires_grad:
+            x._accum((g @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w._accum(x.data.reshape(-1, k).T @ g)
+        if b is not None and b.requires_grad:
+            b._accum(g.sum(axis=0))
+
+    return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by gamma (n,) and shift by beta (n,).
+
+    The forward pass runs the composed form's operations in the same order, so
+    its values are bit-identical to it. The backward pass is the closed form of
+    Ba et al., Layer Normalization (arXiv 1607.06450):
+    g_x = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std, g_hat = g * gamma.
+    """
+    n = x.data.shape[-1]
+    inv_n = 1.0 / n
+    x_hat = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((x_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    x_hat /= std
+    out_data = x_hat * gamma.data
+    out_data += beta.data
+
+    def backward(out):
+        g = out.grad
+        if gamma.requires_grad:
+            gamma._accum((g * x_hat).reshape(-1, n).sum(axis=0))
+        if beta.requires_grad:
+            beta._accum(g.reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            g_hat = g * gamma.data
+            g_x = g_hat - g_hat.sum(axis=-1, keepdims=True) * inv_n
+            g_x -= x_hat * ((g_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n)
+            g_x /= std
+            x._accum(g_x)
+
+    return Tensor._result(out_data, (x, gamma, beta), backward)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; the max shift is a constant w.r.t. gradients."""
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax as one node; the max shift is a constant w.r.t. gradients.
+
+    The backward pass is g_x = y * (g - sum(g * y)) along the axis.
+    """
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def backward(out):
+        g = out.grad
+        x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return Tensor._result(y, (x,), backward)

@@ -119,14 +119,20 @@ def _align_exogenous(calendar: CalendarFrame, node_ids, exo_series, exo_cal, exo
     return values[:, [list(exo_ids).index(nid) for nid in node_ids]]
 
 
-def _load_exogenous(cfg: PipelineConfig, calendar: CalendarFrame, node_ids) -> dict:
+def _read_exogenous(cfg: PipelineConfig) -> dict:
+    """name -> (series, calendar, ids) of each [io] exogenous file, in listed order."""
     out = {}
     for raw in cfg.get("io", "exogenous"):
         path = _resolve(cfg, raw)
-        name = os.path.splitext(os.path.basename(path))[0]
-        exo_series, exo_cal, exo_ids = cio.load_charging_csv(path)
-        out[name] = _align_exogenous(calendar, node_ids, exo_series, exo_cal, exo_ids, name)
+        out[os.path.splitext(os.path.basename(path))[0]] = cio.load_charging_csv(path)
     return out
+
+
+def _load_exogenous(cfg: PipelineConfig, calendar: CalendarFrame, node_ids) -> dict:
+    return {
+        name: _align_exogenous(calendar, node_ids, exo_series, exo_cal, exo_ids, name)
+        for name, (exo_series, exo_cal, exo_ids) in _read_exogenous(cfg).items()
+    }
 
 
 def _expected_exogenous_count(cfg: PipelineConfig) -> int:
@@ -242,6 +248,8 @@ def _cmd_decompose(cfg: PipelineConfig) -> int:
 
 
 def _cmd_pretrain(cfg: PipelineConfig) -> int:
+    # pretraining uses synthetic drivers; an exogenous file train cannot read fails here, before that cost
+    _read_exogenous(cfg)
     seed = cfg.seed()
     n_stations = cfg.get("synth", "stations")
     days = cfg.get("synth", "days")

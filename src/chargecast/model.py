@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax, take_rows
+from .autodiff import Tensor, concat, layer_norm, linear, softmax, take_rows
 from .errors import ConfigError, DataError
 from .quantize import NF4_CODEBOOK, QuantizedTensor, dequantize, quantize
 
@@ -208,13 +208,6 @@ def trainable_parameter_count(cfg: ModelConfig, freeze_mode: str = "partial") ->
 # -- transformer blocks -------------------------------------------------------
 
 
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + LN_EPS).sqrt() * gamma + beta
-
-
 def mask_bias(adjacency: np.ndarray) -> np.ndarray:
     """Additive pre-softmax bias: 0 where connected, a large negative fill where not.
 
@@ -252,10 +245,10 @@ def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarr
 
 
 def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
-    normed = _layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
+    normed = layer_norm(x, blk.ln1_gamma, blk.ln1_beta, LN_EPS)
     x = x + _attention(normed, blk, cfg, bias)
-    normed2 = _layer_norm(x, blk.ln2_gamma, blk.ln2_beta)
-    ffn = (normed2 @ blk.w_1 + blk.b_1).relu() @ blk.w_2 + blk.b_2
+    normed2 = layer_norm(x, blk.ln2_gamma, blk.ln2_beta, LN_EPS)
+    ffn = linear(linear(normed2, blk.w_1, blk.b_1).relu(), blk.w_2, blk.b_2)
     return x + ffn
 
 
@@ -282,11 +275,11 @@ def _embed_batch(model: PfgaModel, hist: np.ndarray, hours: np.ndarray, dows: np
     b, p, n, c = hist.shape
     flat = Tensor(hist.transpose(0, 2, 1, 3).reshape(b, n, p * c))
     e = model.embed
-    e_p = flat @ e.theta_p_w + e.theta_p_b
-    e_s = (flat @ e.w_s + e.b_s).tanh()
+    e_p = linear(flat, e.theta_p_w, e.theta_p_b)
+    e_s = linear(flat, e.w_s, e.b_s).tanh()
     e_t = take_rows(e.w_d, hours) + take_rows(e.w_w, dows)
     e_t = e_t.reshape(b, 1, cfg.d_embed).broadcast_to((b, n, cfg.d_embed))
-    fused = concat([e_p, e_s, e_t], axis=-1) @ e.theta_f_w + e.theta_f_b
+    fused = linear(concat([e_p, e_s, e_t], axis=-1), e.theta_f_w, e.theta_f_b)
     return fused + Tensor(_positional_rows(n, cfg.width))
 
 
@@ -323,7 +316,7 @@ def forward_batch(
     x = _embed_batch(model, hist, hours, dows)
     for blk in model.blocks:
         x = _block_apply(x, blk, cfg, bias if blk.masked else None)
-    out = x @ model.head_w + model.head_b  # (B, N, S)
+    out = linear(x, model.head_w, model.head_b)  # (B, N, S)
     return out.transpose(0, 2, 1).reshape(b, cfg.horizon, n, 1)
 
 

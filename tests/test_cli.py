@@ -483,6 +483,20 @@ class TestExitCodes:
         assert "data error:" in err
         assert ("cannot read" if damage == "missing" else "neither the station ids nor one shared column") in err
 
+    def test_missing_exogenous_file_fails_pretrain_before_any_work(self, data_copy, monkeypatch, capsys):
+        out_dir, common = data_copy
+        (out_dir / "temperature.csv").unlink()
+        (out_dir / "backbone.npz").unlink()
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        assert cli.main(["pretrain", *common]) == 3
+        assert calls == []
+        assert not (out_dir / "backbone.npz").exists()
+        err = capsys.readouterr().err
+        assert f"data error: cannot read {out_dir / 'temperature.csv'}" in err
+        assert cli.main(["train", *common]) == 3
+        assert f"data error: cannot read {out_dir / 'temperature.csv'}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, checkpoint",
         [("train", "backbone.npz"), ("evaluate", "model.npz"), ("forecast", "model.npz")],

@@ -57,6 +57,27 @@ def toy_graph():
     return StationGraph([f"s{k}" for k in range(N_NODES)], np.ones((N_NODES, N_NODES)))
 
 
+def random_windows(rng, cfg, count, n_nodes):
+    return Windows(
+        history=rng.normal(size=(count, cfg.lookback, n_nodes, cfg.c_in)),
+        target=rng.normal(size=(count, cfg.horizon, n_nodes, 1)),
+        hours=rng.integers(0, 24, size=count),
+        dows=rng.integers(0, 7, size=count),
+    )
+
+
+def acting_model(cfg, seed, freeze_mode):
+    """A model in the given mode whose adapters, if any, have nonzero up factors."""
+    rng = np.random.default_rng(seed)
+    model = build_model(cfg, rng)
+    freeze_and_adapt(model, rng, freeze_mode=freeze_mode)
+    for blk in model.blocks:
+        if blk.adapters is not None:
+            blk.adapters.m_q.data = rng.normal(size=blk.adapters.m_q.shape) * 0.1
+            blk.adapters.m_v.data = rng.normal(size=blk.adapters.m_v.shape) * 0.1
+    return model
+
+
 class TestTrainConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -266,6 +287,30 @@ class TestEvaluate:
         big = evaluate(model, samples, toy_graph(), chunk=500)
         assert np.array_equal(small.predictions, big.predictions)
         assert small.aggregate == big.aggregate
+
+    @pytest.mark.parametrize("freeze_mode", ["none", "partial"])
+    def test_one_station_chunking_does_not_change_results(self, freeze_mode):
+        """One row per window: chunk 1 must not take a one-row product the others do not."""
+        cfg = ModelConfig(c_in=2)
+        samples = random_windows(np.random.default_rng(71), cfg, 37, 1)
+        model = acting_model(cfg, 72, freeze_mode)
+        graph = StationGraph(["s0"], np.ones((1, 1)))
+        reports = [evaluate(model, samples, graph, chunk=c) for c in (1, 2, len(samples))]
+        for report in reports[1:]:
+            assert np.array_equal(report.predictions, reports[0].predictions)
+            assert report.aggregate == reports[0].aggregate
+
+    @pytest.mark.parametrize("horizon", [3, 8, 12])
+    def test_ragged_last_chunk_does_not_change_results(self, horizon):
+        """600 windows in chunks that do not divide it, with head widths on both sides of
+        the one-GEMM rule (3 and 12 stay per-window, 8 is one GEMM)."""
+        cfg = ModelConfig(c_in=3, horizon=horizon)
+        samples = random_windows(np.random.default_rng(73), cfg, 600, 8)
+        model = acting_model(cfg, 74, "partial")
+        graph = StationGraph([f"s{k}" for k in range(8)], np.ones((8, 8)))
+        reports = [evaluate(model, samples, graph, chunk=c) for c in (7, 256, len(samples))]
+        for report in reports[1:]:
+            assert np.array_equal(report.predictions, reports[0].predictions)
 
     def test_empty_test_set_rejected(self):
         model = build_model(CFG, np.random.default_rng(66))
