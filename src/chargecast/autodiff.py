@@ -10,9 +10,8 @@ Three layers are single fused nodes with closed-form backward passes:
 ``linear`` (x @ w + b), ``layer_norm`` and ``softmax``. Any product with a 2-D
 right operand is a ``linear`` node without bias. Its backward pass is one
 GEMM per operand gradient over the flattened rows, plus a row sum for the
-bias. Its forward pass is one GEMM over the flattened rows too, wherever
-that rounds exactly like numpy's per-window product (see ``_weight_product``),
-so a forward value never depends on how many windows share the call.
+bias. Its forward pass is flattened under the tape; per window under
+``no_grad``, so a window's prediction does not depend on the others in its batch.
 
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
@@ -279,19 +278,11 @@ def take_rows(table: Tensor, indices) -> Tensor:
 
 
 def _weight_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (..., K) @ w (K, M), as one GEMM over the flattened rows where that is exact.
-
-    numpy runs a batched product as one small GEMM per leading index. One GEMM
-    over all rows is faster and gives bit-identical rows when each leading
-    index holds at least two rows (a single row goes to gemv, which rounds
-    differently from gemm) and M is a multiple of 8. For other widths OpenBLAS
-    rounds the last column block according to the total row count (numpy
-    2.4.6, OpenBLAS 0.3.31, AVX-512), so such products, like the 3-wide
-    regression head, stay per-window and chunk size never changes a result.
-    """
-    if x.ndim > 2 and x.shape[-2] >= 2 and w.shape[1] % 8 == 0:
-        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
-    return x @ w
+    """x (..., K) @ w (K, M): flattened under the tape; per window under ``no_grad``,
+    so a window's prediction does not depend on the others in its batch."""
+    if not _grad_enabled:
+        return x @ w
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

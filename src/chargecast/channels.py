@@ -162,6 +162,9 @@ def assemble_channels(
     if series.T != calendar.T:
         raise DataError(f"series has {series.T} steps but calendar has {calendar.T}")
     t_len, n = series.T, series.N
+    for window in cfg.granule_windows:  # before the costly decomposition, not after it
+        if window > t_len:
+            raise DataError(f"window {window} exceeds series length {t_len}")
     exogenous = dict(exogenous or {})
 
     noise_root = seeds.subseed(seed, "decompose.noise")

@@ -151,13 +151,19 @@ def _synth_exogenous(cfg: PipelineConfig, rng: np.random.Generator, t_len: int) 
     return out
 
 
+def _split(cfg: PipelineConfig, series: SeriesTensor):
+    """(train, valid, test) of series, each split long enough for one window."""
+    try:
+        min_len = cfg.get("model", "lookback") + cfg.get("model", "horizon")
+        return split_dataset(series, cfg.ratios(), min_len=min_len)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _split_windows(cfg: PipelineConfig, assembled_series: SeriesTensor, calendar: CalendarFrame):
     p = cfg.get("model", "lookback")
     s = cfg.get("model", "horizon")
-    try:
-        parts = split_dataset(assembled_series, cfg.ratios(), min_len=p + s)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    parts = _split(cfg, assembled_series)
     windows = []
     start = 0
     for part in parts:
@@ -167,13 +173,16 @@ def _split_windows(cfg: PipelineConfig, assembled_series: SeriesTensor, calendar
     return tuple(windows), parts
 
 
-def _front_end(cfg: PipelineConfig, with_graph: bool):
+def _front_end(cfg: PipelineConfig, with_graph: bool, split: bool = False):
     """Load the inputs and assemble the model's channels from them.
 
-    The station graph (None unless with_graph) is read before the front end
-    runs, so a missing or bad adjacency file fails fast.
+    The station graph (None unless with_graph) is read, and with split the
+    series checked for splits that hold a window each, before the front end
+    runs, so a missing or bad adjacency file or a short series fails fast.
     """
     series, calendar, node_ids = _load_series(cfg)
+    if split:
+        _split(cfg, series)
     graph = cio.load_adjacency_csv(_path(cfg, "adjacency"), node_ids) if with_graph else None
     exogenous = _load_exogenous(cfg, calendar, node_ids)
     assembled = assemble_channels(
@@ -264,8 +273,10 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
                               noise_amp=cfg.get("synth", "noise_amp"))
         calendar = CalendarFrame(data.timestamps)
         calendar = cio.apply_holidays(calendar, data.holidays)
+        series = SeriesTensor(data.values[:, :, None])
+        _split(cfg, series)
         exogenous = _synth_exogenous(cfg, task_rng, calendar.T)
-        assembled = assemble_channels(SeriesTensor(data.values[:, :, None]), calendar, seed,
+        assembled = assemble_channels(series, calendar, seed,
                                       cfg.channel_config(), exogenous=exogenous or None)
         if channel_count is None:
             channel_count = assembled.series.C
@@ -293,7 +304,7 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(cfg: PipelineConfig) -> int:
-    assembled, calendar, _, graph = _front_end(cfg, with_graph=True)
+    assembled, calendar, _, graph = _front_end(cfg, with_graph=True, split=True)
     (train_w, valid_w, _), _ = _split_windows(cfg, assembled.series, calendar)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
@@ -317,7 +328,7 @@ def _cmd_train(cfg: PipelineConfig) -> int:
 
 
 def _cmd_evaluate(cfg: PipelineConfig) -> int:
-    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
+    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True, split=True)
     (_, _, test_w), parts = _split_windows(cfg, assembled.series, calendar)
     model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
     report = evaluate(model, test_w, graph)

@@ -280,7 +280,13 @@ def test_no_grad_restores_after_exception():
 
 
 def linear_reference(x, w, b):
+    """The composed form, which is also ``linear``'s product under ``no_grad``."""
     return x @ w + b
+
+
+def flattened_product(x, w):
+    """``linear``'s product under the tape: one GEMM over all rows of every window."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
 def layer_norm_reference(x, gamma, beta, eps):
@@ -300,15 +306,18 @@ TRAINABLE_TRIPLES = [(True, False, False), (False, True, False), (False, False, 
 
 @pytest.mark.parametrize(
     "x_shape, m",
-    [((5, 4), 3), ((2, 3, 4), 8), ((2, 3, 4), 5), ((3, 1, 4), 8), ((2, 2, 3, 4), 16)],
+    [((5, 4), 3), ((2, 3, 4), 8), ((2, 3, 4), 5), ((3, 1, 4), 8), ((2, 2, 3, 4), 16), ((4, 8, 6), 3)],
 )
 def test_linear_forward_matches_composed_form(x_shape, m):
-    """Flattened (width a multiple of 8, >= 2 rows per window) or not, rows equal numpy's."""
+    """Under the tape rows equal one flattened GEMM; under no_grad, numpy's per-window x @ w."""
     x = RNG.normal(size=x_shape)
     w = RNG.normal(size=(x_shape[-1], m))
     b = RNG.normal(size=(m,))
-    assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, linear_reference(x, w, b))
-    assert np.array_equal((Tensor(x) @ Tensor(w)).data, x @ w)
+    assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, flattened_product(x, w) + b)
+    assert np.array_equal((Tensor(x) @ Tensor(w)).data, flattened_product(x, w))
+    with no_grad():
+        assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, linear_reference(x, w, b))
+        assert np.array_equal((Tensor(x) @ Tensor(w)).data, x @ w)
 
 
 @pytest.mark.parametrize("m", [3, 8])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import child_env
 
-from chargecast import cli
+from chargecast import channels, cli
 from chargecast import io as cio
 from chargecast.channels import assemble_channels
 from chargecast.config import load_config
@@ -372,7 +372,8 @@ class TestExitCodes:
         assert "data error:" in proc.stderr
 
     def test_numeric_overflow_exits_4(self, tmp_path):
-        stamps = np.datetime64("2024-01-01T00") + np.arange(48).astype("timedelta64[h]")
+        # a week of hours, so the default 168-step granule window fits and the front end runs
+        stamps = np.datetime64("2024-01-01T00") + np.arange(168).astype("timedelta64[h]")
         with open(tmp_path / "series.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "a"])
@@ -384,7 +385,7 @@ class TestExitCodes:
 
     def test_overflow_in_a_second_station_exits_4(self, tmp_path):
         # with two usable CPUs station b fails in a worker process
-        stamps = np.datetime64("2024-01-01T00") + np.arange(48).astype("timedelta64[h]")
+        stamps = np.datetime64("2024-01-01T00") + np.arange(168).astype("timedelta64[h]")
         with open(tmp_path / "series.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "a", "b"])
@@ -438,6 +439,26 @@ class TestExitCodes:
         proc = run("train", "--config", str(short), "--seed", "11", "--out-dir", str(out_dir), check=False)
         assert proc.returncode == 3
         assert "data error: test split has 7 steps" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "evaluate"])
+    def test_split_shorter_than_a_window_exits_3_before_the_front_end(self, data_copy, monkeypatch, capsys, command):
+        _, common = data_copy
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        # 720 hours leave 72 validation steps, fewer than lookback+horizon = 203
+        assert cli.main([command, *common, "--lookback", "200"]) == 3
+        assert calls == []
+        assert "data error: valid split has 72 steps, fewer than the required 203" in capsys.readouterr().err
+
+    def test_granule_window_longer_than_series_exits_3_before_decomposing(self, data_copy, monkeypatch, capsys):
+        out_dir, _ = data_copy
+        long = out_dir / "long.ini"
+        long.write_text(LIGHT_INI.replace("windows = 24", "windows = 24,5000"))
+        calls = []
+        monkeypatch.setattr(channels, "_decompose_stations", lambda jobs: calls.append(jobs))
+        assert cli.main(["decompose", "--config", str(long), "--seed", "11", "--out-dir", str(out_dir)]) == 3
+        assert calls == []
+        assert "data error: window 5000 exceeds series length 720" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         proc = run("transmogrify", check=False)

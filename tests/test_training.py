@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chargecast.autodiff import Tensor
+from chargecast.autodiff import Tensor, no_grad
 from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, Windows, make_windows
 from chargecast.errors import ConfigError, DataError, NumericError
 from chargecast.losses import LossConfig, metrics
@@ -156,7 +156,8 @@ class TestFit:
         valid = toy_samples(rng, 8)
         model = build_model(CFG, np.random.default_rng(43))
         result = fit(model, train, valid, toy_graph(), quick_cfg(), LossConfig())
-        pred = forward_batch(model, valid.history, valid.hours, valid.dows, toy_graph().adjacency)
+        with no_grad():  # the path fit's validation pass takes
+            pred = forward_batch(model, valid.history, valid.hours, valid.dows, toy_graph().adjacency)
         mae = float(np.mean(np.abs(pred.data - valid.target)))
         assert mae == result.best_valid_mae
 
@@ -302,13 +303,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("horizon", [3, 8, 12])
     def test_ragged_last_chunk_does_not_change_results(self, horizon):
-        """600 windows in chunks that do not divide it, with head widths on both sides of
-        the one-GEMM rule (3 and 12 stay per-window, 8 is one GEMM)."""
+        """600 windows one at a time (as forecast runs) and in chunks that do not divide
+        it, with head widths 3, 8 and 12."""
         cfg = ModelConfig(c_in=3, horizon=horizon)
         samples = random_windows(np.random.default_rng(73), cfg, 600, 8)
         model = acting_model(cfg, 74, "partial")
         graph = StationGraph([f"s{k}" for k in range(8)], np.ones((8, 8)))
-        reports = [evaluate(model, samples, graph, chunk=c) for c in (7, 256, len(samples))]
+        reports = [evaluate(model, samples, graph, chunk=c) for c in (1, 7, 256, len(samples))]
         for report in reports[1:]:
             assert np.array_equal(report.predictions, reports[0].predictions)
 
