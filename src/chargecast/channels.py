@@ -40,7 +40,7 @@ from .relieff import (
     select_features,
 )
 
-__all__ = ["ChannelConfig", "AssembledChannels", "assemble_channels", "build_feature_table"]
+__all__ = ["ChannelConfig", "AssembledChannels", "assemble_channels", "channel_counts", "build_feature_table"]
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,12 @@ def _decompose_stations(jobs) -> list:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 return pool.map(_station, jobs, chunksize=1)
     return list(map(_station, jobs))
+
+
+def channel_counts(cfg: ChannelConfig, exogenous_files: int) -> tuple:
+    """(exogenous channels kept, all channels) that assemble_channels stacks from that many exogenous series."""
+    kept = min(cfg.top_n, exogenous_files)
+    return kept, 5 + len(cfg.granule_windows) + kept  # denoised, 3 bands, granules, holiday, exogenous
 
 
 def assemble_channels(

@@ -30,7 +30,7 @@ import numpy as np
 from . import io as cio
 from . import seeds, synth
 from .autodiff import no_grad
-from .channels import assemble_channels
+from .channels import assemble_channels, channel_counts
 from .config import PipelineConfig, load_config
 from .domain import CalendarFrame, SeriesTensor, StationGraph, make_windows, split_dataset
 from .errors import ConfigError, DataError, NumericError
@@ -135,15 +135,11 @@ def _load_exogenous(cfg: PipelineConfig, calendar: CalendarFrame, node_ids) -> d
     }
 
 
-def _expected_exogenous_count(cfg: PipelineConfig) -> int:
-    return min(cfg.get("relieff", "top_n"), len(cfg.get("io", "exogenous")))
-
-
-def _synth_exogenous(cfg: PipelineConfig, rng: np.random.Generator, t_len: int) -> dict:
-    """Stand-in exogenous drivers so a pretrained stack matches the channel
+def _synth_exogenous(count: int, rng: np.random.Generator, t_len: int) -> dict:
+    """count stand-in exogenous drivers, so a pretrained stack matches the channel
     count it will see at adaptation time."""
     out = {}
-    for j in range(_expected_exogenous_count(cfg)):
+    for j in range(count):
         hours = np.arange(t_len)
         drift = np.cumsum(rng.normal(0.0, 0.05, t_len))
         cycle = rng.uniform(0.5, 1.5) * np.sin(2.0 * np.pi * hours / 24.0 + rng.uniform(0, 2 * np.pi))
@@ -173,29 +169,11 @@ def _split_windows(cfg: PipelineConfig, assembled_series: SeriesTensor, calendar
     return tuple(windows), parts
 
 
-def _front_end(cfg: PipelineConfig, with_graph: bool, split: bool = False):
-    """Load the inputs and assemble the model's channels from them.
-
-    The station graph (None unless with_graph) is read, and with split the
-    series checked for splits that hold a window each, before the front end
-    runs, so a missing or bad adjacency file or a short series fails fast.
-    """
-    series, calendar, node_ids = _load_series(cfg)
-    if split:
-        _split(cfg, series)
-    graph = cio.load_adjacency_csv(_path(cfg, "adjacency"), node_ids) if with_graph else None
-    exogenous = _load_exogenous(cfg, calendar, node_ids)
-    assembled = assemble_channels(
-        series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
-    )
-    return assembled, calendar, node_ids, graph
-
-
-def _load_matching_checkpoint(cfg: PipelineConfig, key: str, c_in: int):
+def _load_matching_checkpoint(cfg: PipelineConfig, key: str):
     """Load the checkpoint at [io] key; its model config must be this run's."""
     path = _path(cfg, key)
     model = load_checkpoint(path)
-    want = cfg.model_config(c_in=c_in)
+    want = cfg.model_config(c_in=channel_counts(cfg.channel_config(), len(cfg.get("io", "exogenous")))[1])
     if model.config != want:
         raise ConfigError(
             f"{path} holds a model for {model.config}, but this run needs {want}; "
@@ -204,17 +182,32 @@ def _load_matching_checkpoint(cfg: PipelineConfig, key: str, c_in: int):
     return model
 
 
+def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool = False):
+    """Load the inputs and assemble the model's channels from them.
+
+    With split the series is checked for splits that hold a window each, and
+    with a checkpoint key ("backbone" or "checkpoint" under [io]) the station
+    graph and that checkpoint are loaded (graph and model are None without
+    one). All of it happens before the front end runs, so a short series, a
+    bad input file or a checkpoint made for another configuration fails fast.
+    """
+    series, calendar, node_ids = _load_series(cfg)
+    if split:
+        _split(cfg, series)
+    graph = cio.load_adjacency_csv(_path(cfg, "adjacency"), node_ids) if checkpoint else None
+    exogenous = _load_exogenous(cfg, calendar, node_ids)
+    model = _load_matching_checkpoint(cfg, checkpoint) if checkpoint else None
+    assembled = assemble_channels(
+        series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
+    )
+    return assembled, calendar, node_ids, graph, model
+
+
 # -- commands ------------------------------------------------------------------
 
 
 def _cmd_synth(cfg: PipelineConfig) -> int:
-    result = synth.generate(
-        seed=cfg.seed(),
-        n_stations=cfg.get("synth", "stations"),
-        days=cfg.get("synth", "days"),
-        graph_density=cfg.get("synth", "density"),
-        noise_amp=cfg.get("synth", "noise_amp"),
-    )
+    result = synth.generate(seed=cfg.seed(), **cfg.fields("synth"))
     series_path = _out_path(cfg, cfg.get("io", "series"))
     cio.write_charging_csv(series_path, result.timestamps, result.node_ids, result.values)
     adjacency_path = _out_path(cfg, cfg.get("io", "adjacency"))
@@ -231,7 +224,7 @@ def _cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def _cmd_decompose(cfg: PipelineConfig) -> int:
-    assembled, calendar, node_ids, _ = _front_end(cfg, with_graph=False)
+    assembled, calendar, node_ids, _, _ = _front_end(cfg)
     stamps = calendar.timestamps
     channel = dict(zip(assembled.channel_names, np.moveaxis(assembled.series.values, 2, 0)))
     for i, node in enumerate(node_ids):
@@ -260,36 +253,26 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
     # pretraining uses synthetic drivers; an exogenous file train cannot read fails here, before that cost
     _read_exogenous(cfg)
     seed = cfg.seed()
-    n_stations = cfg.get("synth", "stations")
-    days = cfg.get("synth", "days")
+    synth_args = cfg.fields("synth")
+    exogenous_count, c_in = channel_counts(cfg.channel_config(), len(cfg.get("io", "exogenous")))
     samples = []
-    channel_count = None
     for j, offset in enumerate(_PRETRAIN_STATION_OFFSETS):
         task_rng = seeds.substream(seed, f"pretrain.data{j}")
         task_seed = int(task_rng.integers(0, 2**63))
-        n = max(2, n_stations + offset)
-        data = synth.generate(seed=task_seed, n_stations=n, days=days,
-                              graph_density=cfg.get("synth", "density"),
-                              noise_amp=cfg.get("synth", "noise_amp"))
+        n = max(2, synth_args["n_stations"] + offset)
+        data = synth.generate(seed=task_seed, **{**synth_args, "n_stations": n})
         calendar = CalendarFrame(data.timestamps)
         calendar = cio.apply_holidays(calendar, data.holidays)
         series = SeriesTensor(data.values[:, :, None])
         _split(cfg, series)
-        exogenous = _synth_exogenous(cfg, task_rng, calendar.T)
+        exogenous = _synth_exogenous(exogenous_count, task_rng, calendar.T)
         assembled = assemble_channels(series, calendar, seed,
                                       cfg.channel_config(), exogenous=exogenous or None)
-        if channel_count is None:
-            channel_count = assembled.series.C
-        elif assembled.series.C != channel_count:
-            raise DataError(
-                f"pretraining task {j} produced {assembled.series.C} channels, expected {channel_count}"
-            )
         (train_w, valid_w, _), _ = _split_windows(cfg, assembled.series, calendar)
         samples.append((train_w, valid_w, StationGraph(data.node_ids, data.adjacency)))
         print(f"pretraining task {j}: {n} stations, {len(train_w)} train windows")
 
-    model_cfg = cfg.model_config(c_in=channel_count)
-    model = build_model(model_cfg, seeds.substream(seed, "model.init"))
+    model = build_model(cfg.model_config(c_in=c_in), seeds.substream(seed, "model.init"))
     train_cfg = dataclasses.replace(
         cfg.train_config(), max_epochs=cfg.get("train", "pretrain_epochs"), freeze_mode="none"
     )
@@ -304,15 +287,14 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(cfg: PipelineConfig) -> int:
-    assembled, calendar, _, graph = _front_end(cfg, with_graph=True, split=True)
+    assembled, calendar, _, graph, model = _front_end(cfg, "backbone", split=True)
     (train_w, valid_w, _), _ = _split_windows(cfg, assembled.series, calendar)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
-    model = _load_matching_checkpoint(cfg, "backbone", assembled.series.C)
     train_cfg = cfg.train_config()
     freeze_and_adapt(
         model,
-        seeds.substream(cfg.seed(), "model.init"),
+        seeds.substream(cfg.seed(), "adapt"),
         freeze_mode=train_cfg.freeze_mode,
         use_graph_mask=cfg.get("train", "use_graph_mask"),
     )
@@ -328,9 +310,8 @@ def _cmd_train(cfg: PipelineConfig) -> int:
 
 
 def _cmd_evaluate(cfg: PipelineConfig) -> int:
-    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True, split=True)
+    assembled, calendar, node_ids, graph, model = _front_end(cfg, "checkpoint", split=True)
     (_, _, test_w), parts = _split_windows(cfg, assembled.series, calendar)
-    model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
     report = evaluate(model, test_w, graph)
     metrics_path = _out_path(cfg, "metrics.json")
     cio.write_metrics_json(metrics_path, report.as_json_dict())
@@ -347,8 +328,7 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def _cmd_forecast(cfg: PipelineConfig) -> int:
-    assembled, calendar, node_ids, graph = _front_end(cfg, with_graph=True)
-    model = _load_matching_checkpoint(cfg, "checkpoint", assembled.series.C)
+    assembled, calendar, node_ids, graph, model = _front_end(cfg, "checkpoint")
     p = cfg.get("model", "lookback")
     s = cfg.get("model", "horizon")
     if assembled.series.T < p:

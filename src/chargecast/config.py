@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import os
 from dataclasses import dataclass
+from inspect import signature
 
+from . import synth
 from .bands import DecomposeConfig
 from .channels import ChannelConfig
 from .errors import ConfigError
@@ -39,12 +42,49 @@ def _parse_windows(text: str) -> tuple:
 
 
 def _parse_paths(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    """Exogenous file paths; a file's stem names its channel, so no two stems may match."""
+    paths = tuple(part.strip() for part in text.split(",") if part.strip())
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ValueError(f"file stem {stem!r} repeats")
+    return paths
+
+
+def _keys(*same, **renamed) -> dict:
+    """{INI key: field or parameter name}: names in same are both."""
+    return {**{name: name for name in same}, **renamed}
+
+
+# section -> (typed config or synth.generate, its INI keys); each key's default
+# and parser come from the default of the field or parameter it names
+_TYPED = {
+    "vmd": (VmdConfig, _keys("alpha", "tol", "max_iter", k="K")),
+    "iceemdan": (DecomposeConfig, _keys("ensemble_n", "noise_amp")),
+    "fig": (ChannelConfig, _keys(windows="granule_windows")),
+    "relieff": (ChannelConfig, _keys("top_n", k="relieff_k")),
+    "model": (ModelConfig, _keys("d_embed", "f_frozen", "u_unfrozen", "heads", "rank", "lookback", "horizon")),
+    "train": (TrainConfig, _keys("learning_rate", "max_epochs", "batch_size", "freeze_mode")),
+    "loss": (LossConfig, _keys("lambda_freq")),
+    "synth": (synth.generate, _keys("days", "noise_amp", stations="n_stations", density="graph_density")),
+}
+
+
+def _row(default) -> tuple:
+    """(default text, parser) for a field's default; a tuple is a list of windows."""
+    if isinstance(default, tuple):
+        return ",".join(map(str, default)), _parse_windows
+    return str(default), type(default)
 
 
 # section -> key -> (default string, parser)
 SCHEMA = {
-    "io": {
+    section: {key: _row(signature(target).parameters[name].default) for key, name in keys.items()}
+    for section, (target, keys) in _TYPED.items()
+}
+SCHEMA["train"].update(pretrain_epochs=("40", int), use_graph_mask=("true", _parse_bool))
+SCHEMA.update(
+    io={
         "series": ("series.csv", str),
         "adjacency": ("adjacency.csv", str),
         "holidays": ("holidays.txt", str),
@@ -53,49 +93,9 @@ SCHEMA = {
         "checkpoint": ("model.npz", str),
         "out_dir": (".", str),
     },
-    "seeds": {"root": ("0", int)},
-    "data": {
-        "train_ratio": ("0.8", float),
-        "valid_ratio": ("0.1", float),
-        "test_ratio": ("0.1", float),
-    },
-    "vmd": {
-        "k": ("8", int),
-        "alpha": ("100.0", float),
-        "tol": ("1e-7", float),
-        "max_iter": ("500", int),
-    },
-    "iceemdan": {
-        "ensemble_n": ("100", int),
-        "noise_amp": ("0.2", float),
-    },
-    "fig": {"windows": ("24,168", _parse_windows)},
-    "relieff": {"k": ("70", int), "top_n": ("2", int)},
-    "model": {
-        "d_embed": ("32", int),
-        "f_frozen": ("2", int),
-        "u_unfrozen": ("2", int),
-        "heads": ("4", int),
-        "rank": ("4", int),
-        "lookback": ("12", int),
-        "horizon": ("3", int),
-    },
-    "train": {
-        "learning_rate": ("0.01", float),
-        "max_epochs": ("300", int),
-        "pretrain_epochs": ("40", int),
-        "batch_size": ("64", int),
-        "use_graph_mask": ("true", _parse_bool),
-        "freeze_mode": ("partial", str),
-    },
-    "loss": {"lambda_freq": ("0.1", float)},
-    "synth": {
-        "stations": ("8", int),
-        "days": ("60", int),
-        "density": ("0.5", float),
-        "noise_amp": ("0.1", float),
-    },
-}
+    seeds={"root": ("0", int)},
+    data={"train_ratio": ("0.8", float), "valid_ratio": ("0.1", float), "test_ratio": ("0.1", float)},
+)
 
 
 @dataclass(frozen=True)
@@ -122,45 +122,29 @@ class PipelineConfig:
 
     # typed sub-configs ------------------------------------------------------
 
+    def fields(self, section: str) -> dict:
+        """{field or parameter: value} for the keys _TYPED maps in section."""
+        return {name: self.get(section, key) for key, name in _TYPED[section][1].items()}
+
     def vmd_config(self) -> VmdConfig:
-        return VmdConfig(
-            K=self.get("vmd", "k"),
-            alpha=self.get("vmd", "alpha"),
-            tol=self.get("vmd", "tol"),
-            max_iter=self.get("vmd", "max_iter"),
-        )
+        return VmdConfig(**self.fields("vmd"))
 
     def decompose_config(self) -> DecomposeConfig:
-        return DecomposeConfig(
-            vmd=self.vmd_config(),
-            ensemble_n=self.get("iceemdan", "ensemble_n"),
-            noise_amp=self.get("iceemdan", "noise_amp"),
-        )
+        return DecomposeConfig(vmd=self.vmd_config(), **self.fields("iceemdan"))
 
     def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(
-            decompose=self.decompose_config(),
-            granule_windows=self.get("fig", "windows"),
-            relieff_k=self.get("relieff", "k"),
-            top_n=self.get("relieff", "top_n"),
-        )
+        return ChannelConfig(decompose=self.decompose_config(), **self.fields("fig"), **self.fields("relieff"))
 
     def model_config(self, c_in: int) -> ModelConfig:
-        """The [model] keys are ModelConfig's field names; c_in comes from the data."""
-        return ModelConfig(c_in=c_in, **{key: self.get("model", key) for key in SCHEMA["model"]})
+        """c_in comes from the data."""
+        return ModelConfig(c_in=c_in, **self.fields("model"))
 
     def train_config(self) -> TrainConfig:
         """[train] use_graph_mask is not part of it: it marks the model's blocks at adaptation."""
-        return TrainConfig(
-            learning_rate=self.get("train", "learning_rate"),
-            max_epochs=self.get("train", "max_epochs"),
-            batch_size=self.get("train", "batch_size"),
-            seed=self.get("seeds", "root"),
-            freeze_mode=self.get("train", "freeze_mode"),
-        )
+        return TrainConfig(seed=self.seed(), **self.fields("train"))
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(lambda_freq=self.get("loss", "lambda_freq"))
+        return LossConfig(**self.fields("loss"))
 
     def ratios(self) -> tuple:
         r = (
@@ -169,9 +153,9 @@ class PipelineConfig:
             self.get("data", "test_ratio"),
         )
         if min(r) <= 0:
-            raise ConfigError(f"split ratios must be > 0, got {r}")
+            raise ConfigError(f"[data] split ratios must be > 0, got {r}")
         if abs(sum(r) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must sum to 1, got {r}")
+            raise ConfigError(f"[data] split ratios must sum to 1, got {r}")
         return r
 
     def seed(self) -> int:
@@ -213,19 +197,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     for section in SCHEMA:
         for key in SCHEMA[section]:
             cfg.get(section, key)  # force-parse so bad values fail up front
-    sub_configs = (
-        ("[vmd]", cfg.vmd_config),
-        ("[iceemdan]", cfg.decompose_config),
-        ("[fig]", lambda: ChannelConfig(granule_windows=cfg.get("fig", "windows"))),
-        ("[relieff]", lambda: ChannelConfig(relieff_k=cfg.get("relieff", "k"), top_n=cfg.get("relieff", "top_n"))),
-        ("[train]", cfg.train_config),
-        ("[loss]", cfg.loss_config),
-        ("[model]", lambda: cfg.model_config(c_in=1)),
-        ("[data]", cfg.ratios),
-    )
-    for section, make in sub_configs:
-        try:
-            make()
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"{section} {exc}") from exc
+    for section, (target, _) in _TYPED.items():
+        if isinstance(target, type):  # synth.generate checks its arguments when it runs
+            try:
+                target(**cfg.fields(section))
+            except (ConfigError, ValueError) as exc:
+                raise ConfigError(f"[{section}] {exc}") from exc
+    cfg.ratios()
     return cfg

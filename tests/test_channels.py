@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chargecast.bands import DecomposeConfig
-from chargecast.channels import ChannelConfig, assemble_channels, build_feature_table
+from chargecast.channels import ChannelConfig, assemble_channels, build_feature_table, channel_counts
 from chargecast.domain import CalendarFrame, SeriesTensor
 from chargecast.errors import ConfigError, DataError, NumericError
 from chargecast.vmd import VmdConfig
@@ -44,6 +44,7 @@ class TestChannelOrder:
         out = assemble_channels(series, calendar, seed=3, cfg=light_cfg())
         assert out.channel_names == ("denoised", "band_high", "band_mid", "band_low", "granule24", "holiday")
         assert out.series.values.shape == (96, 2, 6)
+        assert channel_counts(light_cfg(), 0) == (0, 6)
 
     def test_denoised_is_channel_zero(self):
         series, calendar = toy_inputs()
@@ -60,6 +61,7 @@ class TestChannelOrder:
         cfg = light_cfg(granule_windows=(12, 24))
         out = assemble_channels(series, calendar, seed=3, cfg=cfg)
         assert out.channel_names[4:] == ("granule12", "granule24", "holiday")
+        assert channel_counts(cfg, 0) == (0, 7)
 
     def test_holiday_channel_repeats_flag(self):
         series, calendar = toy_inputs()
@@ -82,6 +84,7 @@ class TestExogenousSelection:
         out = assemble_channels(series, calendar, seed=3, cfg=light_cfg(top_n=1), exogenous=exog)
         assert out.selected == ("temp",)
         assert out.channel_names[-1] == "exog_temp"
+        assert channel_counts(light_cfg(top_n=1), len(exog)) == (1, out.series.C)
         assert out.weights is not None
 
     def test_holiday_never_selected_as_exogenous(self):
@@ -91,6 +94,7 @@ class TestExogenousSelection:
         out = assemble_channels(series, calendar, seed=3, cfg=light_cfg(top_n=3), exogenous=exog)
         assert "holiday" not in out.selected
         assert out.selected == ("z",)
+        assert channel_counts(light_cfg(top_n=3), len(exog)) == (1, out.series.C)
 
     def test_one_dim_exogenous_broadcasts_to_all_stations(self):
         series, calendar = toy_inputs()

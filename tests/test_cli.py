@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import child_env
 
-from chargecast import channels, cli
+from chargecast import channels, cli, seeds
 from chargecast import io as cio
 from chargecast.channels import assemble_channels
 from chargecast.config import load_config
@@ -351,6 +351,33 @@ class TestDeterminism:
         run("evaluate", "--config", str(unmasked), "--seed", "11", "--out-dir", str(out_dir))
         assert (out_dir / "metrics.json").read_bytes() == (ws / "metrics.json").read_bytes()
 
+    def test_train_adapts_from_another_stream_than_pretrain_builds_from(self, data_copy, monkeypatch):
+        _, common = data_copy
+        names, used, real = {}, {}, seeds.substream
+
+        def substream(seed, name):
+            rng = real(seed, name)
+            names[id(rng)] = name
+            return rng
+
+        class Stop(Exception):
+            pass
+
+        def record(command):
+            def stop(_, rng, *args, **kwargs):
+                used[command] = names[id(rng)]
+                raise Stop
+
+            return stop
+
+        monkeypatch.setattr(cli.seeds, "substream", substream)
+        monkeypatch.setattr(cli, "build_model", record("pretrain"))
+        monkeypatch.setattr(cli, "freeze_and_adapt", record("train"))
+        for command in ("pretrain", "train"):
+            with pytest.raises(Stop):
+                cli.main([command, *common])
+        assert used["pretrain"] != used["train"]
+
     def test_train_rerun_gives_identical_checkpoint(self, workspace):
         ws, common = workspace
         before = (ws / "model.npz").read_bytes()
@@ -522,13 +549,16 @@ class TestExitCodes:
         "command, checkpoint",
         [("train", "backbone.npz"), ("evaluate", "model.npz"), ("forecast", "model.npz")],
     )
-    def test_checkpoint_for_another_model_config_exits_2(self, data_copy, command, checkpoint):
+    def test_checkpoint_for_another_model_config_exits_2(self, data_copy, monkeypatch, capsys, command, checkpoint):
         out_dir, common = data_copy
         before = (out_dir / "model.npz").read_bytes()
-        proc = run(command, *common, "--lookback", "6", check=False)
-        assert proc.returncode == 2
-        assert "configuration error:" in proc.stderr
-        assert str(out_dir / checkpoint) in proc.stderr
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        assert cli.main([command, *common, "--lookback", "6"]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        assert str(out_dir / checkpoint) in err
         assert (out_dir / "model.npz").read_bytes() == before
 
     @pytest.mark.parametrize("command, damage", [("evaluate", "truncated"), ("forecast", "foreign")])

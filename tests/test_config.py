@@ -1,7 +1,10 @@
 """Tests for layered configuration loading."""
 
+from inspect import signature
+
 import pytest
 
+from chargecast import synth
 from chargecast.bands import DecomposeConfig
 from chargecast.channels import ChannelConfig
 from chargecast.config import SCHEMA, load_config
@@ -39,6 +42,9 @@ class TestDefaults:
         assert cfg.model_config(c_in=1) == ModelConfig()
         assert cfg.train_config() == TrainConfig()
         assert cfg.loss_config() == LossConfig()
+        params = signature(synth.generate).parameters
+        names = ("n_stations", "days", "graph_density", "noise_amp")
+        assert cfg.fields("synth") == {name: params[name].default for name in names}
 
     def test_every_schema_default_parses(self):
         cfg = load_config()
@@ -136,6 +142,7 @@ class TestRejection:
             ("train", "learning_rate", "-1", r"\[train\] learning_rate must be positive"),
             ("train", "freeze_mode", "solid", r"\[train\] freeze_mode"),
             ("model", "heads", "5", r"\[model\] heads must be >= 1 and divide"),
+            ("io", "exogenous", "a/temp.csv, b/temp.csv", r"\[io\] exogenous = .*file stem 'temp' repeats"),
         ],
     )
     def test_out_of_range_values_fail_at_load(self, section, key, value, message):
@@ -165,7 +172,52 @@ class TestRejection:
             load_config(overrides={("fig", "windows"): ","})
 
 
+DEFAULT_ECHO = """\
+data.test_ratio = 0.1
+data.train_ratio = 0.8
+data.valid_ratio = 0.1
+fig.windows = 24,168
+iceemdan.ensemble_n = 100
+iceemdan.noise_amp = 0.2
+io.adjacency = adjacency.csv
+io.backbone = backbone.npz
+io.checkpoint = model.npz
+io.exogenous =\x20
+io.holidays = holidays.txt
+io.out_dir = .
+io.series = series.csv
+loss.lambda_freq = 0.1
+model.d_embed = 32
+model.f_frozen = 2
+model.heads = 4
+model.horizon = 3
+model.lookback = 12
+model.rank = 4
+model.u_unfrozen = 2
+relieff.k = 70
+relieff.top_n = 2
+seeds.root = 0
+synth.days = 60
+synth.density = 0.5
+synth.noise_amp = 0.1
+synth.stations = 8
+train.batch_size = 64
+train.freeze_mode = partial
+train.learning_rate = 0.01
+train.max_epochs = 300
+train.pretrain_epochs = 40
+train.use_graph_mask = true
+vmd.alpha = 100.0
+vmd.k = 8
+vmd.max_iter = 500
+vmd.tol = 1e-07
+"""
+
+
 class TestEchoAndHash:
+    def test_default_echo_is_pinned(self):
+        assert load_config().resolved_text() == DEFAULT_ECHO
+
     def test_resolved_text_lists_every_key_sorted(self):
         cfg = load_config()
         text = cfg.resolved_text()
