@@ -192,11 +192,8 @@ def assemble_channels(
         components.append(comps)
 
     channels = [("denoised", denoised), ("band_high", high), ("band_mid", mid), ("band_low", low)]
-    for window in cfg.granule_windows:
-        cores = np.empty((t_len, n))
-        for i in range(n):
-            cores[:, i] = granule_channels(denoised[:, i], windows=(window,))[window]
-        channels.append((f"granule{window}", cores))
+    granules = granule_channels(denoised, windows=cfg.granule_windows)
+    channels += [(f"granule{window}", cores) for window, cores in granules.items()]
     holiday = calendar.holiday_flag.astype(float)
     channels.append(("holiday", np.repeat(holiday[:, None], n, axis=1)))
 

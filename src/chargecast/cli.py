@@ -273,9 +273,7 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
         print(f"pretraining task {j}: {n} stations, {len(train_w)} train windows")
 
     model = build_model(cfg.model_config(c_in=c_in), seeds.substream(seed, "model.init"))
-    train_cfg = dataclasses.replace(
-        cfg.train_config(), max_epochs=cfg.get("train", "pretrain_epochs"), freeze_mode="none"
-    )
+    train_cfg = dataclasses.replace(cfg.train_config(), max_epochs=cfg.get("train", "pretrain_epochs"))
     loss_cfg = cfg.loss_config()
     for j, (train_w, valid_w, graph) in enumerate(samples):
         result = fit(model, train_w, valid_w, graph, train_cfg, loss_cfg)

@@ -167,7 +167,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
 
     overrides maps (section, key) to source strings. Unknown sections or
     keys from either layer are rejected, and so is any value that a typed
-    sub-config refuses, so a bad setting fails before any input is read.
+    sub-config or ``synth.check_settings`` refuses, so a bad setting fails
+    before any input is read.
     """
     raw = {(s, k): SCHEMA[s][k][0] for s in SCHEMA for k in SCHEMA[s]}
 
@@ -198,10 +199,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
         for key in SCHEMA[section]:
             cfg.get(section, key)  # force-parse so bad values fail up front
     for section, (target, _) in _TYPED.items():
-        if isinstance(target, type):  # synth.generate checks its arguments when it runs
-            try:
-                target(**cfg.fields(section))
-            except (ConfigError, ValueError) as exc:
-                raise ConfigError(f"[{section}] {exc}") from exc
+        check = synth.check_settings if section == "synth" else target
+        try:
+            check(**cfg.fields(section))
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
     cfg.ratios()
     return cfg

@@ -51,9 +51,6 @@ class GranuleSeries:
             raise ValueError(f"window must be >= 1, got {self.window}")
         object.__setattr__(self, "granules", tuple(self.granules))
 
-    def cores(self) -> np.ndarray:
-        return np.array([g.m for g in self.granules])
-
 
 def membership(x: float, g: Granule) -> float:
     """Triangular membership of x in g, a total function into [0, 1].
@@ -93,14 +90,20 @@ def fig_granulate(series, window: int) -> GranuleSeries:
 def granule_channels(series, windows=DEFAULT_WINDOWS) -> dict:
     """Step-hold channels of granule cores, one per window size.
 
-    Each channel repeats the covering granule's core across that window's
-    steps and holds the last core for steps past the final full window.
-    Returns {window: array as long as the series}.
+    series is (T,) or (T, N), one column per station. Each channel repeats the
+    covering granule's core (the window median) across that window's steps and
+    holds the last core past the final full window. Returns {window: array
+    shaped like series}.
     """
     x = np.asarray(series, dtype=float)
     out = {}
-    for window in windows:
-        cores = fig_granulate(x, int(window)).cores()
-        held = np.repeat(cores, window)
-        out[int(window)] = np.concatenate([held, np.full(x.size - held.size, cores[-1])])
+    for window in map(int, windows):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        if window > len(x):
+            raise ValueError(f"window {window} exceeds series length {len(x)}")
+        count = len(x) // window
+        cores = np.median(x[: count * window].reshape(count, window, *x.shape[1:]), axis=1)
+        held = np.repeat(cores, window, axis=0)
+        out[window] = np.concatenate([held, np.repeat(cores[-1:], len(x) - len(held), axis=0)])
     return out

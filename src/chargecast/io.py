@@ -97,12 +97,8 @@ def load_charging_csv(path):
 
 
 def write_charging_csv(path, timestamps, node_ids, values) -> None:
-    values = np.asarray(values)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *node_ids])
-        columns = [_float_text(values[:, j]) for j in range(values.shape[1])]
-        writer.writerows(zip(_hour_stamps(timestamps, values.shape[0]), *columns))
+    """values: (T, N), one column per station id."""
+    write_components_csv(path, timestamps, list(zip(node_ids, np.asarray(values).T)))
 
 
 def load_adjacency_csv(path, node_ids) -> StationGraph:

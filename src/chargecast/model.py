@@ -15,9 +15,11 @@ same way, one (H, W, r) and one (H, r, d_k) factor each for query and value,
 so a block adds the same number of autodiff nodes whatever the head count.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
 and the NF4 codes of the quantized bases two per byte (low nibble first).
-The layout is checkpoint version 4: its ``config`` holds the architecture
-sizes only, and each quantized tensor records its own block size. Other
-versions are rejected.
+The layout is checkpoint version 5. Its meta holds the architecture sizes,
+the freeze mode and the block masks, nothing more: ``load_checkpoint``
+replays ``build_model`` and ``freeze_and_adapt`` to get the trainable flags,
+the adapters and the quantized layouts, then fills in the stored values.
+Other versions are rejected.
 
 Whether a block's attention is masked by the station graph is recorded on
 the block alone (``PfgaBlockParams.masked``): ``build_model`` marks the
@@ -29,13 +31,13 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .autodiff import Tensor, concat, layer_norm, linear, softmax, take_rows
 from .errors import ConfigError, DataError
-from .quantize import NF4_CODEBOOK, QuantizedTensor, dequantize, quantize
+from .quantize import NF4_CODEBOOK, dequantize, quantize
 
 __all__ = [
     "ModelConfig",
@@ -421,26 +423,21 @@ def freeze_and_adapt(
             blk.quant[name] = qt
         for name in ("w_1", "b_1", "w_2", "b_2"):
             _set_trainable(getattr(blk, name), False)
-        # one draw in the order head 0 l_q, head 0 l_v, head 1 l_q, ...
+        # one draw in the order head 0 l_q, head 0 l_v, head 1 l_q, ...; zero up factors
         l_qv = rng.normal(size=(cfg.heads, 2, cfg.width, cfg.rank)) * 0.01
-        blk.adapters = _adapters(cfg, l_qv[:, 0], l_qv[:, 1])
+        m_shape = (cfg.heads, cfg.rank, cfg.d_k)
+        blk.adapters = HeadAdapters(
+            l_q=_tensor(np.ascontiguousarray(l_qv[:, 0]), True),
+            m_q=_tensor(np.zeros(m_shape), True),
+            l_v=_tensor(np.ascontiguousarray(l_qv[:, 1]), True),
+            m_v=_tensor(np.zeros(m_shape), True),
+        )
     return model
-
-
-def _adapters(cfg: ModelConfig, l_q: np.ndarray, l_v: np.ndarray) -> HeadAdapters:
-    """Stacked adapters with the given down factors and zero up factors."""
-    m_shape = (cfg.heads, cfg.rank, cfg.d_k)
-    return HeadAdapters(
-        l_q=_tensor(np.ascontiguousarray(l_q), True),
-        m_q=_tensor(np.zeros(m_shape), True),
-        l_v=_tensor(np.ascontiguousarray(l_v), True),
-        m_v=_tensor(np.zeros(m_shape), True),
-    )
 
 
 # -- checkpointing ------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 4
+_CHECKPOINT_VERSION = 5
 
 
 def _pack_codes(codes: np.ndarray) -> np.ndarray:
@@ -460,36 +457,34 @@ def _unpack_codes(packed: np.ndarray, size: int, name: str) -> np.ndarray:
     return codes[:size]
 
 
+def _quantized_names(model: PfgaModel) -> set:
+    return {f"block{i}.{wname}" for i, blk in enumerate(model.blocks) for wname in blk.quant}
+
+
+def _stored(arrays: dict, key: str, like: np.ndarray) -> np.ndarray:
+    """The array stored under key; it must have the shape of the replayed value it replaces."""
+    stored = arrays[key]
+    if stored.shape != like.shape:
+        raise ValueError(f"{key} has shape {stored.shape}, expected {like.shape}")
+    return stored
+
+
 def save_checkpoint(model: PfgaModel, path: str) -> None:
+    """Write the values, plus the sizes, freeze mode and block masks that rebuild the rest."""
     meta = {
         "version": _CHECKPOINT_VERSION,
         "freeze_mode": model.freeze_mode,
         "config": asdict(model.config),
         "masked": [bool(b.masked) for b in model.blocks],
-        "trainable": [],
-        "quantized": [],
     }
-    quantized_names = {
-        f"block{i}.{wname}" for i, blk in enumerate(model.blocks) for wname in blk.quant
-    }
+    quantized = _quantized_names(model)
     arrays = {"nf4_codebook": np.asarray(NF4_CODEBOOK)}
     for name, t in model.named_parameters():
-        if t.requires_grad:
-            meta["trainable"].append(name)
-        if name in quantized_names:
-            continue  # stored in quantized form below
-        arrays[name.replace(".", "__")] = t.data
+        if name not in quantized:  # a quantized basis is stored in quantized form below
+            arrays[name.replace(".", "__")] = t.data
     for i, blk in enumerate(model.blocks):
         for wname, qt in blk.quant.items():
             tag = f"block{i}__{wname}"
-            meta["quantized"].append(
-                {
-                    "name": f"block{i}.{wname}",
-                    "shape": list(qt.shape),
-                    "block_size": qt.block_size,
-                    "superblock": qt.superblock,
-                }
-            )
             arrays[f"q_codes__{tag}"] = _pack_codes(qt.codes)
             arrays[f"q_scale_codes__{tag}"] = qt.scale_codes
             arrays[f"q_scale_min__{tag}"] = qt.scale_min
@@ -499,6 +494,11 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> PfgaModel:
+    """Rebuild through ``build_model`` and ``freeze_and_adapt``, then fill in the stored values.
+
+    A missing, unknown or misshapen entry is a ``DataError``; another version
+    or codebook is a ``ConfigError``.
+    """
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -509,49 +509,31 @@ def load_checkpoint(path: str) -> PfgaModel:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if "meta_json" not in arrays or "nf4_codebook" not in arrays:
         raise DataError(f"{path} is not a chargecast checkpoint: it has no meta_json or nf4_codebook")
-    meta = json.loads(bytes(arrays.pop("meta_json")).decode())
-    if meta.get("version") != _CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-    if not np.array_equal(arrays.pop("nf4_codebook"), NF4_CODEBOOK):
-        raise ConfigError("checkpoint codebook does not match this build")
-    cfg = ModelConfig(**meta["config"])
-    model = build_model(cfg, np.random.default_rng(0))
-    model.freeze_mode = meta["freeze_mode"]
-    trainable = set(meta["trainable"])
-
-    quant_info = {q["name"]: q for q in meta["quantized"]}
-    for i, blk in enumerate(model.blocks):
-        blk.masked = meta["masked"][i]
-        blk.quant = {}
-        if f"block{i}__heads__l_q" in arrays:
-            l_shape = (cfg.heads, cfg.width, cfg.rank)
-            blk.adapters = _adapters(cfg, np.zeros(l_shape), np.zeros(l_shape))
-        for wname in _QUANTIZED_BASES:
-            qname = f"block{i}.{wname}"
-            if qname in quant_info:
-                info = quant_info[qname]
+    try:
+        meta = json.loads(bytes(arrays.pop("meta_json")).decode())
+        if meta.get("version") != _CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        if not np.array_equal(arrays.pop("nf4_codebook"), NF4_CODEBOOK):
+            raise ConfigError("checkpoint codebook does not match this build")
+        rng = np.random.default_rng(0)
+        model = freeze_and_adapt(build_model(ModelConfig(**meta["config"]), rng), rng, meta["freeze_mode"])
+        for blk, masked in zip(model.blocks, meta["masked"], strict=True):
+            blk.masked = bool(masked)
+        for i, blk in enumerate(model.blocks):
+            for wname, qt in blk.quant.items():
                 tag = f"block{i}__{wname}"
-                size = int(np.prod(info["shape"]))
-                qt = QuantizedTensor(
-                    codes=_unpack_codes(arrays[f"q_codes__{tag}"], size, qname),
-                    scale_codes=arrays[f"q_scale_codes__{tag}"],
-                    scale_min=arrays[f"q_scale_min__{tag}"],
-                    scale_step=arrays[f"q_scale_step__{tag}"],
-                    shape=tuple(info["shape"]),
-                    block_size=info["block_size"],
-                    superblock=info["superblock"],
+                blk.quant[wname] = qt = replace(
+                    qt,
+                    codes=_unpack_codes(arrays[f"q_codes__{tag}"], qt.codes.size, f"block{i}.{wname}"),
+                    scale_codes=_stored(arrays, f"q_scale_codes__{tag}", qt.scale_codes),
+                    scale_min=_stored(arrays, f"q_scale_min__{tag}", qt.scale_min),
+                    scale_step=_stored(arrays, f"q_scale_step__{tag}", qt.scale_step),
                 )
-                blk.quant[wname] = qt
-
-    for name, t in model.named_parameters():
-        if name in quant_info:
-            i, wname = name.split(".")
-            t.data = dequantize(model.blocks[int(i[5:])].quant[wname])
-            _set_trainable(t, False)
-            continue
-        key = name.replace(".", "__")
-        if key not in arrays:
-            raise ConfigError(f"checkpoint is missing tensor {name}")
-        t.data = np.asarray(arrays[key], dtype=float)
-        _set_trainable(t, name in trainable)
+                getattr(blk, wname).data = dequantize(qt)
+        quantized = _quantized_names(model)
+        for name, t in model.named_parameters():
+            if name not in quantized:
+                t.data = np.asarray(_stored(arrays, name.replace(".", "__"), t.data), dtype=float)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
     return model

@@ -16,7 +16,7 @@ import numpy as np
 from . import seeds
 from .errors import ConfigError
 
-__all__ = ["SynthResult", "generate"]
+__all__ = ["SynthResult", "check_settings", "generate"]
 
 DIP_FACTOR = 0.4
 DIFFUSION_WEIGHT = 0.6
@@ -79,13 +79,8 @@ def clean_series(manifest: dict) -> np.ndarray:
     return values
 
 
-def generate(
-    seed: int,
-    n_stations: int = 8,
-    days: int = 60,
-    graph_density: float = 0.5,
-    noise_amp: float = 0.1,
-) -> SynthResult:
+def check_settings(n_stations: int, days: int, graph_density: float, noise_amp: float) -> None:
+    """Reject settings ``generate`` cannot use; its signature holds the defaults."""
     if n_stations < 2:
         raise ConfigError("n_stations must be >= 2")
     if days < 14:
@@ -95,6 +90,15 @@ def generate(
     if noise_amp < 0:
         raise ConfigError("noise_amp must be non-negative")
 
+
+def generate(
+    seed: int,
+    n_stations: int = 8,
+    days: int = 60,
+    graph_density: float = 0.5,
+    noise_amp: float = 0.1,
+) -> SynthResult:
+    check_settings(n_stations, days, graph_density, noise_amp)
     rng = seeds.substream(seed, "synth")
     n, t_len = n_stations, days * 24
 

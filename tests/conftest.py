@@ -1,8 +1,12 @@
 """Helpers shared by the test modules."""
 
+import json
 import os
 
+import numpy as np
+
 import chargecast
+from chargecast.errors import ConfigError, DataError
 
 
 def child_env():
@@ -18,3 +22,37 @@ def child_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + (os.pathsep + rest if rest else "")
     return env
+
+
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+# defects of a saved checkpoint of a model with one frozen and one graph block:
+# name -> (edit of its arrays and decoded meta, error load_checkpoint raises, text the error holds)
+CHECKPOINT_DAMAGE = {
+    "missing_scale_codes": (lambda a, m: a.pop("q_scale_codes__block1__w_q"), DataError, "q_scale_codes__block1__w_q"),
+    "missing_codes": (lambda a, m: a.pop("q_codes__block1__w_k"), DataError, "q_codes__block1__w_k"),
+    "missing_adapter": (lambda a, m: a.pop("block1__heads__m_v"), DataError, "block1__heads__m_v"),
+    "unknown_config_key": (lambda a, m: _set(m["config"], "bogus", 1), DataError, "bogus"),
+    "missing_masked": (lambda a, m: m.pop("masked"), DataError, "masked"),
+    "short_masked": (lambda a, m: _set(m, "masked", m["masked"][:1]), DataError, "malformed checkpoint"),
+    "short_weight": (lambda a, m: _set(a, "block0__w_q", a["block0__w_q"][:3]), DataError, "block0__w_q"),
+    "misshapen_scale_min": (
+        lambda a, m: _set(a, "q_scale_min__block1__w_v", np.zeros(2)), DataError, "q_scale_min__block1__w_v"
+    ),
+    "meta_not_json": (lambda a, m: _set(a, "meta_json", np.frombuffer(b"{", np.uint8)), DataError, "malformed"),
+    "unknown_freeze_mode": (lambda a, m: _set(m, "freeze_mode", "sideways"), ConfigError, "unknown freeze_mode"),
+    "foreign_codebook": (lambda a, m: _set(a, "nf4_codebook", -a["nf4_codebook"]), ConfigError, "codebook"),
+}
+
+
+def damage_checkpoint(path, damage):
+    """Rewrite the checkpoint at path with the CHECKPOINT_DAMAGE defect named damage."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta_json")).decode())
+    CHECKPOINT_DAMAGE[damage][0](arrays, meta)
+    arrays.setdefault("meta_json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)

@@ -13,12 +13,13 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import CHECKPOINT_DAMAGE, child_env, damage_checkpoint
 
 from chargecast import channels, cli, seeds
 from chargecast import io as cio
 from chargecast.channels import assemble_channels
 from chargecast.config import load_config
+from chargecast.errors import DataError
 
 LIGHT_INI = """\
 [synth]
@@ -561,16 +562,34 @@ class TestExitCodes:
         assert str(out_dir / checkpoint) in err
         assert (out_dir / "model.npz").read_bytes() == before
 
-    @pytest.mark.parametrize("command, damage", [("evaluate", "truncated"), ("forecast", "foreign")])
+    @pytest.mark.parametrize(
+        "command, damage",
+        [("evaluate", "truncated"), ("forecast", "foreign"), ("evaluate", "missing_scale_codes")],
+    )
     def test_malformed_checkpoint_exits_3(self, data_copy, command, damage):
         out_dir, common = data_copy
         path = out_dir / "model.npz"
         if damage == "truncated":
             data = path.read_bytes()
             path.write_bytes(data[: len(data) // 2])
-        else:
+        elif damage == "foreign":
             np.savez(path, weights=np.zeros(3))
+        else:
+            damage_checkpoint(path, damage)
         proc = run(command, *common, check=False)
         assert proc.returncode == 3
         assert "data error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_every_checkpoint_defect_exits_with_its_code(self, data_copy, monkeypatch, capsys, damage):
+        out_dir, common = data_copy
+        damage_checkpoint(out_dir / "model.npz", damage)
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        _, error, text = CHECKPOINT_DAMAGE[damage]
+        code, label = (3, "data error:") if error is DataError else (2, "configuration error:")
+        assert cli.main(["evaluate", *common]) == code
+        assert calls == []
+        err = capsys.readouterr().err
+        assert label in err and text in err

@@ -142,6 +142,7 @@ class TestRejection:
             ("train", "learning_rate", "-1", r"\[train\] learning_rate must be positive"),
             ("train", "freeze_mode", "solid", r"\[train\] freeze_mode"),
             ("model", "heads", "5", r"\[model\] heads must be >= 1 and divide"),
+            ("synth", "stations", "1", r"\[synth\] n_stations must be >= 2"),
             ("io", "exogenous", "a/temp.csv, b/temp.csv", r"\[io\] exogenous = .*file stem 'temp' repeats"),
         ],
     )

@@ -81,3 +81,23 @@ def test_channels_repeat_cores_and_pad_tail():
 def test_window_longer_than_series_raises():
     with pytest.raises(ValueError):
         fig_granulate(np.arange(3, dtype=float), window=5)
+
+
+@pytest.mark.parametrize("t_len", [720, 1001, 2160])
+def test_station_columns_match_one_call_per_station(t_len):
+    x = np.random.default_rng(5).normal(size=(t_len, 8))
+    windows = (1, 2, 3, 24, 168)
+    together = granule_channels(x, windows=windows)
+    for i in range(x.shape[1]):
+        alone = granule_channels(x[:, i], windows=windows)
+        for w in windows:
+            assert together[w].shape == x.shape
+            assert np.array_equal(together[w][:, i], alone[w])
+            cores = [g.m for g in fig_granulate(x[:, i], w).granules]
+            assert np.array_equal(alone[w][: len(cores) * w], np.repeat(cores, w))
+
+
+@pytest.mark.parametrize("window", [0, 11])
+def test_channel_window_must_fit_the_series(window):
+    with pytest.raises(ValueError, match="window"):
+        granule_channels(np.zeros((10, 2)), windows=(window,))

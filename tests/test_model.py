@@ -9,10 +9,12 @@ import json
 
 import numpy as np
 import pytest
+from conftest import CHECKPOINT_DAMAGE, damage_checkpoint
 
 from chargecast.autodiff import no_grad
 from chargecast.errors import ConfigError, DataError
 from chargecast.model import (
+    FREEZE_MODES,
     ModelConfig,
     _positional_rows,
     build_model,
@@ -546,15 +548,72 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="unsupported checkpoint version 3"):
             load_checkpoint(old)
 
-    def test_meta_holds_sizes_and_per_tensor_block_sizes_only(self, tmp_path):
+    def test_version_4_checkpoint_is_rejected(self, tmp_path):
+        model, arrays = self.saved_arrays(tmp_path, 42, version=4)
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        # version 4 also listed the trainable names and each quantized basis's layout
+        meta["trainable"] = [n for n, t in model.named_parameters() if t.requires_grad]
+        meta["quantized"] = [
+            {"name": f"block1.{name}", "shape": list(qt.shape), "block_size": 64, "superblock": 256}
+            for name, qt in model.blocks[1].quant.items()
+        ]
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        old = str(tmp_path / "old.npz")
+        np.savez(old, **arrays)
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 4"):
+            load_checkpoint(old)
+
+    def test_meta_holds_version_freeze_mode_sizes_and_masks_only(self, tmp_path):
         _, arrays = self.saved_arrays(tmp_path, 39)
         meta = json.loads(bytes(arrays["meta_json"]).decode())
-        assert meta["version"] == 4
-        assert "n_max" not in meta
+        assert set(meta) == {"version", "freeze_mode", "config", "masked"}
+        assert meta["version"] == 5
+        assert meta["freeze_mode"] == "partial"
         assert set(meta["config"]) == {
             "d_embed", "lookback", "horizon", "c_in", "f_frozen", "u_unfrozen", "heads", "rank"
         }
-        assert [q["block_size"] for q in meta["quantized"]] == [64] * 4
+        assert meta["masked"] == [False, True]
+
+    @pytest.mark.parametrize("use_graph_mask", [True, False], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("mode", FREEZE_MODES)
+    def test_load_replays_the_freeze_regime(self, tmp_path, mode, use_graph_mask):
+        rng = np.random.default_rng(43)
+        model = build_model(TINY, rng)
+        freeze_and_adapt(model, rng, freeze_mode=mode, use_graph_mask=use_graph_mask)
+        for _, t in model.trainable_parameters():  # values a fine-tuning could leave
+            t.data = t.data + rng.normal(scale=0.1, size=t.data.shape)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.freeze_mode == mode
+        assert [b.masked for b in loaded.blocks] == [b.masked for b in model.blocks]
+        pairs = list(zip(model.named_parameters(), loaded.named_parameters(), strict=True))
+        for (na, ta), (nb, tb) in pairs:
+            assert (na, ta.requires_grad) == (nb, tb.requires_grad)
+            assert np.array_equal(ta.data, tb.data), na
+        for blk_a, blk_b in zip(model.blocks, loaded.blocks):
+            assert blk_a.quant.keys() == blk_b.quant.keys()
+            for name, qa in blk_a.quant.items():
+                qb = blk_b.quant[name]
+                assert (qa.shape, qa.block_size, qa.superblock) == (qb.shape, qb.block_size, qb.superblock)
+                for part in ("codes", "scale_codes", "scale_min", "scale_step"):
+                    assert np.array_equal(getattr(qa, part), getattr(qb, part)), (name, part)
+        hist, hours, dows = random_batch(rng, TINY, b=2, n=5)
+        adj = random_symmetric_adjacency(rng, 5)
+        want = forward_batch(model, hist, hours, dows, adj).data
+        assert np.array_equal(forward_batch(loaded, hist, hours, dows, adj).data, want)
+
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_malformed_checkpoint_is_rejected(self, tmp_path, damage):
+        _, error, text = CHECKPOINT_DAMAGE[damage]
+        rng = np.random.default_rng(44)
+        model = build_model(TINY, rng)
+        freeze_and_adapt(model, rng, freeze_mode="partial")
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, str(path))
+        damage_checkpoint(path, damage)
+        with pytest.raises(error, match=text):
+            load_checkpoint(str(path))
 
     def test_unmasked_marks_survive(self, tmp_path):
         rng = np.random.default_rng(40)
