@@ -46,24 +46,12 @@ _PRETRAIN_STATION_OFFSETS = (-2, 0, 2)
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="INI-style config file")
     sub.add_argument("--seed", type=int, default=None, help="root seed (overrides [seeds] root)")
-    sub.add_argument("--horizon", type=int, default=None, help="forecast steps")
-    sub.add_argument("--lookback", type=int, default=None, help="history steps per window")
     sub.add_argument("--out-dir", default=None, help="directory for outputs and default input paths")
 
 
 def _overrides(args) -> dict:
-    pairs = {
-        "seed": ("seeds", "root"),
-        "horizon": ("model", "horizon"),
-        "lookback": ("model", "lookback"),
-        "out_dir": ("io", "out_dir"),
-    }
-    out = {}
-    for attr, key in pairs.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    return out
+    pairs = {("seeds", "root"): args.seed, ("io", "out_dir"): args.out_dir}
+    return {key: value for key, value in pairs.items() if value is not None}
 
 
 def _echo(cfg: PipelineConfig) -> None:

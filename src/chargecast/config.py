@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from inspect import signature
 
@@ -198,11 +199,14 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     for section in SCHEMA:
         for key in SCHEMA[section]:
             cfg.get(section, key)  # force-parse so bad values fail up front
-    for section, (target, _) in _TYPED.items():
+    for section, (target, keys) in _TYPED.items():
         check = synth.check_settings if section == "synth" else target
         try:
             check(**cfg.fields(section))
         except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
+            message = str(exc)
+            for key, name in keys.items():  # name the INI key, not the field it sets
+                message = re.sub(rf"\b{name}\b", key, message)
+            raise ConfigError(f"[{section}] {message}") from exc
     cfg.ratios()
     return cfg

@@ -5,6 +5,8 @@ raises them directly so callers can tell configuration, data, and numeric
 problems apart.
 """
 
+__all__ = ["ChargecastError", "ConfigError", "DataError", "NumericError"]
+
 
 class ChargecastError(Exception):
     """Base class for package errors."""

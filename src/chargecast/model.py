@@ -462,8 +462,8 @@ def _quantized_names(model: PfgaModel) -> set:
 
 
 def _stored(arrays: dict, key: str, like: np.ndarray) -> np.ndarray:
-    """The array stored under key; it must have the shape of the replayed value it replaces."""
-    stored = arrays[key]
+    """Pop the array stored under key; it must have the shape of the replayed value it replaces."""
+    stored = arrays.pop(key)
     if stored.shape != like.shape:
         raise ValueError(f"{key} has shape {stored.shape}, expected {like.shape}")
     return stored
@@ -496,7 +496,7 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
 def load_checkpoint(path: str) -> PfgaModel:
     """Rebuild through ``build_model`` and ``freeze_and_adapt``, then fill in the stored values.
 
-    A missing, unknown or misshapen entry is a ``DataError``; another version
+    A missing, misshapen or unused entry is a ``DataError``; another version
     or codebook is a ``ConfigError``.
     """
     try:
@@ -524,7 +524,7 @@ def load_checkpoint(path: str) -> PfgaModel:
                 tag = f"block{i}__{wname}"
                 blk.quant[wname] = qt = replace(
                     qt,
-                    codes=_unpack_codes(arrays[f"q_codes__{tag}"], qt.codes.size, f"block{i}.{wname}"),
+                    codes=_unpack_codes(arrays.pop(f"q_codes__{tag}"), qt.codes.size, f"block{i}.{wname}"),
                     scale_codes=_stored(arrays, f"q_scale_codes__{tag}", qt.scale_codes),
                     scale_min=_stored(arrays, f"q_scale_min__{tag}", qt.scale_min),
                     scale_step=_stored(arrays, f"q_scale_step__{tag}", qt.scale_step),
@@ -534,6 +534,8 @@ def load_checkpoint(path: str) -> PfgaModel:
         for name, t in model.named_parameters():
             if name not in quantized:
                 t.data = np.asarray(_stored(arrays, name.replace(".", "__"), t.data), dtype=float)
+        if arrays:
+            raise ValueError(f"no tensor takes {', '.join(sorted(arrays))}")
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
     return model

@@ -54,16 +54,13 @@ def clean_series(manifest: dict) -> np.ndarray:
     t_len = manifest["days"] * 24
     p = {k: np.asarray(v, dtype=float) for k, v in manifest["stations"].items()}
     adjacency = np.array(manifest["adjacency"], dtype=float)
-    t = np.arange(t_len, dtype=float)
+    t = np.arange(t_len, dtype=float)[:, None]  # stations along the second axis
     hours = t % 24.0
 
-    latents = np.empty((t_len, n))
-    core = np.empty((t_len, n))
-    for i in range(n):
-        daily = p["day_amp"][i] * np.sin(2.0 * np.pi * hours / 24.0 + p["day_phase"][i])
-        weekly = 1.0 + p["week_mod"][i] * np.sin(2.0 * np.pi * t / 168.0 + p["week_phase"][i])
-        core[:, i] = p["base"][i] + daily * weekly
-        latents[:, i] = p["lat_amp"][i] * np.sin(2.0 * np.pi * t / p["lat_period"][i] + p["lat_phase"][i])
+    daily = p["day_amp"] * np.sin(2.0 * np.pi * hours / 24.0 + p["day_phase"])
+    weekly = 1.0 + p["week_mod"] * np.sin(2.0 * np.pi * t / 168.0 + p["week_phase"])
+    core = p["base"] + daily * weekly
+    latents = p["lat_amp"] * np.sin(2.0 * np.pi * t / p["lat_period"] + p["lat_phase"])
 
     lag = manifest["diffusion_lag"]
     lagged = np.vstack([np.repeat(latents[:1], lag, axis=0), latents[:-lag]])
@@ -72,10 +69,7 @@ def clean_series(manifest: dict) -> np.ndarray:
     diffusion = manifest["diffusion_weight"] * (lagged @ neighbour.T) / degree
 
     values = core + latents + diffusion
-    holiday_hours = np.zeros(t_len, dtype=bool)
-    for d in manifest["holiday_days"]:
-        holiday_hours[d * 24 : (d + 1) * 24] = True
-    values[holiday_hours] *= manifest["dip_factor"]
+    values[np.isin(np.arange(t_len) // 24, manifest["holiday_days"])] *= manifest["dip_factor"]
     return values
 
 
@@ -104,10 +98,8 @@ def generate(
 
     params = _station_params(rng, n)
     adjacency = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < graph_density:
-                adjacency[i, j] = adjacency[j, i] = 1.0
+    upper = np.triu_indices(n, 1)  # row-major, the order the pairs are drawn in
+    adjacency[upper] = adjacency[upper[::-1]] = rng.random(upper[0].size) < graph_density
 
     n_holidays = max(2, days // 15)
     holiday_days = np.sort(rng.choice(days, size=n_holidays, replace=False))
@@ -130,9 +122,7 @@ def generate(
 
     values = clean_series(manifest)
     noise = rng.normal(size=(t_len, n))
-    holiday_hours = np.zeros(t_len, dtype=bool)
-    for d in holiday_days:
-        holiday_hours[d * 24 : (d + 1) * 24] = True
+    holiday_hours = np.isin(np.arange(t_len) // 24, holiday_days)
     scale = noise_amp * np.where(holiday_hours, 1.0 + HOLIDAY_NOISE_BOOST, 1.0)
     values = values + scale[:, None] * noise
 

@@ -41,6 +41,7 @@ CHECKPOINT_DAMAGE = {
     "misshapen_scale_min": (
         lambda a, m: _set(a, "q_scale_min__block1__w_v", np.zeros(2)), DataError, "q_scale_min__block1__w_v"
     ),
+    "extra_array": (lambda a, m: _set(a, "block9__w_q", a["block0__w_q"]), DataError, "block9__w_q"),
     "meta_not_json": (lambda a, m: _set(a, "meta_json", np.frombuffer(b"{", np.uint8)), DataError, "malformed"),
     "unknown_freeze_mode": (lambda a, m: _set(m, "freeze_mode", "sideways"), ConfigError, "unknown freeze_mode"),
     "foreign_codebook": (lambda a, m: _set(a, "nf4_codebook", -a["nf4_codebook"]), ConfigError, "codebook"),

@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -335,6 +336,11 @@ def test_readme_commands_table_lists_every_subcommand():
     parser = cli.build_parser()
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert listed == list(subcommands.choices)
+    # and the sentence under the table names exactly the flags every command takes
+    accepted = re.findall(r"`(--[a-z-]+)", re.search(r"All commands accept (.*?)\.\s", table, re.S).group(1))
+    for sub in subcommands.choices.values():
+        flags = [flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+        assert accepted == flags
 
 
 class TestDeterminism:
@@ -468,13 +474,20 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "data error: test split has 7 steps" in proc.stderr
 
+    @staticmethod
+    def with_lookback(data_copy, lookback):
+        """data_copy's arguments with the light config at another [model] lookback."""
+        out_dir, common = data_copy
+        ini = out_dir / f"lookback{lookback}.ini"
+        ini.write_text(LIGHT_INI.replace("lookback = 8", f"lookback = {lookback}"))
+        return ["--config", str(ini), *common[2:]]
+
     @pytest.mark.parametrize("command", ["pretrain", "train", "evaluate"])
     def test_split_shorter_than_a_window_exits_3_before_the_front_end(self, data_copy, monkeypatch, capsys, command):
-        _, common = data_copy
         calls = []
         monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
         # 720 hours leave 72 validation steps, fewer than lookback+horizon = 203
-        assert cli.main([command, *common, "--lookback", "200"]) == 3
+        assert cli.main([command, *self.with_lookback(data_copy, 200)]) == 3
         assert calls == []
         assert "data error: valid split has 72 steps, fewer than the required 203" in capsys.readouterr().err
 
@@ -492,10 +505,11 @@ class TestExitCodes:
         proc = run("transmogrify", check=False)
         assert proc.returncode == 2
 
-    def test_removed_kind_flag_exits_2(self, tmp_path):
-        proc = run("synth", "--kind", "volume", "--out-dir", str(tmp_path), check=False)
-        assert proc.returncode == 2
-        assert "unrecognized arguments: --kind" in proc.stderr
+    def test_removed_flags_exit_2(self, tmp_path):
+        for flag, value in (("--kind", "volume"), ("--horizon", "3"), ("--lookback", "8")):
+            proc = run("synth", flag, value, "--out-dir", str(tmp_path), check=False)
+            assert proc.returncode == 2
+            assert f"unrecognized arguments: {flag} {value}" in proc.stderr
 
     def test_evaluate_without_checkpoint_exits_3(self, data_copy):
         out_dir, common = data_copy
@@ -551,11 +565,11 @@ class TestExitCodes:
         [("train", "backbone.npz"), ("evaluate", "model.npz"), ("forecast", "model.npz")],
     )
     def test_checkpoint_for_another_model_config_exits_2(self, data_copy, monkeypatch, capsys, command, checkpoint):
-        out_dir, common = data_copy
+        out_dir, _ = data_copy
         before = (out_dir / "model.npz").read_bytes()
         calls = []
         monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
-        assert cli.main([command, *common, "--lookback", "6"]) == 2
+        assert cli.main([command, *self.with_lookback(data_copy, 6)]) == 2
         assert calls == []
         err = capsys.readouterr().err
         assert "configuration error:" in err

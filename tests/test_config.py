@@ -132,17 +132,18 @@ class TestRejection:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("vmd", "k", "0", r"\[vmd\] K must be >= 1"),
+            ("vmd", "k", "0", r"\[vmd\] k must be >= 1"),
             ("iceemdan", "ensemble_n", "0", r"\[iceemdan\] ensemble_n must be >= 1"),
             ("iceemdan", "noise_amp", "-1", r"\[iceemdan\] noise_amp must be >= 0"),
-            ("relieff", "k", "0", r"\[relieff\] relieff_k must be >= 1"),
+            ("relieff", "k", "0", r"\[relieff\] k must be >= 1"),
             ("fig", "windows", "0", r"\[fig\] granule windows must be >= 1"),
             ("fig", "windows", "24,24", r"\[fig\] granule windows must not repeat"),
             ("relieff", "top_n", "-1", r"\[relieff\] top_n must be >= 0"),
             ("train", "learning_rate", "-1", r"\[train\] learning_rate must be positive"),
             ("train", "freeze_mode", "solid", r"\[train\] freeze_mode"),
             ("model", "heads", "5", r"\[model\] heads must be >= 1 and divide"),
-            ("synth", "stations", "1", r"\[synth\] n_stations must be >= 2"),
+            ("synth", "stations", "1", r"\[synth\] stations must be >= 2"),
+            ("synth", "density", "2", r"\[synth\] density must lie in \[0, 1\]"),
             ("io", "exogenous", "a/temp.csv, b/temp.csv", r"\[io\] exogenous = .*file stem 'temp' repeats"),
         ],
     )

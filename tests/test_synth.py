@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from chargecast import seeds
 from chargecast.errors import ConfigError
-from chargecast.synth import clean_series, generate
+from chargecast.synth import _station_params, clean_series, generate
 
 
 class TestGenerate:
@@ -95,3 +96,48 @@ class TestGenerate:
         res = generate(seed=16, n_stations=3, days=15)
         text = json.dumps(res.manifest, sort_keys=True)
         assert json.loads(text) == json.loads(json.dumps(res.manifest, sort_keys=True))
+
+
+def loop_clean_series(manifest):
+    """clean_series one station and one holiday at a time: the reference for its array form."""
+    n, t_len = manifest["n_stations"], manifest["days"] * 24
+    p = {k: np.asarray(v, dtype=float) for k, v in manifest["stations"].items()}
+    t = np.arange(t_len, dtype=float)
+    hours = t % 24.0
+    latents = np.empty((t_len, n))
+    core = np.empty((t_len, n))
+    for i in range(n):
+        daily = p["day_amp"][i] * np.sin(2.0 * np.pi * hours / 24.0 + p["day_phase"][i])
+        weekly = 1.0 + p["week_mod"][i] * np.sin(2.0 * np.pi * t / 168.0 + p["week_phase"][i])
+        core[:, i] = p["base"][i] + daily * weekly
+        latents[:, i] = p["lat_amp"][i] * np.sin(2.0 * np.pi * t / p["lat_period"][i] + p["lat_phase"][i])
+    lag = manifest["diffusion_lag"]
+    lagged = np.vstack([np.repeat(latents[:1], lag, axis=0), latents[:-lag]])
+    neighbour = np.array(manifest["adjacency"], dtype=float) - np.eye(n)
+    degree = np.maximum(neighbour.sum(axis=1), 1.0)
+    values = core + latents + manifest["diffusion_weight"] * (lagged @ neighbour.T) / degree
+    holiday_hours = np.zeros(t_len, dtype=bool)
+    for d in manifest["holiday_days"]:
+        holiday_hours[d * 24 : (d + 1) * 24] = True
+    values[holiday_hours] *= manifest["dip_factor"]
+    return values
+
+
+def loop_adjacency(seed, n, density):
+    """generate's graph drawn one pair at a time, in row-major order after the station parameters."""
+    rng = seeds.substream(seed, "synth")
+    _station_params(rng, n)
+    adjacency = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
+
+
+@pytest.mark.parametrize("n_stations, days, density", [(2, 14, 0.0), (13, 20, 1.0), (8, 365, 0.3), (5, 21, 0.5)])
+def test_array_form_matches_the_loop_form(n_stations, days, density):
+    for seed in range(12):
+        res = generate(seed, n_stations, days, density, noise_amp=0.1)
+        assert np.array_equal(res.adjacency, loop_adjacency(seed, n_stations, density))
+        assert np.array_equal(clean_series(res.manifest), loop_clean_series(res.manifest))
