@@ -150,8 +150,6 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     (component_id, series) pairs behind the bands.
     """
     modes = vmd(signal, cfg.vmd)
-    if len(modes) < 2:
-        raise ValueError("pipeline requires K >= 2 so the noise mode can be dropped")
     retained = modes[:-1]
     samples = [m.samples for m in retained]
     denoised = imf_sum(samples, samples[0].size)

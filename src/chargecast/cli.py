@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -59,59 +58,53 @@ def _echo(cfg: PipelineConfig) -> None:
     print(f"config_hash = {cfg.config_hash()}")
 
 
-def _resolve(cfg: PipelineConfig, name: str) -> str:
+def _path(cfg: PipelineConfig, name: str) -> str:
     """name under [io] out_dir; an absolute name stays as it is."""
     return os.path.join(cfg.get("io", "out_dir"), name)
 
 
-def _path(cfg: PipelineConfig, key: str) -> str:
-    return _resolve(cfg, cfg.get("io", key))
-
-
-def _out_path(cfg: PipelineConfig, name: str) -> str:
-    """name resolved as for reading, with its directory created."""
-    path = _resolve(cfg, name)
+def _write(cfg: PipelineConfig, name: str, writer, *args) -> None:
+    """writer(path, *args) at name under [io] out_dir, its directory created; says so."""
+    path = _path(cfg, name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
+    writer(path, *args)
+    print(f"wrote {path}")
 
 
 def _load_series(cfg: PipelineConfig):
-    series, calendar, node_ids = cio.load_charging_csv(_path(cfg, "series"))
-    holidays_path = _path(cfg, "holidays")
+    series, calendar, node_ids = cio.load_charging_csv(_path(cfg, cfg.get("io", "series")))
+    holidays_path = _path(cfg, cfg.get("io", "holidays"))
     if os.path.exists(holidays_path):
         calendar = cio.apply_holidays(calendar, cio.load_holidays(holidays_path))
     return series, calendar, node_ids
 
 
 def _align_exogenous(calendar: CalendarFrame, node_ids, exo_series, exo_cal, exo_ids, name):
-    """Join an exogenous table onto the target timeline by timestamp.
+    """Join an exogenous table onto the target timeline by hour offset.
 
+    Both timelines are strictly hourly, so target hour t is table row
+    start + t, and the table covers the series when all those rows exist.
     The table holds one shared column or one column per station id.
     """
     if len(exo_ids) != 1 and set(exo_ids) != set(node_ids):
         raise DataError(
             f"exogenous series {name!r} columns {list(exo_ids)} are neither the station ids nor one shared column"
         )
-    pos = np.searchsorted(exo_cal.timestamps, calendar.timestamps)
-    pos_ok = pos < exo_cal.T
-    safe = np.where(pos_ok, pos, 0)
-    matched = pos_ok & (exo_cal.timestamps[safe] == calendar.timestamps)
-    if not matched.all():
-        missing = calendar.timestamps[~matched][0]
+    start = int((calendar.timestamps[0] - exo_cal.timestamps[0]).astype(np.int64))
+    if start < 0 or exo_cal.T - start < calendar.T:
+        missing = calendar.timestamps[0 if start < 0 else max(exo_cal.T - start, 0)]
         raise DataError(f"exogenous series {name!r} is missing timestamp {missing}")
-    values = exo_series.values[pos, :, 0]  # (T, N_exo)
-    if list(exo_ids) == list(node_ids):
-        return values
-    if len(exo_ids) == 1:
-        return values[:, 0]
-    return values[:, [list(exo_ids).index(nid) for nid in node_ids]]
+    values = exo_series.values[start : start + calendar.T, :, 0]  # (T, N_exo)
+    if set(exo_ids) == set(node_ids):
+        return values[:, [list(exo_ids).index(nid) for nid in node_ids]]
+    return values[:, 0]
 
 
 def _read_exogenous(cfg: PipelineConfig) -> dict:
     """name -> (series, calendar, ids) of each [io] exogenous file, in listed order."""
     out = {}
     for raw in cfg.get("io", "exogenous"):
-        path = _resolve(cfg, raw)
+        path = _path(cfg, raw)
         out[os.path.splitext(os.path.basename(path))[0]] = cio.load_charging_csv(path)
     return out
 
@@ -135,31 +128,24 @@ def _synth_exogenous(count: int, rng: np.random.Generator, t_len: int) -> dict:
     return out
 
 
-def _split(cfg: PipelineConfig, series: SeriesTensor):
-    """(train, valid, test) of series, each split long enough for one window."""
-    try:
-        min_len = cfg.get("model", "lookback") + cfg.get("model", "horizon")
-        return split_dataset(series, cfg.ratios(), min_len=min_len)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
-
-def _split_windows(cfg: PipelineConfig, assembled_series: SeriesTensor, calendar: CalendarFrame):
+def _windows(cfg: PipelineConfig, series: SeriesTensor, calendar: CalendarFrame):
+    """(train, valid, test) Windows of series, each split long enough for one window."""
     p = cfg.get("model", "lookback")
     s = cfg.get("model", "horizon")
-    parts = _split(cfg, assembled_series)
-    windows = []
-    start = 0
+    try:
+        parts = split_dataset(series, cfg.ratios(), min_len=p + s)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    windows, start = [], 0
     for part in parts:
-        cal = calendar.slice_time(start, start + part.T)
-        windows.append(make_windows(part, cal, p, s))
+        windows.append(make_windows(part, calendar.slice_time(start, start + part.T), p, s))
         start += part.T
-    return tuple(windows), parts
+    return tuple(windows)
 
 
 def _load_matching_checkpoint(cfg: PipelineConfig, key: str):
     """Load the checkpoint at [io] key; its model config must be this run's."""
-    path = _path(cfg, key)
+    path = _path(cfg, cfg.get("io", key))
     model = load_checkpoint(path)
     want = cfg.model_config(c_in=channel_counts(cfg.channel_config(), len(cfg.get("io", "exogenous")))[1])
     if model.config != want:
@@ -181,8 +167,8 @@ def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool =
     """
     series, calendar, node_ids = _load_series(cfg)
     if split:
-        _split(cfg, series)
-    graph = cio.load_adjacency_csv(_path(cfg, "adjacency"), node_ids) if checkpoint else None
+        _windows(cfg, series, calendar)
+    graph = cio.load_adjacency_csv(_path(cfg, cfg.get("io", "adjacency")), node_ids) if checkpoint else None
     exogenous = _load_exogenous(cfg, calendar, node_ids)
     model = _load_matching_checkpoint(cfg, checkpoint) if checkpoint else None
     assembled = assemble_channels(
@@ -196,18 +182,10 @@ def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool =
 
 def _cmd_synth(cfg: PipelineConfig) -> int:
     result = synth.generate(seed=cfg.seed(), **cfg.fields("synth"))
-    series_path = _out_path(cfg, cfg.get("io", "series"))
-    cio.write_charging_csv(series_path, result.timestamps, result.node_ids, result.values)
-    adjacency_path = _out_path(cfg, cfg.get("io", "adjacency"))
-    cio.write_adjacency_csv(adjacency_path, result.node_ids, result.adjacency)
-    holidays_path = _out_path(cfg, cfg.get("io", "holidays"))
-    cio.write_holidays(holidays_path, result.holidays)
-    manifest_path = _out_path(cfg, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(result.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for path in (series_path, adjacency_path, holidays_path, manifest_path):
-        print(f"wrote {path}")
+    _write(cfg, cfg.get("io", "series"), cio.write_charging_csv, result.timestamps, result.node_ids, result.values)
+    _write(cfg, cfg.get("io", "adjacency"), cio.write_adjacency_csv, result.node_ids, result.adjacency)
+    _write(cfg, cfg.get("io", "holidays"), cio.write_holidays, result.holidays)
+    _write(cfg, "manifest.json", cio.write_metrics_json, result.manifest)
     return 0
 
 
@@ -216,24 +194,14 @@ def _cmd_decompose(cfg: PipelineConfig) -> int:
     stamps = calendar.timestamps
     channel = dict(zip(assembled.channel_names, np.moveaxis(assembled.series.values, 2, 0)))
     for i, node in enumerate(node_ids):
-        path = _out_path(cfg, f"components_{node}.csv")
-        cio.write_components_csv(path, stamps, assembled.components[i])
-        print(f"wrote {path}")
-        path = _out_path(cfg, f"bands_{node}.csv")
+        _write(cfg, f"components_{node}.csv", cio.write_components_csv, stamps, assembled.components[i])
         bands = [(b, channel[b][:, i]) for b in ("band_high", "band_mid", "band_low")]
-        cio.write_components_csv(path, stamps, bands)
-        print(f"wrote {path}")
-    path = _out_path(cfg, "denoised.csv")
-    cio.write_charging_csv(path, stamps, node_ids, channel["denoised"])
-    print(f"wrote {path}")
+        _write(cfg, f"bands_{node}.csv", cio.write_components_csv, stamps, bands)
+    _write(cfg, "denoised.csv", cio.write_charging_csv, stamps, node_ids, channel["denoised"])
     for window in cfg.get("fig", "windows"):
-        path = _out_path(cfg, f"granules_w{window}.csv")
-        cio.write_charging_csv(path, stamps, node_ids, channel[f"granule{window}"])
-        print(f"wrote {path}")
+        _write(cfg, f"granules_w{window}.csv", cio.write_charging_csv, stamps, node_ids, channel[f"granule{window}"])
     if assembled.weights is not None:
-        path = _out_path(cfg, "feature_weights.csv")
-        write_weights_csv(path, assembled.feature_names, assembled.weights)
-        print(f"wrote {path}")
+        _write(cfg, "feature_weights.csv", write_weights_csv, assembled.feature_names, assembled.weights)
     return 0
 
 
@@ -252,11 +220,11 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
         calendar = CalendarFrame(data.timestamps)
         calendar = cio.apply_holidays(calendar, data.holidays)
         series = SeriesTensor(data.values[:, :, None])
-        _split(cfg, series)
+        _windows(cfg, series, calendar)
         exogenous = _synth_exogenous(exogenous_count, task_rng, calendar.T)
         assembled = assemble_channels(series, calendar, seed,
                                       cfg.channel_config(), exogenous=exogenous or None)
-        (train_w, valid_w, _), _ = _split_windows(cfg, assembled.series, calendar)
+        train_w, valid_w, _ = _windows(cfg, assembled.series, calendar)
         samples.append((train_w, valid_w, StationGraph(data.node_ids, data.adjacency)))
         print(f"pretraining task {j}: {n} stations, {len(train_w)} train windows")
 
@@ -266,15 +234,13 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
     for j, (train_w, valid_w, graph) in enumerate(samples):
         result = fit(model, train_w, valid_w, graph, train_cfg, loss_cfg)
         print(f"task {j}: best valid mae {result.best_valid_mae:.6f} at epoch {result.best_epoch}")
-    path = _out_path(cfg, cfg.get("io", "backbone"))
-    save_checkpoint(model, path)
-    print(f"wrote {path}")
+    _write(cfg, cfg.get("io", "backbone"), lambda path: save_checkpoint(model, path))
     return 0
 
 
 def _cmd_train(cfg: PipelineConfig) -> int:
     assembled, calendar, _, graph, model = _front_end(cfg, "backbone", split=True)
-    (train_w, valid_w, _), _ = _split_windows(cfg, assembled.series, calendar)
+    train_w, valid_w, _ = _windows(cfg, assembled.series, calendar)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
     train_cfg = cfg.train_config()
@@ -285,31 +251,22 @@ def _cmd_train(cfg: PipelineConfig) -> int:
         use_graph_mask=cfg.get("train", "use_graph_mask"),
     )
     result = fit(model, train_w, valid_w, graph, train_cfg, cfg.loss_config())
-    ckpt_path = _out_path(cfg, cfg.get("io", "checkpoint"))
-    save_checkpoint(model, ckpt_path)
-    log_path = _out_path(cfg, "epochs.tsv")
-    cio.write_epoch_log(log_path, result.log)
     print(f"best valid mae {result.best_valid_mae:.6f} at epoch {result.best_epoch}")
-    print(f"wrote {ckpt_path}")
-    print(f"wrote {log_path}")
+    _write(cfg, cfg.get("io", "checkpoint"), lambda path: save_checkpoint(model, path))
+    _write(cfg, "epochs.tsv", cio.write_epoch_log, result.log)
     return 0
 
 
 def _cmd_evaluate(cfg: PipelineConfig) -> int:
     assembled, calendar, node_ids, graph, model = _front_end(cfg, "checkpoint", split=True)
-    (_, _, test_w), parts = _split_windows(cfg, assembled.series, calendar)
+    _, _, test_w = _windows(cfg, assembled.series, calendar)
     report = evaluate(model, test_w, graph)
-    metrics_path = _out_path(cfg, "metrics.json")
-    cio.write_metrics_json(metrics_path, report.as_json_dict())
-    test_start = parts[0].T + parts[1].T
-    p = cfg.get("model", "lookback")
-    stamps = calendar.timestamps[test_start + p : test_start + p + len(test_w)]
-    pred_path = _out_path(cfg, "predictions.csv")
-    cio.write_predictions_csv(pred_path, stamps, node_ids, report.predictions, report.truths)
     print(f"test mae {report.aggregate['mae']:.6f} "
           f"(persistence {report.baseline['mae']:.6f})")
-    print(f"wrote {metrics_path}")
-    print(f"wrote {pred_path}")
+    _write(cfg, "metrics.json", cio.write_metrics_json, report.as_json_dict())
+    end = calendar.T - cfg.get("model", "horizon") + 1  # one past the last window's stamp
+    stamps = calendar.timestamps[end - len(test_w) : end]
+    _write(cfg, "predictions.csv", cio.write_predictions_csv, stamps, node_ids, report.predictions, report.truths)
     return 0
 
 
@@ -326,9 +283,7 @@ def _cmd_forecast(cfg: PipelineConfig) -> int:
     with no_grad():
         pred = forward_batch(model, hist, hours, dows, graph.adjacency).data[0, :, :, 0]
     future = calendar.timestamps[-1] + np.arange(1, s + 1).astype("timedelta64[h]")
-    path = _out_path(cfg, "forecast.csv")
-    cio.write_charging_csv(path, future, node_ids, pred)
-    print(f"wrote {path}")
+    _write(cfg, "forecast.csv", cio.write_charging_csv, future, node_ids, pred)
     return 0
 
 

@@ -174,10 +174,7 @@ def relieff(table: FeatureTable, k: int = 70, m_samples: int | None = None, seed
     ranges = values.max(axis=0) - values.min(axis=0)
     is_discrete = np.array([kind == DISCRETE for kind in table.kinds])
 
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     order = []
     while len(order) < m:
         order.extend(rng.permutation(table.M).tolist())

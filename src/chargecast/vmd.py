@@ -32,7 +32,7 @@ __all__ = ["VmdConfig", "Mode", "vmd"]
 class VmdConfig:
     """Solver settings.
 
-    K : mode count
+    K : mode count, at least 2 since the pipeline drops the top mode as noise
     alpha : bandwidth penalty
     tol : stop when the summed relative change of mode spectra drops below
     max_iter : iteration cap
@@ -44,8 +44,8 @@ class VmdConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        if self.K < 2:
+            raise ValueError(f"K must be >= 2, got {self.K}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if self.tol <= 0:

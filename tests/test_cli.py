@@ -7,6 +7,7 @@ dataset; individual tests then assert on its outputs and exit behavior.
 import argparse
 import csv
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -20,6 +21,7 @@ from chargecast import channels, cli, seeds
 from chargecast import io as cio
 from chargecast.channels import assemble_channels
 from chargecast.config import load_config
+from chargecast.domain import CalendarFrame, SeriesTensor
 from chargecast.errors import DataError
 
 LIGHT_INI = """\
@@ -191,6 +193,20 @@ class TestPipelineOutputs:
         assert set(names) == {"temperature", "holiday"}
         weights = [float(r[1]) for r in rows]
         assert weights == sorted(weights, reverse=True)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_wrote_lines_name_the_files_written_in_write_order(data_copy, capsys, command):
+    out_dir, common = data_copy
+    for path in out_dir.iterdir():
+        os.utime(path, ns=(0, 0))  # a rewrite of a copied input moves its mtime
+    assert cli.main([command, *common]) == 0
+    wrote = [line[len("wrote "):] for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    written = {str(p): p.stat().st_mtime_ns for p in out_dir.iterdir() if p.stat().st_mtime_ns != 0}
+    assert len(wrote) == len(set(wrote))
+    assert sorted(wrote) == sorted(written)
+    mtimes = [written[path] for path in wrote]
+    assert mtimes == sorted(mtimes)
 
 
 class TestDecomposeDump:
@@ -390,6 +406,58 @@ class TestDeterminism:
         before = (ws / "model.npz").read_bytes()
         run("train", *common)
         assert (ws / "model.npz").read_bytes() == before
+
+
+def join_by_timestamp(calendar, node_ids, table_cal, table_values, table_ids):
+    """Reference join: each target hour looked up in the table by its timestamp.
+
+    Returns (values, None), or (None, the first target hour the table lacks).
+    """
+    row = {t: i for i, t in enumerate(table_cal.timestamps.tolist())}
+    missing = [t for t in calendar.timestamps if t.tolist() not in row]
+    if missing:
+        return None, missing[0]
+    values = table_values[[row[t] for t in calendar.timestamps.tolist()]]
+    if len(table_ids) == 1:
+        return values[:, 0], None
+    return values[:, [list(table_ids).index(nid) for nid in node_ids]], None
+
+
+class TestExogenousJoin:
+    T0 = np.datetime64("2024-03-01T00", "h")
+    NODES = ("north", "south", "east")
+    T = 48
+
+    # (first table hour and table length, relative to the series start; column ids)
+    TABLES = {
+        "starts_late": (5, 60, NODES),
+        "ends_early": (-3, 44, NODES),
+        "margins_on_both_sides": (-7, 63, NODES),
+        "reordered_columns": (-2, 55, ("east", "north", "south")),
+        "shared_column": (-4, 52, ("temperature",)),
+        "disjoint_after": (100, 20, ("temperature",)),
+        "disjoint_before": (-50, 40, NODES),
+        "starts_one_hour_late": (1, 60, NODES),
+        "ends_one_hour_early": (-2, 49, NODES),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TABLES))
+    def test_offset_join_matches_the_timestamp_join(self, case):
+        offset, length, ids = self.TABLES[case]
+        calendar = CalendarFrame(self.T0 + np.arange(self.T).astype("timedelta64[h]"))
+        table_cal = CalendarFrame(self.T0 + np.arange(offset, offset + length).astype("timedelta64[h]"))
+        rng = np.random.default_rng(sorted(self.TABLES).index(case))
+        values = rng.normal(size=(length, len(ids)))
+        want, missing = join_by_timestamp(calendar, self.NODES, table_cal, values, ids)
+        args = (calendar, self.NODES, SeriesTensor(values[:, :, None]), table_cal, ids, "temperature")
+        if missing is None:
+            got = cli._align_exogenous(*args)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        else:
+            with pytest.raises(DataError) as info:
+                cli._align_exogenous(*args)
+            assert str(info.value) == f"exogenous series 'temperature' is missing timestamp {missing}"
 
 
 class TestExitCodes:

@@ -132,7 +132,8 @@ class TestRejection:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("vmd", "k", "0", r"\[vmd\] k must be >= 1"),
+            ("vmd", "k", "0", r"\[vmd\] k must be >= 2"),
+            ("vmd", "k", "1", r"\[vmd\] k must be >= 2, got 1"),
             ("iceemdan", "ensemble_n", "0", r"\[iceemdan\] ensemble_n must be >= 1"),
             ("iceemdan", "noise_amp", "-1", r"\[iceemdan\] noise_amp must be >= 0"),
             ("relieff", "k", "0", r"\[relieff\] k must be >= 1"),
