@@ -26,7 +26,7 @@ table = FeatureTable(
 
 result = relieff(table, k=10, seed=3)
 order = np.argsort(result.weights)[::-1]
-print(f"weights from {result.m_samples} sampled rows, k={result.k}:")
+print(f"weights from {table.M} visited rows, k={result.k}:")
 for idx in order:
     print(f"  {table.feature_names[idx]:<8} {result.weights[idx]:+.4f}")
 

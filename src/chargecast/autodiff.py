@@ -4,7 +4,9 @@ A Tensor wraps an ndarray and remembers how it was produced; calling
 backward() on a scalar result accumulates gradients into every reachable
 tensor with requires_grad set. Broadcasting follows numpy semantics, with
 gradients summed back over the broadcast axes. This is deliberately a
-small engine: only the operations the forecasting network needs exist.
+small engine: only the operations the forecasting network needs exist, in
+the forms it uses them: ``sum`` and ``mean`` reduce every element, and
+``concat`` and ``softmax`` work on the last axis.
 
 Three layers are single fused nodes with closed-form backward passes:
 ``linear`` (x @ w + b), ``layer_norm`` and ``softmax``. Any product with a 2-D
@@ -170,23 +172,14 @@ class Tensor:
 
     # -- reductions and shape ops ---------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
+    def sum(self):
         def backward(out):
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape).copy())
+            self._accum(np.broadcast_to(out.grad, self.data.shape).copy())
 
-        return Tensor._result(out_data, (self,), backward)
+        return Tensor._result(self.data.sum(), (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -249,17 +242,15 @@ class Tensor:
         return self.data.shape
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join along the last axis."""
     tensors = [Tensor._lift(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
     def backward(out):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.grad.ndim
-            index[axis] = slice(lo, hi)
-            t._accum(out.grad[tuple(index)])
+            t._accum(out.grad[..., lo:hi])
 
     return Tensor._result(out_data, tuple(tensors), backward)
 
@@ -340,17 +331,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return Tensor._result(out_data, (x, gamma, beta), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax as one node; the max shift is a constant w.r.t. gradients.
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis as one node; the max shift is a
+    constant w.r.t. gradients.
 
-    The backward pass is g_x = y * (g - sum(g * y)) along the axis.
+    The backward pass is g_x = y * (g - sum(g * y)) along that axis.
     """
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(out):
         g = out.grad
-        x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return Tensor._result(y, (x,), backward)

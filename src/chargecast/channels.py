@@ -30,7 +30,7 @@ from . import seeds
 from .bands import DecomposeConfig, multi_frequency_pipeline
 from .domain import CalendarFrame, SeriesTensor
 from .errors import ConfigError, DataError
-from .granulate import DEFAULT_WINDOWS, granule_channels
+from .granulate import granule_channels
 from .relieff import (
     CONTINUOUS,
     DISCRETE,
@@ -46,7 +46,7 @@ __all__ = ["ChannelConfig", "AssembledChannels", "assemble_channels", "channel_c
 @dataclass(frozen=True)
 class ChannelConfig:
     decompose: DecomposeConfig = field(default_factory=DecomposeConfig)
-    granule_windows: tuple = DEFAULT_WINDOWS
+    granule_windows: tuple = (24, 168)
     relieff_k: int = 70
     top_n: int = 2
 
@@ -77,7 +77,6 @@ class AssembledChannels:
     components: tuple
     weights: FeatureWeights | None
     feature_names: tuple
-    selected: tuple
 
 
 def build_feature_table(target_mean, exogenous, holiday_flag) -> FeatureTable:
@@ -171,7 +170,10 @@ def assemble_channels(
     for window in cfg.granule_windows:  # before the costly decomposition, not after it
         if window > t_len:
             raise DataError(f"window {window} exceeds series length {t_len}")
-    exogenous = dict(exogenous or {})
+    exogenous = {name: np.asarray(ex, dtype=float) for name, ex in (exogenous or {}).items()}
+    for name, ex in exogenous.items():
+        if ex.shape not in ((t_len,), (t_len, n)):
+            raise DataError(f"exogenous series {name!r} has shape {ex.shape}, expected ({t_len},) or ({t_len}, {n})")
 
     noise_root = seeds.subseed(seed, "decompose.noise")
     station_seeds = noise_root.spawn(n)
@@ -199,19 +201,14 @@ def assemble_channels(
 
     weights = None
     feature_names = ()
-    selected = ()
     if exogenous:
         table = build_feature_table(series.values[:, :, 0].mean(axis=1), exogenous, holiday)
         weights = relieff(table, k=cfg.relieff_k, seed=seeds.subseed(seed, "relieff.sample"))
         feature_names = table.feature_names
-        ranked = [table.feature_names[i] for i in select_features(weights, top_n=table.F)]
-        selected = tuple(name for name in ranked if name != "holiday")[: cfg.top_n]
-        for name in selected:
-            ex = np.asarray(exogenous[name], dtype=float)
-            col = ex if ex.ndim == 2 else np.repeat(ex[:, None], n, axis=1)
-            if col.shape != (t_len, n):
-                raise DataError(f"exogenous series {name!r} has shape {col.shape}, expected ({t_len}, {n})")
-            channels.append((f"exog_{name}", col))
+        ranked = [table.feature_names[i] for i in select_features(weights)]
+        for name in [name for name in ranked if name != "holiday"][: cfg.top_n]:
+            ex = exogenous[name]
+            channels.append((f"exog_{name}", ex if ex.ndim == 2 else np.repeat(ex[:, None], n, axis=1)))
 
     names = tuple(name for name, _ in channels)
     stacked = np.stack([arr for _, arr in channels], axis=2)
@@ -221,5 +218,4 @@ def assemble_channels(
         components=tuple(components),
         weights=weights,
         feature_names=feature_names,
-        selected=selected,
     )

@@ -43,9 +43,12 @@ def _parse_windows(text: str) -> tuple:
 
 
 def _parse_paths(text: str) -> tuple:
-    """Exogenous file paths; a file's stem names its channel, so no two stems may match."""
+    """Exogenous file paths; a file's stem names its channel, so no two stems may
+    match and none may be ``holiday``, the holiday flag's name in the ranking."""
     paths = tuple(part.strip() for part in text.split(",") if part.strip())
     stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    if "holiday" in stems:
+        raise ValueError("file stem 'holiday' is reserved for the holiday flag")
     for stem in stems:
         if stems.count(stem) > 1:
             raise ValueError(f"file stem {stem!r} repeats")

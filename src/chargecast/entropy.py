@@ -55,7 +55,7 @@ def coarse_grain(series, tau: int) -> np.ndarray:
     return x[: n * tau].reshape(n, tau).mean(axis=1)
 
 
-def sample_entropy(series, m: int = 2, r: float = 0.0) -> float:
+def sample_entropy(series, m: int, r: float) -> float:
     """Sample entropy -ln(A/B) with absolute tolerance r.
 
     B counts ordered pairs of length-m templates within Chebyshev distance
@@ -133,7 +133,7 @@ def _match_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     return 2 * a, 2 * b
 
 
-def msse_curve(series, m: int = 2, r_frac: float = 0.15, tau_max: int = 5) -> np.ndarray:
+def msse_curve(series, m: int, r_frac: float, tau_max: int) -> np.ndarray:
     """Sample entropy of the coarse-grained series at scales 1..tau_max.
 
     The tolerance r = r_frac * std(series) is fixed from the original

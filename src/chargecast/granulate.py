@@ -3,7 +3,7 @@
 Each window is summarized by a triangular granule (a, m, b) fitted as the
 window minimum, median, and maximum. Granule cores can be step-hold
 upsampled back to the original resolution to serve as coarse-scale
-channels (daily and weekly by default for hourly data).
+channels (daily and weekly in the default ``ChannelConfig`` for hourly data).
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ __all__ = [
     "membership",
     "fig_granulate",
     "granule_channels",
-    "DEFAULT_WINDOWS",
 ]
-
-DEFAULT_WINDOWS = (24, 168)
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def fig_granulate(series, window: int) -> GranuleSeries:
     return GranuleSeries(window=window, granules=granules)
 
 
-def granule_channels(series, windows=DEFAULT_WINDOWS) -> dict:
+def granule_channels(series, windows) -> dict:
     """Step-hold channels of granule cores, one per window size.
 
     series is (T,) or (T, N), one column per station. Each channel repeats the

@@ -50,8 +50,9 @@ def _read_rows(path) -> list:
 def load_charging_csv(path):
     """Parse a series CSV into (SeriesTensor, CalendarFrame, node_ids).
 
-    Layout: header ``timestamp,<station>,...``; one ISO-8601 hourly
-    timestamp per row; every cell numeric and finite.
+    Layout: header ``timestamp,<station>,...``, each station id non-empty and
+    free of ``/`` and ``\\``; one ISO-8601 hourly timestamp per row; every
+    cell numeric and finite.
     """
     rows = _read_rows(path)
     if len(rows) < 2:
@@ -60,6 +61,9 @@ def load_charging_csv(path):
     if len(header) < 2:
         raise DataError(f"{path}: header must name a timestamp column and one station")
     node_ids = tuple(h.strip() for h in header[1:])
+    for i in node_ids:  # ids name output files, so they must not be paths
+        if not i or "/" in i or "\\" in i:
+            raise DataError(f"{path}: station id {i!r} is empty or holds a '/' or '\\'")
     _reject_duplicates(path, node_ids, "header")
 
     stamps = []

@@ -185,7 +185,7 @@ class PfgaModel:
         return sum(t.data.size for _, t in self.trainable_parameters())
 
 
-def trainable_parameter_count(cfg: ModelConfig, freeze_mode: str = "partial") -> int:
+def trainable_parameter_count(cfg: ModelConfig, freeze_mode: str) -> int:
     """Closed-form trainable size for a model built under the given mode."""
     if freeze_mode not in FREEZE_MODES:
         raise ConfigError(f"unknown freeze_mode {freeze_mode!r}")
@@ -242,7 +242,7 @@ def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarr
     scores = (q @ k_t) * (1.0 / np.sqrt(cfg.d_k))
     if bias is not None:
         scores = scores + Tensor(bias)
-    heads = softmax(scores, axis=-1) @ v  # (B, H, N, d_k)
+    heads = softmax(scores) @ v  # (B, H, N, d_k)
     return heads.transpose(0, 2, 1, 3).reshape(b, n, w) @ blk.w_o
 
 
@@ -281,7 +281,7 @@ def _embed_batch(model: PfgaModel, hist: np.ndarray, hours: np.ndarray, dows: np
     e_s = linear(flat, e.w_s, e.b_s).tanh()
     e_t = take_rows(e.w_d, hours) + take_rows(e.w_w, dows)
     e_t = e_t.reshape(b, 1, cfg.d_embed).broadcast_to((b, n, cfg.d_embed))
-    fused = linear(concat([e_p, e_s, e_t], axis=-1), e.theta_f_w, e.theta_f_b)
+    fused = linear(concat([e_p, e_s, e_t]), e.theta_f_w, e.theta_f_b)
     return fused + Tensor(_positional_rows(n, cfg.width))
 
 
@@ -387,7 +387,7 @@ def _set_trainable(tensor: Tensor, trainable: bool) -> None:
 def freeze_and_adapt(
     model: PfgaModel,
     rng: np.random.Generator,
-    freeze_mode: str = "partial",
+    freeze_mode: str,
     use_graph_mask: bool = True,
 ) -> PfgaModel:
     """Convert a full-precision stack into the requested fine-tuning regime.

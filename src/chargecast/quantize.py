@@ -2,9 +2,10 @@
 
 Frozen weight matrices are stored as 4-bit indices into a 16-level codebook
 whose levels are quantiles of a standard normal, rescaled so the extreme
-levels sit exactly at -1 and +1. Each block of 64 values shares one absmax
-scale; the absmax constants themselves are quantized to 8 bits per
-superblock of 256 blocks to shave the constant overhead.
+levels sit exactly at -1 and +1. Each block of ``BLOCK_SIZE`` = 64 values
+shares one absmax scale; the absmax constants themselves are quantized to 8
+bits per superblock of ``SUPERBLOCK`` = 256 blocks to shave the constant
+overhead.
 
 The codebook is written out as literals. They come from the normal-quantile
 construction (8 positive and 7 negative quantiles at probabilities evenly
@@ -46,6 +47,9 @@ NF4_CODEBOOK = np.array(
 )
 NF4_CODEBOOK.setflags(write=False)
 
+BLOCK_SIZE = 64
+SUPERBLOCK = 256
+
 
 @dataclass(frozen=True)
 class QuantizedTensor:
@@ -56,8 +60,6 @@ class QuantizedTensor:
     scale_min: np.ndarray  # float64, per superblock
     scale_step: np.ndarray  # float64, per superblock
     shape: tuple
-    block_size: int
-    superblock: int
 
     @property
     def n_blocks(self) -> int:
@@ -65,34 +67,30 @@ class QuantizedTensor:
 
     def block_scales(self) -> np.ndarray:
         """Dequantized absmax constant for each block."""
-        sb = np.arange(self.n_blocks) // self.superblock
+        sb = np.arange(self.n_blocks) // SUPERBLOCK
         return self.scale_min[sb] + self.scale_step[sb] * self.scale_codes
 
 
-def quantize(
-    values: np.ndarray, block_size: int = 64, superblock: int = 256
-) -> QuantizedTensor:
+def quantize(values: np.ndarray) -> QuantizedTensor:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot quantize an empty tensor")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    if block_size < 1 or superblock < 1:
-        raise ValueError("block_size and superblock must be positive")
 
     flat = values.reshape(-1)
-    absmax = np.maximum.reduceat(np.abs(flat), np.arange(0, flat.size, block_size))
+    absmax = np.maximum.reduceat(np.abs(flat), np.arange(0, flat.size, BLOCK_SIZE))
     n_blocks = absmax.size
-    scale = np.repeat(absmax, block_size)[: flat.size]
+    scale = np.repeat(absmax, BLOCK_SIZE)[: flat.size]
     normalized = np.divide(flat, scale, out=np.zeros_like(flat), where=scale != 0.0)
     dist = np.abs(normalized[:, None] - NF4_CODEBOOK[None, :])
     codes = dist.argmin(axis=1).astype(np.uint8)
 
-    starts = np.arange(0, n_blocks, superblock)
+    starts = np.arange(0, n_blocks, SUPERBLOCK)
     scale_min = np.minimum.reduceat(absmax, starts)
     scale_step = (np.maximum.reduceat(absmax, starts) - scale_min) / 255.0
-    lo = np.repeat(scale_min, superblock)[:n_blocks]
-    step = np.repeat(scale_step, superblock)[:n_blocks]
+    lo = np.repeat(scale_min, SUPERBLOCK)[:n_blocks]
+    step = np.repeat(scale_step, SUPERBLOCK)[:n_blocks]
     ratio = np.divide(absmax - lo, step, out=np.zeros(n_blocks), where=step != 0.0)
     scale_codes = np.clip(np.round(ratio), 0, 255).astype(np.uint8)
 
@@ -102,12 +100,10 @@ def quantize(
         scale_min=scale_min,
         scale_step=scale_step,
         shape=values.shape,
-        block_size=block_size,
-        superblock=superblock,
     )
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     size = qt.codes.size
-    flat = NF4_CODEBOOK[qt.codes] * np.repeat(qt.block_scales(), qt.block_size)[:size]
+    flat = NF4_CODEBOOK[qt.codes] * np.repeat(qt.block_scales(), BLOCK_SIZE)[:size]
     return flat.reshape(qt.shape)

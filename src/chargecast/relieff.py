@@ -1,11 +1,12 @@
 """ReliefF feature weighting and selection.
 
-Weights follow the classic neighbor-based update: each sampled instance
-pulls its feature weights down by the mean diff to its k nearest hits and
-up by the prior-weighted mean diff to the k nearest misses of every other
-class. Neighbor search runs on min-max-normalized features (squared
-Euclidean over the per-feature diff values), which also gives the
-documented scale invariance for continuous columns.
+Weights follow the classic neighbor-based update: each row, visited once
+in one seeded random order, pulls its feature weights down by the mean
+diff to its k nearest hits and up by the prior-weighted mean diff to the
+k nearest misses of every other class. Neighbor search runs on
+min-max-normalized features (squared Euclidean over the per-feature diff
+values), which also gives the documented scale invariance for continuous
+columns.
 
 Visits are processed in blocks of consecutive draws whose temporaries
 stay under about ``_BLOCK_BYTES``. Per block and class pool, one
@@ -49,7 +50,7 @@ class FeatureTable:
     values: np.ndarray
     kinds: tuple
     labels: np.ndarray
-    feature_names: tuple = None
+    feature_names: tuple
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -65,13 +66,9 @@ class FeatureTable:
         labels = np.asarray(self.labels)
         if labels.shape != (vals.shape[0],):
             raise ValueError("need one label per row")
-        names = self.feature_names
-        if names is None:
-            names = tuple(f"f{i}" for i in range(vals.shape[1]))
-        else:
-            names = tuple(str(n) for n in names)
-            if len(names) != vals.shape[1]:
-                raise ValueError("need one name per feature column")
+        names = tuple(str(n) for n in self.feature_names)
+        if len(names) != vals.shape[1]:
+            raise ValueError("need one name per feature column")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "labels", labels)
@@ -88,11 +85,10 @@ class FeatureTable:
 
 @dataclass(frozen=True)
 class FeatureWeights:
-    """Per-feature weights in [-1, 1] plus the sampling settings used."""
+    """Per-feature weights in [-1, 1], the k used, and the per-class clamps of k."""
 
     weights: np.ndarray
     k: int
-    m_samples: int
     clamped: dict
 
     def __post_init__(self):
@@ -137,24 +133,21 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return cols[(np.cumsum(kept) - kept)[:, None] + np.arange(k)]
 
 
-def relieff(table: FeatureTable, k: int = 70, m_samples: int | None = None, seed=0) -> FeatureWeights:
-    """Neighbor-based feature weighting over m_samples seeded draws.
+def relieff(table: FeatureTable, k: int, seed) -> FeatureWeights:
+    """Neighbor-based feature weighting that visits every row once.
 
-    Instances are visited in seeded random order without replacement,
-    cycling through fresh permutations when m_samples exceeds the row
-    count. k is clamped per class when a class is too small, and every
-    clamp is reported in the result (plus a warning). For each sampled
-    instance the hit updates are applied first, then miss updates per
-    other class in ascending class order, so results are bit-deterministic.
+    Rows are visited in one seeded random order. k is clamped per class
+    when a class is too small, and every clamp is reported in the result
+    (plus a warning). For each visited row the hit updates are applied
+    first, then miss updates per other class in ascending class order, so
+    results are bit-deterministic.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     classes, counts = np.unique(table.labels, return_counts=True)
     if classes.size < 2:
         raise ValueError("weighting needs at least two classes")
-    m = table.M if m_samples is None else int(m_samples)
-    if m < 1:
-        raise ValueError(f"m_samples must be >= 1, got {m}")
+    m = table.M
 
     n_cls = classes.size
     priors = counts / table.M
@@ -174,11 +167,7 @@ def relieff(table: FeatureTable, k: int = 70, m_samples: int | None = None, seed
     ranges = values.max(axis=0) - values.min(axis=0)
     is_discrete = np.array([kind == DISCRETE for kind in table.kinds])
 
-    rng = np.random.default_rng(seed)
-    order = []
-    while len(order) < m:
-        order.extend(rng.permutation(table.M).tolist())
-    order = np.array(order[:m])
+    order = np.random.default_rng(seed).permutation(m)
 
     label_idx = np.searchsorted(classes, table.labels)
     pools = [np.flatnonzero(label_idx == c) for c in range(n_cls)]
@@ -244,23 +233,18 @@ def relieff(table: FeatureTable, k: int = 70, m_samples: int | None = None, seed
         update = coef[cls, pos][:, None] * diffs / denom[cls, pos][:, None]
         # add.accumulate adds row after row, the same sums as one row at a time
         weights = np.add.accumulate(np.vstack([weights, update]), axis=0)[-1]
-    return FeatureWeights(weights=weights, k=k, m_samples=m, clamped=clamped)
+    return FeatureWeights(weights=weights, k=k, clamped=clamped)
 
 
-def select_features(weights: FeatureWeights, top_n: int):
-    """Indices of the top_n weights, descending, ties broken by lower index."""
-    w = weights.weights
-    if not 1 <= top_n <= w.size:
-        raise ValueError(f"top_n must be in [1, {w.size}], got {top_n}")
-    ranked = np.argsort(-w, kind="stable")
-    return [int(i) for i in ranked[:top_n]]
+def select_features(weights: FeatureWeights) -> list:
+    """Every feature index by descending weight, ties broken by lower index."""
+    return [int(i) for i in np.argsort(-weights.weights, kind="stable")]
 
 
 def write_weights_csv(path, feature_names, weights: FeatureWeights) -> None:
     """Export (feature_name, weight) rows, heaviest first."""
-    ranked = select_features(weights, len(feature_names))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "weight"])
-        for idx in ranked:
+        for idx in select_features(weights):
             writer.writerow([feature_names[idx], repr(float(weights.weights[idx]))])

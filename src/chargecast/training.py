@@ -41,15 +41,21 @@ class TrainConfig:
             raise ConfigError(f"freeze_mode must be one of {FREEZE_MODES}")
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# windows per forward pass in evaluate; the predictions do not depend on it
+_EVAL_CHUNK = 256
+
+
 class Adam:
     """Adaptive-moment estimation with bias correction."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
         self.t = 0
@@ -58,16 +64,15 @@ class Adam:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - ADAM_BETA1**self.t)
+            v_hat = self.v[i] / (1.0 - ADAM_BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
 class FitResult:
-    model: PfgaModel
     log: list  # (epoch, train_loss, valid_mae) tuples
     best_epoch: int
     best_valid_mae: float
@@ -129,7 +134,7 @@ def fit(
     by_name = dict(params)
     for name, data in best[2]:
         by_name[name].data = data
-    return FitResult(model=model, log=log, best_epoch=best[1], best_valid_mae=best[0])
+    return FitResult(log=log, best_epoch=best[1], best_valid_mae=best[0])
 
 
 def persistence_forecast(windows: Windows) -> np.ndarray:
@@ -153,19 +158,12 @@ class EvalReport:
         }
 
 
-def evaluate(
-    model: PfgaModel,
-    test: Windows,
-    graph: StationGraph,
-    chunk: int = 256,
-) -> EvalReport:
-    if chunk < 1:
-        raise ConfigError("chunk must be >= 1")
+def evaluate(model: PfgaModel, test: Windows, graph: StationGraph) -> EvalReport:
     if len(test) == 0:
         raise DataError("evaluate requires a non-empty test set")
     preds = []
-    for lo in range(0, len(test), chunk):
-        hist, _, hours, dows = test.take(slice(lo, lo + chunk))
+    for lo in range(0, len(test), _EVAL_CHUNK):
+        hist, _, hours, dows = test.take(slice(lo, lo + _EVAL_CHUNK))
         with no_grad():
             out = forward_batch(model, hist, hours, dows, graph.adjacency)
         preds.append(out.data)

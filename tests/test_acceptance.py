@@ -39,7 +39,7 @@ from chargecast.model import (
     save_checkpoint,
     trainable_parameter_count,
 )
-from chargecast.quantize import NF4_CODEBOOK, dequantize, quantize
+from chargecast.quantize import BLOCK_SIZE, NF4_CODEBOOK, SUPERBLOCK, dequantize, quantize
 from chargecast.relieff import CONTINUOUS, DISCRETE, FeatureTable, relieff
 from chargecast.synth import generate
 from chargecast.training import TrainConfig, evaluate, fit
@@ -509,13 +509,13 @@ def test_criterion_09_quantization_bounds():
         y = dequantize(qt)
         assert y.shape == x.shape
 
-        block = qt.block_size
+        block = BLOCK_SIZE
         n_blocks = -(-x.size // block)
         for b in range(n_blocks):
             lo, hi = b * block, min((b + 1) * block, x.size)
             err = float(np.max(np.abs(x[lo:hi] - y[lo:hi])))
             absmax = float(np.max(np.abs(x[lo:hi])))
-            scale_slack = float(qt.scale_step[b // qt.superblock])
+            scale_slack = float(qt.scale_step[b // SUPERBLOCK])
             bound = absmax * codebook_gap / 2 + scale_slack / 2
             assert err <= bound + 1e-12, (
                 f"block {b}: error {err:.3e} over bound {bound:.3e}"

@@ -141,10 +141,10 @@ def test_relu_away_from_kink():
     check(lambda x: (x.relu() * 3.0).sum(), a)
 
 
-def test_mean_and_axis_sum():
+def test_mean_and_sum_reduce_every_element():
     a = RNG.normal(size=(3, 4, 2))
-    check(lambda x: x.sum(axis=1).mean(), a)
-    check(lambda x: x.sum(axis=(0, 2), keepdims=True).mean(), a)
+    check(lambda x: (x * x).mean(), a)
+    check(lambda x: (x * x).sum(), a)
 
 
 def test_reshape_transpose_slice():
@@ -164,7 +164,7 @@ def test_broadcast_to():
 def test_concat_gradients_split_correctly():
     a = RNG.normal(size=(2, 3))
     b = RNG.normal(size=(2, 2))
-    check(lambda x, y: (concat([x, y], axis=1) * concat([x, y], axis=1)).sum(), a, b)
+    check(lambda x, y: (concat([x, y]) * concat([x, y])).sum(), a, b)
 
 
 def test_take_rows_accumulates_repeats():
@@ -189,12 +189,12 @@ def test_getitem_fancy_index_gradient():
 def test_softmax_gradient():
     a = RNG.normal(size=(3, 5))
     w = RNG.normal(size=(5,))
-    check(lambda x: (softmax(x, axis=-1) * w).sum(), a)
+    check(lambda x: (softmax(x) * w).sum(), a)
 
 
 def test_softmax_rows_sum_to_one():
     a = RNG.normal(size=(4, 7)) * 10
-    s = softmax(Tensor(a), axis=-1)
+    s = softmax(Tensor(a))
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, rtol=1e-12)
 
 
@@ -235,7 +235,7 @@ def test_attention_composition():
 
     def attn(qq, kk, vv):
         scores = (qq @ kk.transpose((1, 0))) * (1.0 / np.sqrt(3.0))
-        return (softmax(scores, axis=-1) @ vv).sum()
+        return (softmax(scores) @ vv).sum()
 
     check(attn, q, k, v)
 
@@ -243,9 +243,9 @@ def test_attention_composition():
 def test_no_grad_records_no_tape():
     x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-    taped = softmax(x @ w, axis=-1).sum()
+    taped = softmax(x @ w).sum()
     with no_grad():
-        out = softmax(x @ w, axis=-1).sum()
+        out = softmax(x @ w).sum()
     assert out._parents == ()
     assert out._backward is None
     assert not out.requires_grad
@@ -296,9 +296,9 @@ def layer_norm_reference(x, gamma, beta, eps):
     return centered / np.sqrt(var + eps) * gamma + beta
 
 
-def softmax_reference(x, axis):
-    e = np.exp(x + -x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax_reference(x):
+    e = np.exp(x + -x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 TRAINABLE_TRIPLES = [(True, False, False), (False, True, False), (False, False, True), (True, True, True)]
@@ -350,10 +350,9 @@ def test_layer_norm_gradient_with_frozen_operands(trainable):
     check_partly_trainable(build, [x, gamma, beta], trainable)
 
 
-@pytest.mark.parametrize("axis", [-1, 0])
-def test_softmax_forward_matches_composed_form(axis):
+def test_softmax_forward_matches_composed_form():
     x = RNG.normal(size=(2, 4, 7)) * 10.0
-    assert np.array_equal(softmax(Tensor(x), axis=axis).data, softmax_reference(x, axis))
+    assert np.array_equal(softmax(Tensor(x)).data, softmax_reference(x))
 
 
 @pytest.mark.parametrize("trainable", TRAINABLE_PAIRS)
@@ -362,7 +361,7 @@ def test_softmax_gradient_with_frozen_operands(trainable):
     x = RNG.normal(size=(2, 3, 4))
     w = RNG.normal(size=(4, 8))
     weights = RNG.normal(size=(2, 3, 8))
-    check_partly_trainable(lambda a, b: (softmax(a @ b, axis=-1) * weights).sum(), [x, w], trainable)
+    check_partly_trainable(lambda a, b: (softmax(a @ b) * weights).sum(), [x, w], trainable)
 
 
 def closure_nodes(out):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import chargecast.channels as channels_module
 from chargecast.bands import DecomposeConfig
 from chargecast.channels import ChannelConfig, assemble_channels, build_feature_table, channel_counts
 from chargecast.domain import CalendarFrame, SeriesTensor
@@ -30,6 +31,10 @@ def toy_inputs(t_len=96, n=2, seed=0, holidays=True):
         flag[24:48] = 1
     calendar = CalendarFrame(stamps, flag)
     return series, calendar
+
+
+def exog_channels(out):
+    return [name for name in out.channel_names if name.startswith("exog_")]
 
 
 def light_cfg(**kw):
@@ -82,7 +87,7 @@ class TestExogenousSelection:
             "noise_b": rng.normal(size=96),
         }
         out = assemble_channels(series, calendar, seed=3, cfg=light_cfg(top_n=1), exogenous=exog)
-        assert out.selected == ("temp",)
+        assert exog_channels(out) == ["exog_temp"]
         assert out.channel_names[-1] == "exog_temp"
         assert channel_counts(light_cfg(top_n=1), len(exog)) == (1, out.series.C)
         assert out.weights is not None
@@ -92,8 +97,7 @@ class TestExogenousSelection:
         rng = np.random.default_rng(10)
         exog = {"z": rng.normal(size=96)}
         out = assemble_channels(series, calendar, seed=3, cfg=light_cfg(top_n=3), exogenous=exog)
-        assert "holiday" not in out.selected
-        assert out.selected == ("z",)
+        assert exog_channels(out) == ["exog_z"]
         assert channel_counts(light_cfg(top_n=3), len(exog)) == (1, out.series.C)
 
     def test_one_dim_exogenous_broadcasts_to_all_stations(self):
@@ -118,11 +122,23 @@ class TestExogenousSelection:
         with pytest.raises(DataError, match="short"):
             assemble_channels(series, calendar, seed=3, cfg=light_cfg(top_n=1), exogenous=exog)
 
+    @pytest.mark.parametrize("shape", [(96, 5), (96, 1), (96, 2, 1)], ids=["five_columns", "one_column", "three_dims"])
+    def test_misshapen_exogenous_fails_before_decomposition(self, monkeypatch, shape):
+        """A column count other than one per station fails whether or not ReliefF would pick it."""
+        def refuse(jobs):
+            raise AssertionError("stations were decomposed")
+
+        monkeypatch.setattr(channels_module, "_decompose_stations", refuse)
+        series, calendar = toy_inputs()
+        exog = {"temp": np.zeros(96), "wide": np.zeros(shape)}
+        with pytest.raises(DataError, match="'wide' has shape"):
+            assemble_channels(series, calendar, seed=3, cfg=light_cfg(top_n=1), exogenous=exog)
+
     def test_no_exogenous_means_no_ranking(self):
         series, calendar = toy_inputs()
         out = assemble_channels(series, calendar, seed=3, cfg=light_cfg())
         assert out.weights is None
-        assert out.selected == ()
+        assert exog_channels(out) == []
 
 
 class TestFeatureTable:
@@ -203,13 +219,8 @@ def assert_same_channels(a, b):
         assert b.weights is None
     else:
         assert np.array_equal(a.weights.weights, b.weights.weights)
-        assert (a.weights.k, a.weights.m_samples, a.weights.clamped) == (
-            b.weights.k,
-            b.weights.m_samples,
-            b.weights.clamped,
-        )
+        assert (a.weights.k, a.weights.clamped) == (b.weights.k, b.weights.clamped)
     assert a.feature_names == b.feature_names
-    assert a.selected == b.selected
 
 
 def serial_and_pooled(monkeypatch, run):
@@ -242,7 +253,7 @@ class TestStationWorkers:
         run = lambda: assemble_channels(series, calendar, seed=6, cfg=light_cfg(top_n=2), exogenous=exog)  # noqa: E731
         serial, pooled, started = serial_and_pooled(monkeypatch, run)
         assert started == ["fork"]
-        assert serial.weights is not None and serial.selected
+        assert serial.weights is not None and exog_channels(serial)
         assert_same_channels(serial, pooled)
 
     def test_station_error_in_a_worker_keeps_type_and_message(self, monkeypatch):

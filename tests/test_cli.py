@@ -229,6 +229,19 @@ class TestDecomposeDump:
             assert len(rows) == 30 * 24
 
 
+def test_decompose_passes_an_encoding_to_every_file_it_opens(data_copy):
+    """With the default-encoding warning an error, a text file opened without an
+    encoding fails the run; the feature weights are written on this config."""
+    out_dir, common = data_copy
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "chargecast", "decompose", *common],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out_dir / "feature_weights.csv").exists()
+
+
 def csv_matrix(path):
     """The numeric columns of a CSV as a float array; repr-written floats round-trip."""
     _, rows = read_csv(path)
@@ -508,6 +521,22 @@ class TestExitCodes:
         proc = run("decompose", "--out-dir", str(tmp_path), check=False)
         assert proc.returncode == 3
         assert "data error:" in proc.stderr and "'a' repeats" in proc.stderr
+
+    @pytest.mark.parametrize("station", ["/../../escaped", "a\\b", ""], ids=["escaping_path", "backslash", "empty"])
+    def test_station_id_that_is_not_a_file_name_part_exits_3(self, tmp_path, capsys, station):
+        out_dir = tmp_path / "inside" / "out"
+        out_dir.mkdir(parents=True)
+        (tmp_path / "light.ini").write_text("[fig]\nwindows = 24\n[vmd]\nk = 2\n[iceemdan]\nensemble_n = 2\n")
+        stamps = np.datetime64("2024-01-01T00") + np.arange(48).astype("timedelta64[h]")
+        with open(out_dir / "series.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", station, "b"])
+            for i, ts in enumerate(stamps):
+                writer.writerow([str(ts), repr(3.0 + float(np.sin(i / 4.0))), repr(2.0 + i % 3)])
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["decompose", "--config", str(tmp_path / "light.ini"), "--out-dir", str(out_dir)]) == 3
+        assert f"station id {station!r} is empty or holds" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "command, section, line",

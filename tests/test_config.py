@@ -146,6 +146,7 @@ class TestRejection:
             ("synth", "stations", "1", r"\[synth\] stations must be >= 2"),
             ("synth", "density", "2", r"\[synth\] density must lie in \[0, 1\]"),
             ("io", "exogenous", "a/temp.csv, b/temp.csv", r"\[io\] exogenous = .*file stem 'temp' repeats"),
+            ("io", "exogenous", "temp.csv, data/holiday.csv", r"\[io\] exogenous = .*file stem 'holiday' is reserved"),
         ],
     )
     def test_out_of_range_values_fail_at_load(self, section, key, value, message):

@@ -71,7 +71,7 @@ def test_regular_signal_scores_lower_than_noise():
     noisy = np.random.default_rng(0).normal(size=200)
     r_reg = 0.15 * float(np.std(regular))
     r_noi = 0.15 * float(np.std(noisy))
-    assert sample_entropy(regular, r=r_reg) < sample_entropy(noisy, r=r_noi)
+    assert sample_entropy(regular, m=2, r=r_reg) < sample_entropy(noisy, m=2, r=r_noi)
 
 
 def test_coarse_grain_averages_blocks():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import child_env
 
+import chargecast.quantize as quantize_module
 from chargecast.quantize import NF4_CODEBOOK, dequantize, quantize
 
 EXPECTED_CODEBOOK = np.array(
@@ -54,7 +55,7 @@ def test_roundtrip_error_bound_per_block():
     """|x - dq(q(x))| <= absmax * gap/2 + scale_step/2 for every element."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=4096)
-    qt = quantize(x, block_size=64, superblock=256)
+    qt = quantize(x)
     back = dequantize(qt)
     err = np.abs(back - x)
     for b in range(qt.n_blocks):
@@ -87,10 +88,10 @@ def test_codebook_valued_blocks_roundtrip_bitwise():
     levels = rng.integers(0, 16, size=1024)
     x = NF4_CODEBOOK[levels] * 3.0
     x[::64] = 3.0  # pin every block's absmax so all scale codes agree
-    qt = quantize(x, block_size=64, superblock=256)
+    qt = quantize(x)
     back = dequantize(qt)
     np.testing.assert_array_equal(back, x)
-    again = dequantize(quantize(back, block_size=64, superblock=256))
+    again = dequantize(quantize(back))
     np.testing.assert_array_equal(again, back)
 
 
@@ -147,8 +148,6 @@ def test_rejects_bad_input():
         quantize(np.array([]))
     with pytest.raises(ValueError):
         quantize(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        quantize(np.ones(8), block_size=0)
 
 
 def test_quantize_deterministic():
@@ -202,10 +201,16 @@ def _ragged_cases():
     }
 
 
+def quantize_in_blocks(monkeypatch, x, block_size, superblock):
+    monkeypatch.setattr(quantize_module, "BLOCK_SIZE", block_size)
+    monkeypatch.setattr(quantize_module, "SUPERBLOCK", superblock)
+    return quantize(x)
+
+
 @pytest.mark.parametrize("case", sorted(_ragged_cases()))
-def test_array_form_is_bit_identical_to_loop_form(case):
+def test_array_form_is_bit_identical_to_loop_form(monkeypatch, case):
     x, block_size, superblock = _ragged_cases()[case]
-    qt = quantize(x, block_size=block_size, superblock=superblock)
+    qt = quantize_in_blocks(monkeypatch, x, block_size, superblock)
     codes, scale_codes, scale_min, scale_step, back = loop_quantize(x, block_size, superblock)
     np.testing.assert_array_equal(qt.codes, codes)
     np.testing.assert_array_equal(qt.scale_codes, scale_codes)
@@ -214,9 +219,9 @@ def test_array_form_is_bit_identical_to_loop_form(case):
     np.testing.assert_array_equal(dequantize(qt), back)
 
 
-def test_constant_superblock_has_zero_step():
+def test_constant_superblock_has_zero_step(monkeypatch):
     x, block_size, superblock = _ragged_cases()["constant superblock"]
-    qt = quantize(x, block_size=block_size, superblock=superblock)
+    qt = quantize_in_blocks(monkeypatch, x, block_size, superblock)
     assert np.all(qt.scale_step == 0.0) and np.all(qt.scale_codes == 0)
 
 

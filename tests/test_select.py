@@ -25,7 +25,7 @@ from chargecast.relieff import (
 relieff_module = importlib.import_module("chargecast.relieff")
 
 
-def oracle_relieff(values, kinds, labels, k, m_samples, seed):
+def oracle_relieff(values, kinds, labels, k, seed):
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     m_rows, n_feat = values.shape
@@ -54,10 +54,7 @@ def oracle_relieff(values, kinds, labels, k, m_samples, seed):
         rng = np.random.default_rng(seed)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-    visits = []
-    while len(visits) < m_samples:
-        visits.extend(rng.permutation(m_rows).tolist())
-    visits = visits[:m_samples]
+    visits = rng.permutation(m_rows).tolist()
 
     w = np.zeros(n_feat)
     for r in visits:
@@ -70,7 +67,7 @@ def oracle_relieff(values, kinds, labels, k, m_samples, seed):
         kk = min(k, count[c_r] - 1)
         for h in same_sorted[:kk]:
             for f in range(n_feat):
-                w[f] -= feat_diff(f, r, h) / (m_samples * kk)
+                w[f] -= feat_diff(f, r, h) / (m_rows * kk)
 
         for c in classes:
             if c == c_r:
@@ -81,7 +78,7 @@ def oracle_relieff(values, kinds, labels, k, m_samples, seed):
             factor = prior[c] / (1.0 - prior[c_r])
             for miss in other_sorted[:kk]:
                 for f in range(n_feat):
-                    w[f] += factor * feat_diff(f, r, miss) / (m_samples * kk)
+                    w[f] += factor * feat_diff(f, r, miss) / (m_rows * kk)
     return w
 
 
@@ -120,19 +117,19 @@ def test_matches_oracle_exactly_on_random_tables():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = relieff(table, k=k, seed=seed).weights
-        want = oracle_relieff(table.values, table.kinds, table.labels, k, table.M, seed)
+        want = oracle_relieff(table.values, table.kinds, table.labels, k, seed)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
-def test_matches_oracle_with_three_classes_and_subsampling():
+def test_matches_oracle_with_three_classes():
     rng = np.random.default_rng(55)
     table = random_table(rng, 30, 4, n_classes=3)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = relieff(table, k=3, m_samples=17, seed=42).weights
-    want = oracle_relieff(table.values, table.kinds, table.labels, 3, 17, 42)
+        got = relieff(table, k=3, seed=42).weights
+    want = oracle_relieff(table.values, table.kinds, table.labels, 3, 42)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -155,7 +152,7 @@ def test_informative_feature_ranks_first():
     for seed in range(20):
         table = informative_table(seed)
         weights = relieff(table, k=5, seed=seed)
-        if select_features(weights, 1)[0] == 0:
+        if select_features(weights)[0] == 0:
             wins += 1
     assert wins >= 19
 
@@ -219,7 +216,7 @@ def test_needs_two_classes():
 
 def test_select_features_orders_by_weight_then_index():
     w = relieff(informative_table(0), k=5, seed=0)
-    top = select_features(w, 4)
+    top = select_features(w)
     vals = w.weights[top]
     assert all(vals[i] >= vals[i + 1] for i in range(3))
 
@@ -235,7 +232,7 @@ def test_weights_csv_is_ranked(tmp_path):
     assert weights == sorted(weights, reverse=True)
 
 
-def loop_form_relieff(table, k, m_samples, seed):
+def loop_form_relieff(table, k, seed):
     """relieff's former loop: per visit, a full diff matrix, a stable
     argsort of every class pool, and one -= / += per neighbor row.
 
@@ -249,11 +246,8 @@ def loop_form_relieff(table, k, m_samples, seed):
     discrete = np.array([kind == DISCRETE for kind in table.kinds])
     scaled = ~discrete & (ranges > 0.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    visits = []
-    while len(visits) < m_samples:
-        visits.extend(rng.permutation(table.M).tolist())
     w = np.zeros(table.F)
-    for r in visits[:m_samples]:
+    for r in rng.permutation(table.M):
         diffs = np.zeros_like(vals)
         diffs[:, scaled] = np.abs(vals[r, scaled] - vals[:, scaled]) / ranges[scaled]
         diffs[:, discrete] = (vals[r, discrete] != vals[:, discrete]).astype(float)
@@ -270,14 +264,14 @@ def loop_form_relieff(table, k, m_samples, seed):
         hits = hits[hits != r]
         kk = min(k, int(counts[own]) - 1)
         for h in hits[:kk]:
-            w -= diffs[h] / (m_samples * kk)
+            w -= diffs[h] / (table.M * kk)
         for ci in range(classes.size):
             if ci == own:
                 continue
             kk = min(k, int(counts[ci]))
             scale = prior[ci] / (1.0 - prior[own])
             for miss in nearest(ci)[:kk]:
-                w += scale * diffs[miss] / (m_samples * kk)
+                w += scale * diffs[miss] / (table.M * kk)
     return w
 
 
@@ -292,12 +286,11 @@ def test_batched_updates_are_bitwise_the_loop_form():
         rng.uniform(-5.0, 5.0, size=m_rows),
     ])
     kinds = (CONTINUOUS, DISCRETE, CONTINUOUS, CONTINUOUS)
-    table = FeatureTable(values, kinds, labels)
-    m_samples = 2 * m_rows + 7  # three permutations, the last one cut short
+    table = FeatureTable(values, kinds, labels, ("a", "b", "c", "d"))
     with pytest.warns(UserWarning, match="clamped"):
-        got = relieff(table, k=5, m_samples=m_samples, seed=31)
+        got = relieff(table, k=5, seed=31)
     assert 2 in got.clamped  # class 2 cannot supply 5 hits or misses
-    want = loop_form_relieff(table, 5, m_samples, 31)
+    want = loop_form_relieff(table, 5, 31)
     assert np.array_equal(got.weights, want)
 
 
@@ -308,19 +301,20 @@ def loop_form_tables():
     # duplicates, which may sort before it in its own class pool
     base = np.column_stack([rng.normal(size=6), rng.integers(0, 2, size=6).astype(float)])
     pick = rng.integers(0, 6, size=30)
-    duplicated = FeatureTable(base[pick], (CONTINUOUS, DISCRETE), (pick + rng.integers(0, 2, size=30)) % 2)
+    duplicated = FeatureTable(base[pick], (CONTINUOUS, DISCRETE), (pick + rng.integers(0, 2, size=30)) % 2, ("a", "b"))
 
     # 0/1 columns: most distances tie, and tied rows differ in their diffs
     discrete = FeatureTable(
         rng.integers(0, 2, size=(40, 3)).astype(float),
         (DISCRETE,) * 3,
         np.arange(40) % 3,
+        ("a", "b", "c"),
     )
 
     # with k = 3, a class of one row has no hits at all and one of three
     # rows only two
     clamped = FeatureTable(
-        rng.normal(size=(20, 2)), (CONTINUOUS,) * 2, np.array([0] * 16 + [1] * 3 + [2])
+        rng.normal(size=(20, 2)), (CONTINUOUS,) * 2, np.array([0] * 16 + [1] * 3 + [2]), ("a", "b")
     )
     return [
         ("duplicated_rows", duplicated, 4),
@@ -338,12 +332,11 @@ LOOP_FORM_TABLES = loop_form_tables()
 )
 def test_blocked_updates_are_bitwise_the_loop_form(monkeypatch, name, table, k, block_bytes):
     monkeypatch.setattr(relieff_module, "_BLOCK_BYTES", block_bytes)
-    m_samples = 2 * table.M + 7
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = relieff(table, k=k, m_samples=m_samples, seed=31)
+        got = relieff(table, k=k, seed=31)
     small = [c for c in np.unique(table.labels) if np.sum(table.labels == c) < k + 1]
     assert sorted(got.clamped) == small
     assert bool(caught) == bool(small)
-    want = loop_form_relieff(table, k, m_samples, 31)
+    want = loop_form_relieff(table, k, 31)
     assert np.array_equal(got.weights, want)

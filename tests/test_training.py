@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chargecast.training as training_module
 from chargecast.autodiff import Tensor, no_grad
 from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, Windows, make_windows
 from chargecast.errors import ConfigError, DataError, NumericError
@@ -280,36 +281,41 @@ class TestEvaluate:
         d = report.as_json_dict()
         assert set(d) == {"aggregate", "per_step", "persistence_baseline"}
 
-    def test_chunking_does_not_change_results(self):
+    @staticmethod
+    def evaluate_in_chunks(monkeypatch, chunk, *args):
+        monkeypatch.setattr(training_module, "_EVAL_CHUNK", chunk)
+        return evaluate(*args)
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(64)
         samples = toy_samples(rng, 9)
         model = build_model(CFG, np.random.default_rng(65))
-        small = evaluate(model, samples, toy_graph(), chunk=2)
-        big = evaluate(model, samples, toy_graph(), chunk=500)
+        small = self.evaluate_in_chunks(monkeypatch, 2, model, samples, toy_graph())
+        big = self.evaluate_in_chunks(monkeypatch, 500, model, samples, toy_graph())
         assert np.array_equal(small.predictions, big.predictions)
         assert small.aggregate == big.aggregate
 
     @pytest.mark.parametrize("freeze_mode", ["none", "partial"])
-    def test_one_station_chunking_does_not_change_results(self, freeze_mode):
+    def test_one_station_chunking_does_not_change_results(self, monkeypatch, freeze_mode):
         """One row per window: chunk 1 must not take a one-row product the others do not."""
         cfg = ModelConfig(c_in=2)
         samples = random_windows(np.random.default_rng(71), cfg, 37, 1)
         model = acting_model(cfg, 72, freeze_mode)
         graph = StationGraph(["s0"], np.ones((1, 1)))
-        reports = [evaluate(model, samples, graph, chunk=c) for c in (1, 2, len(samples))]
+        reports = [self.evaluate_in_chunks(monkeypatch, c, model, samples, graph) for c in (1, 2, len(samples))]
         for report in reports[1:]:
             assert np.array_equal(report.predictions, reports[0].predictions)
             assert report.aggregate == reports[0].aggregate
 
     @pytest.mark.parametrize("horizon", [3, 8, 12])
-    def test_ragged_last_chunk_does_not_change_results(self, horizon):
+    def test_ragged_last_chunk_does_not_change_results(self, monkeypatch, horizon):
         """600 windows one at a time (as forecast runs) and in chunks that do not divide
         it, with head widths 3, 8 and 12."""
         cfg = ModelConfig(c_in=3, horizon=horizon)
         samples = random_windows(np.random.default_rng(73), cfg, 600, 8)
         model = acting_model(cfg, 74, "partial")
         graph = StationGraph([f"s{k}" for k in range(8)], np.ones((8, 8)))
-        reports = [evaluate(model, samples, graph, chunk=c) for c in (1, 7, 256, len(samples))]
+        reports = [self.evaluate_in_chunks(monkeypatch, c, model, samples, graph) for c in (1, 7, 256, len(samples))]
         for report in reports[1:]:
             assert np.array_equal(report.predictions, reports[0].predictions)
 
@@ -317,13 +323,6 @@ class TestEvaluate:
         model = build_model(CFG, np.random.default_rng(66))
         with pytest.raises(DataError, match="non-empty"):
             evaluate(model, [], toy_graph())
-
-    @pytest.mark.parametrize("chunk", [0, -3])
-    def test_bad_chunk_rejected(self, chunk):
-        samples = toy_samples(np.random.default_rng(67), 3)
-        model = build_model(CFG, np.random.default_rng(68))
-        with pytest.raises(ConfigError, match="chunk must be >= 1"):
-            evaluate(model, samples, toy_graph(), chunk=chunk)
 
     def test_memory_stays_bounded_without_a_tape(self):
         """Inference keeps no tape, so a chunk's intermediates die with it."""
