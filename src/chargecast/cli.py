@@ -5,7 +5,9 @@ decompose, train, evaluate and forecast take their channels from one call
 to ``channels.assemble_channels`` on the loaded series and exogenous
 inputs; decompose writes views of that result (denoised series, bands,
 components, granules, feature weights), so what it shows is what the
-model sees.
+model sees. The first of them to run on an input stores that result in
+``channels.npz`` under ``[io] out_dir``, and the later ones load it instead
+of decomposing again (see ``_assemble``).
 
 Every command resolves its configuration from flag > file > default, echoes
 the resolved values with a hash, and is deterministic given the same inputs
@@ -21,25 +23,30 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import json
 import os
 import sys
+import warnings
+import zipfile
 
 import numpy as np
 
 from . import io as cio
 from . import seeds, synth
 from .autodiff import no_grad
-from .channels import assemble_channels, channel_counts
+from .channels import AssembledChannels, assemble_channels, channel_counts
 from .config import PipelineConfig, load_config
 from .domain import CalendarFrame, SeriesTensor, StationGraph, make_windows, split_dataset
 from .errors import ConfigError, DataError, NumericError
 from .model import build_model, forward_batch, freeze_and_adapt, load_checkpoint, save_checkpoint
-from .relieff import write_weights_csv
+from .relieff import FeatureWeights, write_weights_csv
 from .training import evaluate, fit
 
 __all__ = ["main"]
 
 _PRETRAIN_STATION_OFFSETS = (-2, 0, 2)
+_CHANNELS = "channels.npz"
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -156,25 +163,158 @@ def _load_matching_checkpoint(cfg: PipelineConfig, key: str):
     return model
 
 
+def _source_digest() -> bytes:
+    """sha256 of every module of this package, so edited code never reuses stored channels."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{name} {len(data)}\n".encode() + data)
+    return digest.digest()
+
+
+def _channels_key(cfg: PipelineConfig, series: SeriesTensor, calendar: CalendarFrame, exogenous: dict) -> str:
+    """sha256 of everything the assemble_channels call depends on.
+
+    That is its arguments, the numpy version and this package's code. The
+    front end uses no BLAS and its result does not depend on the worker
+    count, so nothing else belongs here.
+    """
+    digest = hashlib.sha256()
+    arrays = [("series", series.values), ("timestamps", calendar.timestamps), ("holidays", calendar.holiday_flag)]
+    arrays += [(f"exogenous {name!r}", np.asarray(exogenous[name])) for name in sorted(exogenous)]
+    for label, arr in arrays:
+        digest.update(f"{label} {arr.dtype.str} {arr.shape}\n".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(f"seed {cfg.seed()}\n{cfg.channel_config()!r}\nnumpy {np.__version__}\n".encode())
+    digest.update(_source_digest())
+    return digest.hexdigest()
+
+
+def _save_channels(path: str, key: str, assembled: AssembledChannels, caught: list) -> None:
+    """Write assembled and the warnings its call raised to path, under key.
+
+    The file is written next to path and moved into place, so a stage that
+    is killed, or runs at the same time, never leaves a partial file.
+    """
+    weights = assembled.weights
+    meta = {
+        "key": key,
+        "channel_names": list(assembled.channel_names),
+        "component_ids": [[cid for cid, _ in comps] for comps in assembled.components],
+        "feature_names": list(assembled.feature_names),
+        "relieff": None if weights is None else {
+            "k": weights.k,
+            "clamped": [[int(c), n["hits"], n["misses"]] for c, n in weights.clamped.items()],
+        },
+        "warnings": [[c.__module__, c.__name__, text, filename, lineno] for c, text, filename, lineno in caught],
+    }
+    arrays = {"stack": assembled.series.values, "meta_json": np.frombuffer(json.dumps(meta).encode(), np.uint8)}
+    for i, comps in enumerate(assembled.components):
+        arrays[f"components{i}"] = np.stack([values for _, values in comps])
+    if weights is not None:
+        arrays["weights"] = weights.weights
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:  # a file object: np.savez appends .npz to a bare name
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
+
+
+def _warning_category(module: str, name: str) -> type:
+    """The warning class name of module, a module this process has imported."""
+    category = getattr(sys.modules[module], name)
+    if not (isinstance(category, type) and issubclass(category, Warning)):
+        raise TypeError(f"{module}.{name} is not a warning category")
+    return category
+
+
+def _load_channels(path: str, key: str, series: SeriesTensor):
+    """(assembled, warnings) that _save_channels wrote to path under key and that fit series, else None."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            return None
+        with data:
+            meta = json.loads(bytes(data["meta_json"]).decode())
+            if meta["key"] != key:
+                return None
+            names, ids, features = tuple(meta["channel_names"]), meta["component_ids"], tuple(meta["feature_names"])
+            stack = data["stack"]
+            comps = [data[f"components{i}"] for i in range(len(ids))]
+            weights = data["weights"] if meta["relieff"] is not None else None
+        if stack.shape != (series.T, series.N, len(names)) or len(ids) != series.N:
+            return None
+        if any(c.shape != (len(i), series.T) for c, i in zip(comps, ids)):
+            return None
+        if weights is not None:
+            if weights.shape != (len(features),):
+                return None
+            clamped = {c: {"hits": hits, "misses": misses} for c, hits, misses in meta["relieff"]["clamped"]}
+            weights = FeatureWeights(weights=weights, k=meta["relieff"]["k"], clamped=clamped)
+        assembled = AssembledChannels(
+            series=SeriesTensor(stack),
+            channel_names=names,
+            components=tuple(tuple(zip(i, c)) for i, c in zip(ids, comps)),
+            weights=weights,
+            feature_names=features,
+        )
+        caught = [(_warning_category(m, c), text, f, int(n)) for m, c, text, f, n in meta["warnings"]]
+    except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError, TypeError, AttributeError):
+        return None  # unreadable or malformed: a miss, which only recomputes
+    return assembled, caught
+
+
+def _assemble(cfg: PipelineConfig, series: SeriesTensor, calendar: CalendarFrame, exogenous: dict):
+    """assemble_channels on these inputs, memoized in channels.npz under [io] out_dir.
+
+    A file written for the same inputs, settings, numpy and package code is
+    read instead of decomposing again; anything else is recomputed and
+    written. Either way the warnings of the call are shown, so a stored
+    non-convergence stays as visible as a fresh one.
+    """
+    key = _channels_key(cfg, series, calendar, exogenous)
+    path = _path(cfg, _CHANNELS)
+    stored = _load_channels(path, key, series)
+    if stored is not None:
+        print(f"read {path}")
+        assembled, caught = stored
+    else:
+        with warnings.catch_warnings(record=True) as recorded:
+            warnings.simplefilter("always")
+            assembled = assemble_channels(
+                series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
+            )
+        caught = [(w.category, str(w.message), w.filename, w.lineno) for w in recorded]
+        _write(cfg, _CHANNELS, _save_channels, key, assembled, caught)
+    for category, text, filename, lineno in caught:
+        warnings.warn_explicit(text, category, filename, lineno)
+    return assembled
+
+
 def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool = False):
     """Load the inputs and assemble the model's channels from them.
 
-    With split the series is checked for splits that hold a window each, and
-    with a checkpoint key ("backbone" or "checkpoint" under [io]) the station
-    graph and that checkpoint are loaded (graph and model are None without
-    one). All of it happens before the front end runs, so a short series, a
-    bad input file or a checkpoint made for another configuration fails fast.
+    With split the series is checked for splits that hold a window each;
+    with a checkpoint key ("backbone" or "checkpoint" under [io]) but no
+    split, for one lookback. With a checkpoint key the station graph and
+    that checkpoint are loaded (graph and model are None without one). All
+    of it happens before the front end runs, so a short series, a bad input
+    file or a checkpoint made for another configuration fails fast.
     """
     series, calendar, node_ids = _load_series(cfg)
     if split:
         _windows(cfg, series, calendar)
+    elif checkpoint and series.T < cfg.get("model", "lookback"):
+        raise DataError(f"series has {series.T} steps; need at least lookback={cfg.get('model', 'lookback')}")
     graph = cio.load_adjacency_csv(_path(cfg, cfg.get("io", "adjacency")), node_ids) if checkpoint else None
     exogenous = _load_exogenous(cfg, calendar, node_ids)
     model = _load_matching_checkpoint(cfg, checkpoint) if checkpoint else None
-    assembled = assemble_channels(
-        series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
-    )
-    return assembled, calendar, node_ids, graph, model
+    return _assemble(cfg, series, calendar, exogenous), calendar, node_ids, graph, model
 
 
 # -- commands ------------------------------------------------------------------
@@ -274,10 +414,7 @@ def _cmd_forecast(cfg: PipelineConfig) -> int:
     assembled, calendar, node_ids, graph, model = _front_end(cfg, "checkpoint")
     p = cfg.get("model", "lookback")
     s = cfg.get("model", "horizon")
-    if assembled.series.T < p:
-        raise DataError(f"series has {assembled.series.T} steps; need at least lookback={p}")
-    vals = assembled.series.values
-    hist = vals[-p:][None]
+    hist = assembled.series.values[-p:][None]
     hours = np.array([calendar.hour_of_day[-1]])
     dows = np.array([calendar.day_of_week[-1]])
     with no_grad():

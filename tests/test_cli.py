@@ -372,6 +372,167 @@ def test_readme_commands_table_lists_every_subcommand():
         assert accepted == flags
 
 
+def spy_on_assembly(monkeypatch) -> list:
+    """Patch cli's assemble_channels with a pass-through that records each call's arguments."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return channels.assemble_channels(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_channels", spy)
+    return calls
+
+
+def edit_csv_cell(path, row, column, delta):
+    header, rows = read_csv(path)
+    rows[row][column] = repr(float(rows[row][column]) + delta)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def toggle_first_holiday(out_dir):
+    """Flip the holiday flag of the series' first day."""
+    _, rows = read_csv(out_dir / "series.csv")
+    day = rows[0][0][:10]
+    days = (out_dir / "holidays.txt").read_text().split()
+    days = [d for d in days if d != day] if day in days else [*days, day]
+    (out_dir / "holidays.txt").write_text("".join(f"{d}\n" for d in days))
+
+
+class TestChannelsMemo:
+    """channels.npz under [io] out_dir: the front end runs once per input, and a hit is what it replaces."""
+
+    EDITS = ("series_value", "holiday_flag", "exogenous_value", "seed", "vmd_alpha", "source_digest")
+
+    @pytest.fixture
+    def memo(self, workspace, data_copy):
+        """data_copy plus the channels.npz that the workspace's train wrote for the same inputs."""
+        ws, _ = workspace
+        out_dir, _ = data_copy
+        (out_dir / "channels.npz").write_bytes((ws / "channels.npz").read_bytes())
+        return data_copy
+
+    @staticmethod
+    def config(out_dir, ini=LIGHT_INI, seed=11):
+        (out_dir / "memo.ini").write_text(ini)
+        return load_config(str(out_dir / "memo.ini"), {("seeds", "root"): str(seed), ("io", "out_dir"): str(out_dir)})
+
+    def edited_config(self, out_dir, monkeypatch, edit):
+        """Apply edit to the inputs, the settings or the code; the config to run with after it."""
+        ini, seed = LIGHT_INI, 11
+        if edit == "series_value":
+            edit_csv_cell(out_dir / "series.csv", 100, 2, 0.5)
+        elif edit == "holiday_flag":
+            toggle_first_holiday(out_dir)
+        elif edit == "exogenous_value":
+            edit_csv_cell(out_dir / "temperature.csv", 100, 1, 0.5)
+        elif edit == "seed":
+            seed = 12
+        elif edit == "vmd_alpha":
+            ini = LIGHT_INI.replace("alpha = 200.0", "alpha = 250.0")
+        else:
+            monkeypatch.setattr(cli, "_source_digest", lambda: b"edited code")
+        return self.config(out_dir, ini, seed)
+
+    @pytest.mark.parametrize("ini", [LIGHT_INI, LIGHT_INI.replace("k = 10", "k = 200")], ids=["light", "clamped"])
+    def test_hit_equals_a_fresh_assembly(self, data_copy, monkeypatch, capsys, ini):
+        out_dir, _ = data_copy
+        calls = spy_on_assembly(monkeypatch)
+        cfg = self.config(out_dir, ini)
+        fresh = cli._front_end(cfg)[0]
+        hit = cli._front_end(cfg)[0]
+        assert len(calls) == 1
+        assert f"read {out_dir / 'channels.npz'}" in capsys.readouterr().out
+        assert np.array_equal(hit.series.values, fresh.series.values)
+        assert hit.channel_names == fresh.channel_names
+        assert len(hit.components) == len(fresh.components)
+        for got, want in zip(hit.components, fresh.components):
+            assert [cid for cid, _ in got] == [cid for cid, _ in want]
+            assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want, strict=True))
+        assert np.array_equal(hit.weights.weights, fresh.weights.weights)
+        assert hit.weights.k == fresh.weights.k
+        assert hit.weights.clamped == fresh.weights.clamped
+        assert bool(hit.weights.clamped) == (ini != LIGHT_INI)
+        assert hit.feature_names == fresh.feature_names
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_a_changed_input_setting_or_code_is_a_miss_that_rewrites_the_file(self, memo, monkeypatch, capsys, edit):
+        out_dir, _ = memo
+        path = out_dir / "channels.npz"
+        before = path.read_bytes()
+        calls = spy_on_assembly(monkeypatch)
+        cli._front_end(self.config(out_dir))
+        assert calls == []
+        cfg = self.edited_config(out_dir, monkeypatch, edit)
+        cli._front_end(cfg)
+        assert len(calls) == 1
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert path.read_bytes() != before
+        cli._front_end(cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare_array", "misshapen"])
+    def test_damaged_file_is_a_miss(self, memo, monkeypatch, damage):
+        out_dir, common = memo
+        path = out_dir / "channels.npz"
+        if damage == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "garbage":
+            path.write_bytes(b"PK\x03\x04 not a zip archive")
+        elif damage == "bare_array":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:  # the right key, one channel short
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files}
+            arrays["stack"] = arrays["stack"][:, :, :-1]
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+        calls = spy_on_assembly(monkeypatch)
+        assert cli.main(["forecast", *common]) == 0
+        assert len(calls) == 1
+        assert cli.main(["forecast", *common]) == 0
+        assert len(calls) == 1
+
+    def test_later_stages_do_not_assemble_again(self, memo, monkeypatch):
+        _, common = memo
+        calls = spy_on_assembly(monkeypatch)
+        for command in ("decompose", "train", "evaluate", "forecast"):
+            assert cli.main([command, *common]) == 0, command
+        assert calls == []
+
+    def test_a_hit_shows_the_warnings_of_the_miss(self, data_copy):
+        out_dir, common = data_copy
+        miss = run("forecast", *common)
+        hit = run("forecast", *common)
+        assert f"wrote {out_dir / 'channels.npz'}" in miss.stdout
+        assert f"read {out_dir / 'channels.npz'}" in hit.stdout
+
+        def vmd_lines(proc):
+            return [line for line in proc.stderr.splitlines() if "vmd did not converge" in line]
+
+        assert vmd_lines(miss)
+        assert vmd_lines(hit) == vmd_lines(miss)
+
+    def test_no_temporary_file_is_left_behind(self, data_copy, monkeypatch):
+        out_dir, _ = data_copy
+        before = {p.name for p in out_dir.iterdir()}
+        cfg = self.config(out_dir)
+        cli._front_end(cfg)
+        assert {p.name for p in out_dir.iterdir()} == before | {"memo.ini", "channels.npz"}
+        (out_dir / "channels.npz").unlink()
+
+        def savez(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            cli._front_end(cfg)
+        assert {p.name for p in out_dir.iterdir()} == before | {"memo.ini"}
+
+
 class TestDeterminism:
     def test_evaluate_rerun_is_byte_identical(self, workspace):
         ws, common = workspace
@@ -607,6 +768,18 @@ class TestExitCodes:
             proc = run("synth", flag, value, "--out-dir", str(tmp_path), check=False)
             assert proc.returncode == 2
             assert f"unrecognized arguments: {flag} {value}" in proc.stderr
+
+    def test_series_shorter_than_lookback_fails_forecast_before_the_front_end(self, data_copy, monkeypatch, capsys):
+        out_dir, common = data_copy
+        lines = (out_dir / "series.csv").read_text().splitlines(keepends=True)
+        (out_dir / "series.csv").write_text("".join(lines[:8]))  # 7 steps, one fewer than lookback = 8
+
+        def front_end(*args, **kwargs):
+            raise AssertionError("the front end ran")
+
+        monkeypatch.setattr(cli, "assemble_channels", front_end)
+        assert cli.main(["forecast", *common]) == 3
+        assert "data error: series has 7 steps; need at least lookback=8" in capsys.readouterr().err
 
     def test_evaluate_without_checkpoint_exits_3(self, data_copy):
         out_dir, common = data_copy
