@@ -24,11 +24,12 @@ table = FeatureTable(
     feature_names=("signal", "noise_a", "noise_b", "noise_c"),
 )
 
-result = relieff(table, k=10, seed=3)
-order = np.argsort(result.weights)[::-1]
-print(f"weights from {table.M} visited rows, k={result.k}:")
+k = 10
+weights = relieff(table, k=k, seed=3)
+order = np.argsort(weights)[::-1]
+print(f"weights from {table.M} visited rows, k={k}:")
 for idx in order:
-    print(f"  {table.feature_names[idx]:<8} {result.weights[idx]:+.4f}")
+    print(f"  {table.feature_names[idx]:<8} {weights[idx]:+.4f}")
 
 scaled = FeatureTable(
     values=values * np.array([1000.0, 1.0, 0.001, 1.0]),
@@ -36,7 +37,7 @@ scaled = FeatureTable(
     labels=labels,
     feature_names=table.feature_names,
 )
-rerun = relieff(scaled, k=10, seed=3)
+rerun = relieff(scaled, k=k, seed=3)
 print()
 print("weights unchanged after rescaling two columns:",
-      bool(np.array_equal(result.weights, rerun.weights)))
+      bool(np.array_equal(weights, rerun)))

@@ -35,7 +35,6 @@ from .relieff import (
     CONTINUOUS,
     DISCRETE,
     FeatureTable,
-    FeatureWeights,
     relieff,
     select_features,
 )
@@ -75,7 +74,7 @@ class AssembledChannels:
     series: SeriesTensor
     channel_names: tuple
     components: tuple
-    weights: FeatureWeights | None
+    weights: np.ndarray | None
     feature_names: tuple
 
 

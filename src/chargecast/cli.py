@@ -40,7 +40,7 @@ from .config import PipelineConfig, load_config
 from .domain import CalendarFrame, SeriesTensor, StationGraph, make_windows, split_dataset
 from .errors import ConfigError, DataError, NumericError
 from .model import build_model, forward_batch, freeze_and_adapt, load_checkpoint, save_checkpoint
-from .relieff import FeatureWeights, write_weights_csv
+from .relieff import write_weights_csv
 from .training import evaluate, fit
 
 __all__ = ["main"]
@@ -198,23 +198,18 @@ def _save_channels(path: str, key: str, assembled: AssembledChannels, caught: li
     The file is written next to path and moved into place, so a stage that
     is killed, or runs at the same time, never leaves a partial file.
     """
-    weights = assembled.weights
     meta = {
         "key": key,
         "channel_names": list(assembled.channel_names),
         "component_ids": [[cid for cid, _ in comps] for comps in assembled.components],
         "feature_names": list(assembled.feature_names),
-        "relieff": None if weights is None else {
-            "k": weights.k,
-            "clamped": [[int(c), n["hits"], n["misses"]] for c, n in weights.clamped.items()],
-        },
         "warnings": [[c.__module__, c.__name__, text, filename, lineno] for c, text, filename, lineno in caught],
     }
     arrays = {"stack": assembled.series.values, "meta_json": np.frombuffer(json.dumps(meta).encode(), np.uint8)}
     for i, comps in enumerate(assembled.components):
         arrays[f"components{i}"] = np.stack([values for _, values in comps])
-    if weights is not None:
-        arrays["weights"] = weights.weights
+    if assembled.weights is not None:
+        arrays["weights"] = assembled.weights
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:  # a file object: np.savez appends .npz to a bare name
@@ -246,16 +241,13 @@ def _load_channels(path: str, key: str, series: SeriesTensor):
             names, ids, features = tuple(meta["channel_names"]), meta["component_ids"], tuple(meta["feature_names"])
             stack = data["stack"]
             comps = [data[f"components{i}"] for i in range(len(ids))]
-            weights = data["weights"] if meta["relieff"] is not None else None
+            weights = data["weights"] if "weights" in data.files else None
         if stack.shape != (series.T, series.N, len(names)) or len(ids) != series.N:
             return None
         if any(c.shape != (len(i), series.T) for c, i in zip(comps, ids)):
             return None
-        if weights is not None:
-            if weights.shape != (len(features),):
-                return None
-            clamped = {c: {"hits": hits, "misses": misses} for c, hits, misses in meta["relieff"]["clamped"]}
-            weights = FeatureWeights(weights=weights, k=meta["relieff"]["k"], clamped=clamped)
+        if (None if weights is None else weights.shape) != ((len(features),) if features else None):
+            return None  # weights without names, names without weights, or a length mismatch
         assembled = AssembledChannels(
             series=SeriesTensor(stack),
             channel_names=names,

@@ -51,7 +51,7 @@ def load_charging_csv(path):
     """Parse a series CSV into (SeriesTensor, CalendarFrame, node_ids).
 
     Layout: header ``timestamp,<station>,...``, each station id non-empty and
-    free of ``/`` and ``\\``; one ISO-8601 hourly timestamp per row; every
+    free of ``/`` and ``\\``; one ISO-8601 timestamp per row, on the hour; every
     cell numeric and finite.
     """
     rows = _read_rows(path)
@@ -72,7 +72,7 @@ def load_charging_csv(path):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         try:
-            stamps.append(np.datetime64(row[0].strip(), "h"))
+            stamps.append(np.datetime64(row[0].strip()))  # at the text's own precision
         except ValueError as exc:
             raise DataError(f"{path}: row {r}: bad timestamp {row[0]!r}") from exc
         for c, cell in enumerate(row[1:]):
@@ -84,7 +84,12 @@ def load_charging_csv(path):
             except ValueError as exc:
                 raise DataError(f"{path}: row {r}: non-numeric value {cell!r}") from exc
 
-    ts = np.array(stamps, dtype="datetime64[h]")
+    stamps = np.array(stamps)  # at the finest precision of any stamp
+    ts = stamps.astype("datetime64[h]")
+    off = np.flatnonzero(ts != stamps)  # NaT, too, equals nothing
+    if off.size:
+        i = int(off[0])
+        raise DataError(f"{path}: row {i + 2}: timestamp {rows[i + 1][0]!r} is not on the hour")
     if ts.size > 1:
         strides = np.diff(ts.astype("int64"))
         bad = np.nonzero(strides != 1)[0]

@@ -496,8 +496,9 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
 def load_checkpoint(path: str) -> PfgaModel:
     """Rebuild through ``build_model`` and ``freeze_and_adapt``, then fill in the stored values.
 
-    A missing, misshapen or unused entry is a ``DataError``; another version
-    or codebook is a ``ConfigError``.
+    A missing, misshapen or unused entry, or a stored model size that
+    ``ModelConfig`` rejects, is a ``DataError``; another version, codebook or
+    freeze mode is a ``ConfigError``.
     """
     try:
         data = np.load(path)
@@ -515,8 +516,12 @@ def load_checkpoint(path: str) -> PfgaModel:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
         if not np.array_equal(arrays.pop("nf4_codebook"), NF4_CODEBOOK):
             raise ConfigError("checkpoint codebook does not match this build")
+        try:
+            config = ModelConfig(**meta["config"])
+        except ConfigError as exc:  # a stored size this build rejects is damage, not a setting
+            raise DataError(f"malformed checkpoint {path}: {exc}") from exc
         rng = np.random.default_rng(0)
-        model = freeze_and_adapt(build_model(ModelConfig(**meta["config"]), rng), rng, meta["freeze_mode"])
+        model = freeze_and_adapt(build_model(config, rng), rng, meta["freeze_mode"])
         for blk, masked in zip(model.blocks, meta["masked"], strict=True):
             blk.masked = bool(masked)
         for i, blk in enumerate(model.blocks):

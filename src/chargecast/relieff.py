@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "FeatureTable",
-    "FeatureWeights",
     "relieff",
     "select_features",
     "write_weights_csv",
@@ -83,18 +82,6 @@ class FeatureTable:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class FeatureWeights:
-    """Per-feature weights in [-1, 1], the k used, and the per-class clamps of k."""
-
-    weights: np.ndarray
-    k: int
-    clamped: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
 # Bytes of the temporaries of one block of visits (see `per_visit` below).
 _BLOCK_BYTES = 1 << 21
 
@@ -133,14 +120,14 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return cols[(np.cumsum(kept) - kept)[:, None] + np.arange(k)]
 
 
-def relieff(table: FeatureTable, k: int, seed) -> FeatureWeights:
-    """Neighbor-based feature weighting that visits every row once.
+def relieff(table: FeatureTable, k: int, seed) -> np.ndarray:
+    """Per-feature weights in [-1, 1], from one visit of every row.
 
     Rows are visited in one seeded random order. k is clamped per class
-    when a class is too small, and every clamp is reported in the result
-    (plus a warning). For each visited row the hit updates are applied
-    first, then miss updates per other class in ascending class order, so
-    results are bit-deterministic.
+    when a class is too small, and every clamp is reported in a warning.
+    For each visited row the hit updates are applied first, then miss
+    updates per other class in ascending class order, so results are
+    bit-deterministic.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -156,7 +143,7 @@ def relieff(table: FeatureTable, k: int, seed) -> FeatureWeights:
     clamped = {}
     for i, c in enumerate(classes):
         if counts[i] < k + 1:
-            clamped[c] = {"hits": int(k_hit[i]), "misses": int(k_miss[i])}
+            clamped[c.item()] = {"hits": int(k_hit[i]), "misses": int(k_miss[i])}
     if clamped:
         warnings.warn(
             f"classes too small for k={k}; clamped neighbor counts: {clamped}",
@@ -233,18 +220,18 @@ def relieff(table: FeatureTable, k: int, seed) -> FeatureWeights:
         update = coef[cls, pos][:, None] * diffs / denom[cls, pos][:, None]
         # add.accumulate adds row after row, the same sums as one row at a time
         weights = np.add.accumulate(np.vstack([weights, update]), axis=0)[-1]
-    return FeatureWeights(weights=weights, k=k, clamped=clamped)
+    return weights
 
 
-def select_features(weights: FeatureWeights) -> list:
+def select_features(weights: np.ndarray) -> list:
     """Every feature index by descending weight, ties broken by lower index."""
-    return [int(i) for i in np.argsort(-weights.weights, kind="stable")]
+    return [int(i) for i in np.argsort(-weights, kind="stable")]
 
 
-def write_weights_csv(path, feature_names, weights: FeatureWeights) -> None:
+def write_weights_csv(path, feature_names, weights: np.ndarray) -> None:
     """Export (feature_name, weight) rows, heaviest first."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "weight"])
         for idx in select_features(weights):
-            writer.writerow([feature_names[idx], repr(float(weights.weights[idx]))])
+            writer.writerow([feature_names[idx], repr(float(weights[idx]))])

@@ -35,6 +35,7 @@ CHECKPOINT_DAMAGE = {
     "missing_codes": (lambda a, m: a.pop("q_codes__block1__w_k"), DataError, "q_codes__block1__w_k"),
     "missing_adapter": (lambda a, m: a.pop("block1__heads__m_v"), DataError, "block1__heads__m_v"),
     "unknown_config_key": (lambda a, m: _set(m["config"], "bogus", 1), DataError, "bogus"),
+    "invalid_model_size": (lambda a, m: _set(m["config"], "heads", 0), DataError, "malformed checkpoint"),
     "missing_masked": (lambda a, m: m.pop("masked"), DataError, "masked"),
     "short_masked": (lambda a, m: _set(m, "masked", m["masked"][:1]), DataError, "malformed checkpoint"),
     "short_weight": (lambda a, m: _set(a, "block0__w_q", a["block0__w_q"][:3]), DataError, "block0__w_q"),

@@ -275,8 +275,8 @@ def test_criterion_04_feature_weighting():
                 want = oracle_feature_weights(
                     table.values, table.kinds, table.labels, k, table.M, seed
                 )
-                np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-13)
-                assert np.all(got.weights >= -1.0) and np.all(got.weights <= 1.0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+                assert np.all(got >= -1.0) and np.all(got <= 1.0)
 
                 scaled_values = table.values.copy()
                 cont = [f for f, kind in enumerate(table.kinds) if kind == CONTINUOUS]
@@ -289,11 +289,11 @@ def test_criterion_04_feature_weighting():
                     feature_names=table.feature_names,
                 )
                 rerun = relieff(scaled, k=k, seed=seed)
-                assert np.array_equal(got.weights, rerun.weights), "not scale invariant"
+                assert np.array_equal(got, rerun), "not scale invariant"
 
             hits = 0
             for seed in range(20):
-                weights = relieff(informative_table(seed), k=10, seed=seed).weights
+                weights = relieff(informative_table(seed), k=10, seed=seed)
                 hits += int(np.argmax(weights) == 0)
             assert hits >= 19, f"signal feature ranked first in only {hits}/20 runs"
         elapsed = time.perf_counter() - start

@@ -218,8 +218,7 @@ def assert_same_channels(a, b):
     if a.weights is None:
         assert b.weights is None
     else:
-        assert np.array_equal(a.weights.weights, b.weights.weights)
-        assert (a.weights.k, a.weights.clamped) == (b.weights.k, b.weights.clamped)
+        assert np.array_equal(a.weights, b.weights)
     assert a.feature_names == b.feature_names
 
 
@@ -250,11 +249,18 @@ class TestStationWorkers:
             "temp": series.values[:, :, 0].mean(axis=1) + 0.01 * rng.normal(size=96),
             "drv": rng.normal(size=(96, 3)),
         }
-        run = lambda: assemble_channels(series, calendar, seed=6, cfg=light_cfg(top_n=2), exogenous=exog)  # noqa: E731
-        serial, pooled, started = serial_and_pooled(monkeypatch, run)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = assemble_channels(series, calendar, seed=6, cfg=light_cfg(top_n=2), exogenous=exog)
+            return out, [str(w.message) for w in caught if w.category is UserWarning]
+
+        (serial, serial_warned), (pooled, pooled_warned), started = serial_and_pooled(monkeypatch, run)
         assert started == ["fork"]
         assert serial.weights is not None and exog_channels(serial)
         assert_same_channels(serial, pooled)
+        assert pooled_warned == serial_warned  # relieff's clamps, if any
 
     def test_station_error_in_a_worker_keeps_type_and_message(self, monkeypatch):
         series, calendar = toy_inputs(n=2)

@@ -12,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestViewsOfTheModelChannels:
         ws, _ = workspace
         _, rows = read_csv(ws / "feature_weights.csv")
         got = {name: float(weight) for name, weight in rows}
-        want = dict(zip(assembled.feature_names, assembled.weights.weights))
+        want = dict(zip(assembled.feature_names, assembled.weights))
         assert got == want
 
 
@@ -440,8 +441,15 @@ class TestChannelsMemo:
         out_dir, _ = data_copy
         calls = spy_on_assembly(monkeypatch)
         cfg = self.config(out_dir, ini)
-        fresh = cli._front_end(cfg)[0]
-        hit = cli._front_end(cfg)[0]
+
+        def front_end():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assembled = cli._front_end(cfg)[0]
+            return assembled, [str(w.message) for w in caught if "clamped neighbor counts" in str(w.message)]
+
+        fresh, fresh_clamps = front_end()
+        hit, hit_clamps = front_end()
         assert len(calls) == 1
         assert f"read {out_dir / 'channels.npz'}" in capsys.readouterr().out
         assert np.array_equal(hit.series.values, fresh.series.values)
@@ -450,11 +458,38 @@ class TestChannelsMemo:
         for got, want in zip(hit.components, fresh.components):
             assert [cid for cid, _ in got] == [cid for cid, _ in want]
             assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want, strict=True))
-        assert np.array_equal(hit.weights.weights, fresh.weights.weights)
-        assert hit.weights.k == fresh.weights.k
-        assert hit.weights.clamped == fresh.weights.clamped
-        assert bool(hit.weights.clamped) == (ini != LIGHT_INI)
+        assert hit.weights.dtype == fresh.weights.dtype and np.array_equal(hit.weights, fresh.weights)
         assert hit.feature_names == fresh.feature_names
+        assert hit_clamps == fresh_clamps
+        assert len(fresh_clamps) == (ini != LIGHT_INI)
+
+    @pytest.mark.parametrize("mismatch", ["weights_without_names", "names_without_weights", "length_mismatch"])
+    def test_weights_that_disagree_with_the_names_are_a_miss_that_rewrites_the_file(
+        self, memo, monkeypatch, capsys, mismatch
+    ):
+        out_dir, _ = memo
+        path = out_dir / "channels.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        if mismatch == "weights_without_names":
+            meta["feature_names"] = []
+        elif mismatch == "names_without_weights":
+            del arrays["weights"]
+        else:
+            arrays["weights"] = arrays["weights"][:-1]
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        damaged = path.read_bytes()
+        calls = spy_on_assembly(monkeypatch)
+        cfg = self.config(out_dir)
+        cli._front_end(cfg)
+        assert len(calls) == 1
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert path.read_bytes() != damaged
+        cli._front_end(cfg)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("edit", EDITS)
     def test_a_changed_input_setting_or_code_is_a_miss_that_rewrites_the_file(self, memo, monkeypatch, capsys, edit):
@@ -815,6 +850,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error:" in err
         assert ("cannot read" if damage == "missing" else "neither the station ids nor one shared column") in err
+
+    @pytest.mark.parametrize("name", ["series.csv", "temperature.csv"])
+    def test_stamp_off_the_hour_exits_3_before_the_front_end(self, data_copy, monkeypatch, capsys, name):
+        out_dir, common = data_copy
+        path = out_dir / name
+        header, rows = read_csv(path)
+        rows[3][0] += ":30"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
+        assert cli.main(["decompose", *common]) == 3
+        assert calls == []
+        assert f"data error: {path}: row 5: timestamp {rows[3][0]!r} is not on the hour" in capsys.readouterr().err
 
     def test_missing_exogenous_file_fails_pretrain_before_any_work(self, data_copy, monkeypatch, capsys):
         out_dir, common = data_copy

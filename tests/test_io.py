@@ -66,6 +66,20 @@ class TestChargingCsv:
         with pytest.raises(DataError, match="duplicates"):
             load_charging_csv(path)
 
+    @pytest.mark.parametrize("stamp", ["2024-03-01T01:30", "2024-03-01T01:00:01", "2024-03-01T01:00:00.5"])
+    def test_stamp_off_the_hour_names_row_and_text(self, tmp_path, stamp):
+        path = tmp_path / "series.csv"
+        path.write_text(f"timestamp,a\n2024-03-01T00,1.0\n{stamp},1.0\n2024-03-01T02,1.0\n")
+        with pytest.raises(DataError) as info:
+            load_charging_csv(path)
+        assert str(info.value) == f"{path}: row 3: timestamp {stamp!r} is not on the hour"
+
+    def test_stamps_on_the_hour_load_at_any_precision(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,a\n2024-03-01,1.0\n2024-03-01T01:00,1.0\n2024-03-01 02:00:00,1.0\n")
+        _, calendar, _ = load_charging_csv(path)
+        assert np.array_equal(calendar.timestamps, hourly_stamps(3))
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("timestamp,a,b\n2024-03-01T00,1.0\n")

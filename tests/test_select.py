@@ -7,6 +7,7 @@ first, then misses per class weighted by prior odds. It shares no code
 with the implementation.
 """
 
+import ast
 import importlib
 import warnings
 
@@ -23,6 +24,15 @@ from chargecast.relieff import (
 )
 
 relieff_module = importlib.import_module("chargecast.relieff")
+
+CLAMP_TEXT = "clamped neighbor counts: "
+
+
+def warned_clamps(caught) -> dict:
+    """The {class: {"hits": n, "misses": n}} of relieff's clamp warning among caught, {} without one."""
+    texts = [str(w.message) for w in caught if CLAMP_TEXT in str(w.message)]
+    assert len(texts) <= 1
+    return ast.literal_eval(texts[0].split(CLAMP_TEXT, 1)[1]) if texts else {}
 
 
 def oracle_relieff(values, kinds, labels, k, seed):
@@ -116,7 +126,7 @@ def test_matches_oracle_exactly_on_random_tables():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = relieff(table, k=k, seed=seed).weights
+            got = relieff(table, k=k, seed=seed)
         want = oracle_relieff(table.values, table.kinds, table.labels, k, seed)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -128,7 +138,7 @@ def test_matches_oracle_with_three_classes():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = relieff(table, k=3, seed=42).weights
+        got = relieff(table, k=3, seed=42)
     want = oracle_relieff(table.values, table.kinds, table.labels, 3, 42)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -160,7 +170,8 @@ def test_informative_feature_ranks_first():
 def test_weights_are_bounded():
     rng = np.random.default_rng(8)
     table = random_table(rng, 50, 5)
-    w = relieff(table, k=10, seed=0).weights
+    w = relieff(table, k=10, seed=0)
+    assert w.dtype == np.float64 and w.shape == (table.F,)
     assert np.all(w >= -1.0) and np.all(w <= 1.0)
 
 
@@ -172,8 +183,8 @@ def test_power_of_two_scaling_is_bitwise_invariant():
         labels=table.labels,
         feature_names=table.feature_names,
     )
-    a = relieff(table, k=5, seed=9).weights
-    b = relieff(scaled, k=5, seed=9).weights
+    a = relieff(table, k=5, seed=9)
+    b = relieff(scaled, k=5, seed=9)
     np.testing.assert_array_equal(a, b)
 
 
@@ -185,15 +196,15 @@ def test_arbitrary_scaling_is_invariant_to_rounding():
         labels=table.labels,
         feature_names=table.feature_names,
     )
-    a = relieff(table, k=5, seed=9).weights
-    b = relieff(scaled, k=5, seed=9).weights
+    a = relieff(table, k=5, seed=9)
+    b = relieff(scaled, k=5, seed=9)
     np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
 def test_deterministic_per_seed():
     table = informative_table(6)
-    a = relieff(table, k=4, seed=123).weights
-    b = relieff(table, k=4, seed=123).weights
+    a = relieff(table, k=4, seed=123)
+    b = relieff(table, k=4, seed=123)
     np.testing.assert_array_equal(a, b)
 
 
@@ -201,9 +212,13 @@ def test_small_class_clamps_and_warns():
     values = np.column_stack([np.arange(6, dtype=float)])
     labels = np.array([0, 0, 0, 0, 1, 1])
     table = FeatureTable(values, (CONTINUOUS,), labels, ("x",))
-    with pytest.warns(UserWarning, match="clamped"):
-        result = relieff(table, k=5, seed=0)
-    assert result.clamped  # class 1 cannot supply 5 hits
+    with pytest.warns(UserWarning, match="clamped") as caught:
+        relieff(table, k=5, seed=0)
+    # neither class can supply 5 hits: class 0 has 3 other rows, class 1 one
+    assert [str(w.message) for w in caught] == [
+        "classes too small for k=5; clamped neighbor counts: "
+        "{0: {'hits': 3, 'misses': 4}, 1: {'hits': 1, 'misses': 2}}"
+    ]
 
 
 def test_needs_two_classes():
@@ -217,7 +232,7 @@ def test_needs_two_classes():
 def test_select_features_orders_by_weight_then_index():
     w = relieff(informative_table(0), k=5, seed=0)
     top = select_features(w)
-    vals = w.weights[top]
+    vals = w[top]
     assert all(vals[i] >= vals[i + 1] for i in range(3))
 
 
@@ -287,11 +302,11 @@ def test_batched_updates_are_bitwise_the_loop_form():
     ])
     kinds = (CONTINUOUS, DISCRETE, CONTINUOUS, CONTINUOUS)
     table = FeatureTable(values, kinds, labels, ("a", "b", "c", "d"))
-    with pytest.warns(UserWarning, match="clamped"):
+    with pytest.warns(UserWarning, match="clamped") as caught:
         got = relieff(table, k=5, seed=31)
-    assert 2 in got.clamped  # class 2 cannot supply 5 hits or misses
+    assert warned_clamps(caught) == {2: {"hits": 2, "misses": 3}}  # class 2 cannot supply 5 hits or misses
     want = loop_form_relieff(table, 5, 31)
-    assert np.array_equal(got.weights, want)
+    assert np.array_equal(got, want)
 
 
 def loop_form_tables():
@@ -335,8 +350,9 @@ def test_blocked_updates_are_bitwise_the_loop_form(monkeypatch, name, table, k, 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = relieff(table, k=k, seed=31)
-    small = [c for c in np.unique(table.labels) if np.sum(table.labels == c) < k + 1]
-    assert sorted(got.clamped) == small
+    classes, counts = np.unique(table.labels, return_counts=True)
+    small = {int(c): {"hits": min(k, int(n) - 1), "misses": min(k, int(n))} for c, n in zip(classes, counts) if n < k + 1}
+    assert warned_clamps(caught) == small
     assert bool(caught) == bool(small)
     want = loop_form_relieff(table, k, 31)
-    assert np.array_equal(got.weights, want)
+    assert np.array_equal(got, want)
