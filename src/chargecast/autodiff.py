@@ -18,6 +18,10 @@ bias. Its forward pass is flattened under the tape; per window under
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
 record no parents and no closure, so an inference pass keeps no tape alive.
+``backward()`` consumes the tape it walks: leaves keep their gradients, each
+intermediate result drops its gradient, parents and saved values once its
+closure has run, and a second backward through a consumed result raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def _consumed(out):
+    raise ValueError("backward() reached a result whose tape an earlier backward() consumed")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -233,9 +241,15 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            node._backward(node)
+            # every consumer of node has run, so its gradient, parents and saved values are spent
+            node.grad = None
+            node._parents = ()
+            node._backward = _consumed
 
     @property
     def shape(self):

@@ -513,9 +513,11 @@ def load_checkpoint(path: str) -> PfgaModel:
     try:
         meta = json.loads(bytes(arrays.pop("meta_json")).decode())
         if meta.get("version") != _CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+            raise ConfigError(f"unsupported checkpoint version {meta.get('version')} in {path}")
         if not np.array_equal(arrays.pop("nf4_codebook"), NF4_CODEBOOK):
-            raise ConfigError("checkpoint codebook does not match this build")
+            raise ConfigError(f"checkpoint codebook of {path} does not match this build")
+        if meta["freeze_mode"] not in FREEZE_MODES:
+            raise ConfigError(f"unknown freeze_mode {meta['freeze_mode']!r} in {path}")
         try:
             config = ModelConfig(**meta["config"])
         except ConfigError as exc:  # a stored size this build rejects is damage, not a setting

@@ -46,6 +46,7 @@ CHECKPOINT_DAMAGE = {
     "meta_not_json": (lambda a, m: _set(a, "meta_json", np.frombuffer(b"{", np.uint8)), DataError, "malformed"),
     "unknown_freeze_mode": (lambda a, m: _set(m, "freeze_mode", "sideways"), ConfigError, "unknown freeze_mode"),
     "foreign_codebook": (lambda a, m: _set(a, "nf4_codebook", -a["nf4_codebook"]), ConfigError, "codebook"),
+    "foreign_version": (lambda a, m: _set(m, "version", 4), ConfigError, "unsupported checkpoint version"),
 }
 
 

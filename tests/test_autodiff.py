@@ -220,6 +220,29 @@ def test_grad_resets_between_backward_calls():
     np.testing.assert_array_equal(x.grad, first)
 
 
+def test_backward_consumes_the_tape():
+    """Leaves keep their gradients; an intermediate gives up its gradient and parents."""
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, 0.5]), requires_grad=True)
+    y = x * w
+    loss = y.tanh().sum()
+    loss.backward()
+    np.testing.assert_allclose(x.grad, w.data * (1.0 - np.tanh(y.data) ** 2))
+    np.testing.assert_allclose(w.grad, x.data * (1.0 - np.tanh(y.data) ** 2))
+    for node in (y, loss):
+        assert node.grad is None
+        assert node._parents == ()
+
+
+def test_second_backward_through_a_consumed_result_raises():
+    """Without the guard the second call would leave x's previous gradient in place."""
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    y = x * x
+    y.sum().backward()
+    with pytest.raises(ValueError, match="consumed"):
+        (y * 2.0).sum().backward()
+
+
 def test_layernorm_composition():
     a = RNG.normal(size=(3, 8))
     gamma = RNG.normal(size=(8,))

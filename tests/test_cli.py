@@ -926,3 +926,4 @@ class TestExitCodes:
         assert calls == []
         err = capsys.readouterr().err
         assert label in err and text in err
+        assert str(out_dir / "model.npz") in err

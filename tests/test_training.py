@@ -234,6 +234,23 @@ class TestFit:
         with pytest.raises(DataError, match="non-empty"):
             fit(model, toy_samples(rng, 3), [], toy_graph(), quick_cfg(), LossConfig())
 
+    def test_training_step_memory_stays_bounded(self):
+        """backward() consumes its tape, so a step never holds the previous step's tape."""
+        cfg = ModelConfig(c_in=6)
+        n_nodes = 8
+        rng = np.random.default_rng(70)
+        model = build_model(cfg, rng)
+        graph = StationGraph([f"s{k}" for k in range(n_nodes)], np.ones((n_nodes, n_nodes)))
+        train = random_windows(rng, cfg, 3 * 64, n_nodes)
+        valid = random_windows(rng, cfg, 64, n_nodes)
+        tracemalloc.start()
+        try:
+            fit(model, train, valid, graph, TrainConfig(max_epochs=1, batch_size=64), LossConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20, f"a fit epoch peaked at {peak / 2**20:.1f} MB"
+
 
 class TestPersistence:
     def test_repeats_last_observed_value(self):
