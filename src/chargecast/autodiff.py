@@ -6,14 +6,22 @@ tensor with requires_grad set. Broadcasting follows numpy semantics, with
 gradients summed back over the broadcast axes. This is deliberately a
 small engine: only the operations the forecasting network needs exist, in
 the forms it uses them: ``sum`` and ``mean`` reduce every element, and
-``concat`` and ``softmax`` work on the last axis.
+``concat`` works on the last axis.
 
-Three layers are single fused nodes with closed-form backward passes:
-``linear`` (x @ w + b), ``layer_norm`` and ``softmax``. Any product with a 2-D
-right operand is a ``linear`` node without bias. Its backward pass is one
-GEMM per operand gradient over the flattened rows, plus a row sum for the
-bias. Its forward pass is flattened under the tape; per window under
-``no_grad``, so a window's prediction does not depend on the others in its batch.
+Three layers are single fused nodes with closed-form backward passes, each
+keeping only the arrays its backward pass reads:
+
+- ``linear``: x @ w + b, then an optional residual add and ReLU, applied in
+  place on the product. It keeps its output, whose sign is the ReLU's mask,
+  and no pre-activation. Any product with a 2-D right operand is a
+  ``linear`` node without bias. Its backward pass is one GEMM per operand
+  gradient over the flattened rows, plus a row sum for the bias. Its forward
+  product is flattened under the tape; per window under ``no_grad``, so a
+  window's prediction does not depend on the others in its batch.
+- ``layer_norm``: keeps the normalized input and each row's standard deviation.
+- ``attention``: softmax(q @ k_t * scale + bias) @ v with the heads merged.
+  It keeps the attention weights; the scores and the per-head product are
+  never stored.
 
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
@@ -30,7 +38,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "layer_norm", "linear", "no_grad", "softmax", "take_rows"]
+__all__ = ["Tensor", "attention", "concat", "layer_norm", "linear", "no_grad", "take_rows"]
 
 _grad_enabled = True
 
@@ -145,14 +153,6 @@ class Tensor:
         return Tensor._result(out_data, (self, other), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
-
-    def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(out):
-            self._accum(out.grad * (self.data > 0.0))
-
-        return Tensor._result(out_data, (self,), backward)
 
     def tanh(self):
         out_data = np.tanh(self.data)
@@ -290,19 +290,36 @@ def _weight_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x (..., K) @ w (K, M) + b (M,) as one node; b = None leaves out the bias.
+def linear(
+    x: Tensor, w: Tensor, b: Tensor | None = None, *, relu: bool = False, residual: Tensor | np.ndarray | None = None
+) -> Tensor:
+    """x (..., K) @ w (K, M) + b (M,) [+ residual], then [ReLU], as one node.
 
-    The backward pass takes one GEMM per operand gradient over the flattened
-    rows and a row sum for the bias, skipping any operand without requires_grad.
+    b = None leaves out the bias. The bias, the residual (a Tensor or array
+    broadcastable to the output) and the ReLU are applied in that order, in
+    place on the product, so the tape keeps one output array and no
+    pre-activation. The backward pass masks the output gradient by ``out > 0``
+    under ``relu`` (the pre-activation's mask), sends it to the residual, then
+    takes one GEMM per operand gradient over the flattened rows and a row sum
+    for the bias, skipping any operand without requires_grad.
     """
     k, m = w.data.shape
     out_data = _weight_product(x.data, w.data)
     if b is not None:
         out_data += b.data
+    parents = (x, w) if b is None else (x, w, b)
+    if residual is not None:
+        residual = Tensor._lift(residual)
+        out_data += residual.data
+        parents += (residual,)
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def backward(out):
-        g = out.grad.reshape(-1, m)
+        g = out.grad * (out.data > 0.0) if relu else out.grad
+        if residual is not None:
+            residual._accum(g)
+        g = g.reshape(-1, m)
         if x.requires_grad:
             x._accum((g @ w.data.T).reshape(x.data.shape))
         if w.requires_grad:
@@ -310,7 +327,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             b._accum(g.sum(axis=0))
 
-    return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)
+    return Tensor._result(out_data, parents, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -345,18 +362,41 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return Tensor._result(out_data, (x, gamma, beta), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis as one node; the max shift is a
-    constant w.r.t. gradients.
+def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float, bias: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ k_t * scale + bias) @ v with the heads merged, as one node.
 
-    The backward pass is g_x = y * (g - sum(g * y)) along that axis.
+    q is (B, H, N, d), k_t (B, H, d, M), v (B, H, M, d_v) and bias, a constant,
+    broadcasts to the (B, H, N, M) scores; the result is (B, N, H*d_v). The
+    scores are scaled, biased and softmaxed over the last axis (shifted by
+    their row max, a constant w.r.t. gradients) in place, so the tape keeps the
+    attention weights y and nothing else between the operands and the merged
+    output. The backward pass does the composed nodes' arithmetic: y^T @ g for
+    v, g_s = y * (g_y - sum(g_y * y)) * scale with g_y = g @ v^T, then g_s @ k
+    for q and q^T @ g_s for k_t, skipping any operand without requires_grad.
     """
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+    y = q.data @ k_t.data
+    y *= scale
+    if bias is not None:
+        y += bias
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    heads = y @ v.data
+    b, h, n, d = heads.shape
 
     def backward(out):
-        g = out.grad
-        x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        g = out.grad.reshape(b, n, h, d).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            v._accum(np.swapaxes(y, -1, -2) @ g)
+        if not (q.requires_grad or k_t.requires_grad):
+            return
+        g = g @ np.swapaxes(v.data, -1, -2)
+        g -= (g * y).sum(axis=-1, keepdims=True)
+        g *= y
+        g *= scale
+        if q.requires_grad:
+            q._accum(g @ np.swapaxes(k_t.data, -1, -2))
+        if k_t.requires_grad:
+            k_t._accum(np.swapaxes(q.data, -1, -2) @ g)
 
-    return Tensor._result(y, (x,), backward)
+    return Tensor._result(heads.transpose(0, 2, 1, 3).reshape(b, n, h * d), (q, k_t, v), backward)

@@ -9,8 +9,14 @@ stored 4-bit quantized and only embeddings, graph-block layer norms,
 low-rank adapters, and the regression head receive gradients.
 
 Attention runs with the heads as an array axis: q, k and v are reshaped to
-(B, H, N, d_k) and every head is scored, masked and softmaxed in one set of
-array operations. The low-rank adapters of a graph block are stacked the
+(B, H, N, d_k) and one ``autodiff.attention`` node scores, masks and
+softmaxes every head, applies the weights to v and merges the heads; the
+tape keeps only its attention weights. The output projection is a
+``linear`` node that also adds the block's residual, and the feed-forward
+layer is two ``linear`` nodes, the first with its ReLU and the second with
+the residual, so no block stores a pre-activation or a separate sum. The
+positional rows are added as the residual of the embedding's fusion layer.
+The low-rank adapters of a graph block are stacked the
 same way, one (H, W, r) and one (H, r, d_k) factor each for query and value,
 so a block adds the same number of autodiff nodes whatever the head count.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
@@ -35,7 +41,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm, linear, softmax, take_rows
+from .autodiff import Tensor, attention, concat, layer_norm, linear, take_rows
 from .errors import ConfigError, DataError
 from .quantize import NF4_CODEBOOK, dequantize, quantize
 
@@ -229,7 +235,8 @@ def _split_heads(t: Tensor, cfg: ModelConfig, axes: tuple) -> Tensor:
 
 
 def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
-    """Multi-head attention of x (B, N, W) with the heads on an array axis."""
+    """Multi-head attention of x (B, N, W) with the heads on an array axis, merged back to
+    (B, N, W); the caller applies w_o."""
     b, n, w = x.shape
     q = _split_heads(x @ blk.w_q, cfg, (0, 2, 1, 3))  # (B, H, N, d_k)
     k_t = _split_heads(x @ blk.w_k, cfg, (0, 2, 3, 1))  # (B, H, d_k, N)
@@ -239,19 +246,15 @@ def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarr
         x_h = x.reshape(b, 1, n, w)
         q = q + (x_h @ a.l_q) @ a.m_q
         v = v + (x_h @ a.l_v) @ a.m_v
-    scores = (q @ k_t) * (1.0 / np.sqrt(cfg.d_k))
-    if bias is not None:
-        scores = scores + Tensor(bias)
-    heads = softmax(scores) @ v  # (B, H, N, d_k)
-    return heads.transpose(0, 2, 1, 3).reshape(b, n, w) @ blk.w_o
+    return attention(q, k_t, v, 1.0 / np.sqrt(cfg.d_k), bias)  # (B, N, W)
 
 
 def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
     normed = layer_norm(x, blk.ln1_gamma, blk.ln1_beta, LN_EPS)
-    x = x + _attention(normed, blk, cfg, bias)
+    x = linear(_attention(normed, blk, cfg, bias), blk.w_o, residual=x)
     normed2 = layer_norm(x, blk.ln2_gamma, blk.ln2_beta, LN_EPS)
-    ffn = linear(linear(normed2, blk.w_1, blk.b_1).relu(), blk.w_2, blk.b_2)
-    return x + ffn
+    hidden = linear(normed2, blk.w_1, blk.b_1, relu=True)
+    return linear(hidden, blk.w_2, blk.b_2, residual=x)
 
 
 def graph_attention_block(
@@ -281,8 +284,7 @@ def _embed_batch(model: PfgaModel, hist: np.ndarray, hours: np.ndarray, dows: np
     e_s = linear(flat, e.w_s, e.b_s).tanh()
     e_t = take_rows(e.w_d, hours) + take_rows(e.w_w, dows)
     e_t = e_t.reshape(b, 1, cfg.d_embed).broadcast_to((b, n, cfg.d_embed))
-    fused = linear(concat([e_p, e_s, e_t]), e.theta_f_w, e.theta_f_b)
-    return fused + Tensor(_positional_rows(n, cfg.width))
+    return linear(concat([e_p, e_s, e_t]), e.theta_f_w, e.theta_f_b, residual=_positional_rows(n, cfg.width))
 
 
 def forward_batch(

@@ -8,8 +8,10 @@ backward, and compares each analytic gradient entry with
 import numpy as np
 import pytest
 
-from chargecast.autodiff import Tensor, concat, layer_norm, linear, no_grad, softmax, take_rows
-from chargecast.model import ModelConfig, build_model, forward_batch, freeze_and_adapt
+from chargecast import model as model_mod
+from chargecast.autodiff import Tensor, attention, concat, layer_norm, linear, no_grad, take_rows
+from chargecast.losses import LossConfig, combined_loss
+from chargecast.model import LN_EPS, ModelConfig, build_model, forward_batch, freeze_and_adapt
 
 RNG = np.random.default_rng(20240816)
 H = 1e-6
@@ -137,8 +139,9 @@ def test_abs_away_from_kink():
 
 
 def test_relu_away_from_kink():
-    a = np.array([1.0, -1.0, 2.5, -0.5])
-    check(lambda x: (x.relu() * 3.0).sum(), a)
+    a = np.array([[1.0], [-1.0], [2.5], [-0.5]])
+    w = np.array([[1.0, -2.0]])
+    check(lambda x, y: (linear(x, y, relu=True) * 3.0).sum(), a, w)
 
 
 def test_mean_and_sum_reduce_every_element():
@@ -186,15 +189,23 @@ def test_getitem_fancy_index_gradient():
     check(lambda x: (take_rows(x, rows) * take_rows(x, rows) * np.arange(1.0, 6.0)[:, None]).sum(), a)
 
 
+def attention_weights(scores):
+    """``attention`` with identity keys and values and unit scale returns its softmax
+    weights over the last axis of scores (..., N, M), in the shape of scores."""
+    n, m = scores.shape[-2:]
+    eye = Tensor(np.eye(m).reshape(1, 1, m, m))
+    return attention(scores.reshape(-1, 1, n, m), eye, eye, 1.0).reshape(scores.shape)
+
+
 def test_softmax_gradient():
     a = RNG.normal(size=(3, 5))
     w = RNG.normal(size=(5,))
-    check(lambda x: (softmax(x) * w).sum(), a)
+    check(lambda x: (attention_weights(x) * w).sum(), a)
 
 
 def test_softmax_rows_sum_to_one():
     a = RNG.normal(size=(4, 7)) * 10
-    s = softmax(Tensor(a))
+    s = attention_weights(Tensor(a))
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, rtol=1e-12)
 
 
@@ -252,23 +263,25 @@ def test_layernorm_composition():
 
 
 def test_attention_composition():
-    q = RNG.normal(size=(4, 3))
-    k = RNG.normal(size=(4, 3))
-    v = RNG.normal(size=(4, 2))
+    """Four queries over six keys and values, with a mask bias."""
+    q = RNG.normal(size=(1, 2, 4, 3))
+    k_t = RNG.normal(size=(1, 2, 3, 6))
+    v = RNG.normal(size=(1, 2, 6, 2))
+    bias = np.where(np.arange(6) > np.arange(4)[:, None] + 1, -1e9, 0.0)
+    weights = RNG.normal(size=(1, 4, 4))
 
     def attn(qq, kk, vv):
-        scores = (qq @ kk.transpose((1, 0))) * (1.0 / np.sqrt(3.0))
-        return (softmax(scores) @ vv).sum()
+        return (attention(qq, kk, vv, 1.0 / np.sqrt(3.0), bias) * weights).sum()
 
-    check(attn, q, k, v)
+    check(attn, q, k_t, v)
 
 
 def test_no_grad_records_no_tape():
     x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-    taped = softmax(x @ w).sum()
+    taped = linear(x, w, relu=True, residual=x @ w).sum()
     with no_grad():
-        out = softmax(x @ w).sum()
+        out = linear(x, w, relu=True, residual=x @ w).sum()
     assert out._parents == ()
     assert out._backward is None
     assert not out.requires_grad
@@ -324,6 +337,61 @@ def softmax_reference(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def relu_node(x):
+    """The ReLU node ``linear(relu=True)`` absorbed: it kept its input for the mask."""
+
+    def backward(out):
+        x._accum(out.grad * (x.data > 0.0))
+
+    return Tensor._result(np.maximum(x.data, 0.0), (x,), backward)
+
+
+def softmax_node(x):
+    """The softmax node ``attention`` absorbed: it kept its output."""
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def backward(out):
+        g = out.grad
+        x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    return Tensor._result(y, (x,), backward)
+
+
+def attention_reference(q, k_t, v, scale, bias):
+    """The node chain ``attention`` replaced: scores, scale, bias, softmax, product, head merge."""
+    scores = (q @ k_t) * scale
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    heads = softmax_node(scores) @ v
+    b, h, n, d = heads.shape
+    return heads.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+
+
+def assert_same_nodes(fused, composed, arrays, trainable):
+    """fused and composed map leaf Tensors to one output. Under the tape and under
+    ``no_grad`` their outputs, and the gradients of a weighted sum of them, must
+    be equal bit for bit; a frozen leaf must get no gradient from either."""
+    runs = []
+    for build in (fused, composed):
+        leaves = [Tensor(a, requires_grad=flag) for a, flag in zip(arrays, trainable)]
+        out = build(*leaves)
+        with no_grad():
+            plain = build(*[Tensor(a) for a in arrays]).data
+        weights = np.random.default_rng(5).normal(size=out.shape)
+        (out * weights).sum().backward()
+        runs.append((out.data, plain, [t.grad for t in leaves]))
+    (fused_out, fused_plain, fused_grads), (composed_out, composed_plain, composed_grads) = runs
+    assert np.array_equal(fused_out, composed_out)
+    assert np.array_equal(fused_plain, composed_plain)
+    for fused_grad, composed_grad, flag in zip(fused_grads, composed_grads, trainable):
+        if flag:
+            assert np.array_equal(fused_grad, composed_grad)
+        else:
+            assert fused_grad is None and composed_grad is None
+
+
 TRAINABLE_TRIPLES = [(True, False, False), (False, True, False), (False, False, True), (True, True, True)]
 
 
@@ -374,17 +442,111 @@ def test_layer_norm_gradient_with_frozen_operands(trainable):
 
 
 def test_softmax_forward_matches_composed_form():
+    """Products with identity matrices are exact, so the weights equal the composed softmax."""
     x = RNG.normal(size=(2, 4, 7)) * 10.0
-    assert np.array_equal(softmax(Tensor(x)).data, softmax_reference(x))
+    assert np.array_equal(attention_weights(Tensor(x)).data, softmax_reference(x))
+    with no_grad():
+        assert np.array_equal(attention_weights(Tensor(x)).data, softmax_reference(x))
 
 
 @pytest.mark.parametrize("trainable", TRAINABLE_PAIRS)
 def test_softmax_gradient_with_frozen_operands(trainable):
-    """softmax over a shared-weight product, the shape of the attention scores."""
+    """attention's softmax over a shared-weight product, the shape of the attention scores."""
     x = RNG.normal(size=(2, 3, 4))
     w = RNG.normal(size=(4, 8))
     weights = RNG.normal(size=(2, 3, 8))
-    check_partly_trainable(lambda a, b: (softmax(a @ b) * weights).sum(), [x, w], trainable)
+    check_partly_trainable(lambda a, b: (attention_weights(a @ b) * weights).sum(), [x, w], trainable)
+
+
+@pytest.mark.parametrize("trainable", TRAINABLE_TRIPLES)
+def test_linear_relu_matches_composed_form(trainable):
+    rng = np.random.default_rng(11)
+    x, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 8)), rng.normal(size=(8,))
+    assert_same_nodes(
+        lambda xx, ww, bb: linear(xx, ww, bb, relu=True),
+        lambda xx, ww, bb: relu_node(linear(xx, ww, bb)),
+        [x, w, b],
+        trainable,
+    )
+
+
+TRAINABLE_QUADS = [
+    (True, False, False, True),
+    (False, True, True, False),
+    (True, True, True, True),
+    (False, False, False, True),
+    (True, True, True, False),
+]
+
+
+@pytest.mark.parametrize("trainable", TRAINABLE_QUADS)
+def test_linear_residual_matches_composed_form(trainable):
+    """``linear(residual=r)`` is ``r + linear(...)``, the order the model's blocks wrote it in."""
+    rng = np.random.default_rng(14)
+    arrays = [rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6)), rng.normal(size=(6,)), rng.normal(size=(3, 5, 6))]
+    assert_same_nodes(
+        lambda x, w, b, r: linear(x, w, b, residual=r),
+        lambda x, w, b, r: r + linear(x, w, b),
+        arrays,
+        trainable,
+    )
+
+
+def test_linear_constant_residual_matches_composed_form():
+    """A constant residual broadcast over the leading axes, like the positional rows."""
+    rng = np.random.default_rng(15)
+    rows = rng.normal(size=(5, 6))
+    assert_same_nodes(
+        lambda x, w, b: linear(x, w, b, residual=rows),
+        lambda x, w, b: linear(x, w, b) + Tensor(rows),
+        [rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6)), rng.normal(size=(6,))],
+        (True, True, True),
+    )
+
+
+@pytest.mark.parametrize("trainable", TRAINABLE_QUADS)
+def test_linear_residual_gradient(trainable):
+    """Bias, then residual, then ReLU: the gradient check runs all three at once."""
+    rng = np.random.default_rng(16)
+    while True:  # redraw until central differences cannot cross the ReLU's kink
+        x, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+        b, r = rng.normal(size=(5,)), rng.normal(size=(2, 3, 5))
+        if np.abs(x @ w + b + r).min() >= 1e-3:
+            break
+    weights = np.random.default_rng(18).normal(size=(2, 3, 5))
+    build = lambda xx, ww, bb, rr: (linear(xx, ww, bb, relu=True, residual=rr) * weights).sum()  # noqa: E731
+    check_partly_trainable(build, [x, w, b, r], trainable)
+
+
+def attention_operands(rng, masked):
+    q = rng.normal(size=(2, 3, 5, 3))
+    k_t = rng.normal(size=(2, 3, 3, 5))
+    v = rng.normal(size=(2, 3, 5, 4))
+    adjacency = (rng.random((5, 5)) < 0.5) | np.eye(5, dtype=bool)
+    bias = np.where(adjacency, 0.0, -1e9) if masked else None
+    return [q, k_t, v], bias
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("trainable", TRAINABLE_TRIPLES + [(True, True, False), (False, False, False)])
+def test_attention_matches_composed_form(trainable, masked):
+    arrays, bias = attention_operands(np.random.default_rng(19), masked)
+    scale = 1.0 / np.sqrt(3)  # not a power of two, so moving the scale would change bits
+    assert_same_nodes(
+        lambda q, k_t, v: attention(q, k_t, v, scale, bias),
+        lambda q, k_t, v: attention_reference(q, k_t, v, scale, bias),
+        arrays,
+        trainable,
+    )
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("trainable", TRAINABLE_TRIPLES)
+def test_attention_gradient(trainable, masked):
+    arrays, bias = attention_operands(np.random.default_rng(20), masked)
+    weights = np.random.default_rng(21).normal(size=(2, 5, 12))
+    build = lambda q, k_t, v: (attention(q, k_t, v, 1.0 / np.sqrt(3), bias) * weights).sum()  # noqa: E731
+    check_partly_trainable(build, arrays, trainable)
 
 
 def closure_nodes(out):
@@ -399,9 +561,10 @@ def closure_nodes(out):
     return count
 
 
-@pytest.mark.parametrize("freeze_mode, nodes", [("none", 108), ("partial", 122)])
+@pytest.mark.parametrize("freeze_mode, nodes", [("none", 73), ("partial", 87)])
 def test_tape_nodes_per_forward(freeze_mode, nodes):
-    """Default model, six channels, eight stations: one node per layer norm, softmax and linear layer."""
+    """Default model, six channels, eight stations: one node per layer norm, attention and
+    linear layer, with the ReLUs and residual adds inside the linear nodes."""
     cfg = ModelConfig(c_in=6)
     rng = np.random.default_rng(3)
     model = build_model(cfg, rng)
@@ -409,3 +572,64 @@ def test_tape_nodes_per_forward(freeze_mode, nodes):
     hist = rng.normal(size=(4, cfg.lookback, 8, cfg.c_in))
     out = forward_batch(model, hist, np.arange(4), np.arange(4), np.ones((8, 8)))
     assert closure_nodes(out) == nodes
+
+
+def composed_block(x, blk, cfg, bias):
+    """``model._block_apply`` as separate nodes: the residual adds, the ReLU and the attention chain."""
+    normed = layer_norm(x, blk.ln1_gamma, blk.ln1_beta, LN_EPS)
+    b, n, w = normed.shape
+    q = (normed @ blk.w_q).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
+    k_t = (normed @ blk.w_k).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 3, 1)
+    v = (normed @ blk.w_v).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
+    if blk.adapters is not None:
+        a = blk.adapters
+        x_h = normed.reshape(b, 1, n, w)
+        q = q + (x_h @ a.l_q) @ a.m_q
+        v = v + (x_h @ a.l_v) @ a.m_v
+    x = x + attention_reference(q, k_t, v, 1.0 / np.sqrt(cfg.d_k), bias) @ blk.w_o
+    normed2 = layer_norm(x, blk.ln2_gamma, blk.ln2_beta, LN_EPS)
+    return x + linear(relu_node(linear(normed2, blk.w_1, blk.b_1)), blk.w_2, blk.b_2)
+
+
+def composed_embed(model, hist, hours, dows):
+    """``model._embed_batch`` with the positional rows added by a separate node."""
+    cfg, e = model.config, model.embed
+    b, p, n, c = hist.shape
+    flat = Tensor(hist.transpose(0, 2, 1, 3).reshape(b, n, p * c))
+    e_t = take_rows(e.w_d, hours) + take_rows(e.w_w, dows)
+    e_t = e_t.reshape(b, 1, cfg.d_embed).broadcast_to((b, n, cfg.d_embed))
+    parts = [linear(flat, e.theta_p_w, e.theta_p_b), linear(flat, e.w_s, e.b_s).tanh(), e_t]
+    fused = linear(concat(parts), e.theta_f_w, e.theta_f_b)
+    return fused + Tensor(model_mod._positional_rows(n, cfg.width))
+
+
+@pytest.mark.parametrize("freeze_mode", ["none", "partial"])
+def test_default_model_matches_composed_nodes(freeze_mode, monkeypatch):
+    """Default model, six channels, eight stations with a sparse graph: forward_batch's
+    output and every trainable gradient of its training loss equal those of the
+    composed nodes the fused ones replaced, bit for bit."""
+    cfg = ModelConfig(c_in=6)
+    data = np.random.default_rng(4)
+    hist = data.normal(size=(16, cfg.lookback, 8, cfg.c_in))
+    target = data.normal(size=(16, cfg.horizon, 8, 1))
+    hours, dows = data.integers(0, 24, size=16), data.integers(0, 7, size=16)
+    adjacency = np.eye(8) + np.eye(8, k=1) + np.eye(8, k=-1)
+    runs = []
+    for composed in (False, True):
+        rng = np.random.default_rng(3)
+        model = freeze_and_adapt(build_model(cfg, rng), rng, freeze_mode=freeze_mode)
+        with monkeypatch.context() as patch:
+            if composed:
+                patch.setattr(model_mod, "_block_apply", composed_block)
+                patch.setattr(model_mod, "_embed_batch", composed_embed)
+            with no_grad():
+                plain = forward_batch(model, hist, hours, dows, adjacency).data
+            pred = forward_batch(model, hist, hours, dows, adjacency)
+            combined_loss(pred, target, LossConfig()).backward()
+        runs.append((plain, pred.data, [(name, t.grad) for name, t in model.trainable_parameters()]))
+    (fused_plain, fused_pred, fused_grads), (composed_plain, composed_pred, composed_grads) = runs
+    assert np.array_equal(fused_plain, composed_plain)
+    assert np.array_equal(fused_pred, composed_pred)
+    assert [name for name, _ in fused_grads] == [name for name, _ in composed_grads]
+    for (name, fused_grad), (_, composed_grad) in zip(fused_grads, composed_grads):
+        assert np.array_equal(fused_grad, composed_grad), name

@@ -67,6 +67,25 @@ def random_windows(rng, cfg, count, n_nodes):
     )
 
 
+@pytest.fixture(scope="module")
+def fit_epoch_peak():
+    """tracemalloc peak in bytes of one fit epoch of the default model on six channels
+    and eight stations: three training batches of 64 windows and 64 validation windows."""
+    cfg = ModelConfig(c_in=6)
+    n_nodes = 8
+    rng = np.random.default_rng(70)
+    model = build_model(cfg, rng)
+    graph = StationGraph([f"s{k}" for k in range(n_nodes)], np.ones((n_nodes, n_nodes)))
+    train = random_windows(rng, cfg, 3 * 64, n_nodes)
+    valid = random_windows(rng, cfg, 64, n_nodes)
+    tracemalloc.start()
+    try:
+        fit(model, train, valid, graph, TrainConfig(max_epochs=1, batch_size=64), LossConfig())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def acting_model(cfg, seed, freeze_mode):
     """A model in the given mode whose adapters, if any, have nonzero up factors."""
     rng = np.random.default_rng(seed)
@@ -234,22 +253,13 @@ class TestFit:
         with pytest.raises(DataError, match="non-empty"):
             fit(model, toy_samples(rng, 3), [], toy_graph(), quick_cfg(), LossConfig())
 
-    def test_training_step_memory_stays_bounded(self):
+    def test_training_step_memory_stays_bounded(self, fit_epoch_peak):
         """backward() consumes its tape, so a step never holds the previous step's tape."""
-        cfg = ModelConfig(c_in=6)
-        n_nodes = 8
-        rng = np.random.default_rng(70)
-        model = build_model(cfg, rng)
-        graph = StationGraph([f"s{k}" for k in range(n_nodes)], np.ones((n_nodes, n_nodes)))
-        train = random_windows(rng, cfg, 3 * 64, n_nodes)
-        valid = random_windows(rng, cfg, 64, n_nodes)
-        tracemalloc.start()
-        try:
-            fit(model, train, valid, graph, TrainConfig(max_epochs=1, batch_size=64), LossConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 80 * 2**20, f"a fit epoch peaked at {peak / 2**20:.1f} MB"
+        assert fit_epoch_peak < 80 * 2**20, f"a fit epoch peaked at {fit_epoch_peak / 2**20:.1f} MB"
+
+    def test_fit_epoch_memory_with_fused_nodes(self, fit_epoch_peak):
+        """The tape keeps no FFN pre-activation, residual sum, score chain or unmerged heads."""
+        assert fit_epoch_peak < 44 * 2**20, f"a fit epoch peaked at {fit_epoch_peak / 2**20:.1f} MiB"
 
 
 class TestPersistence:
