@@ -8,20 +8,22 @@ small engine: only the operations the forecasting network needs exist, in
 the forms it uses them: ``sum`` and ``mean`` reduce every element, and
 ``concat`` works on the last axis.
 
-Three layers are single fused nodes with closed-form backward passes, each
-keeping only the arrays its backward pass reads:
+One layer is a single fused node with a closed-form backward pass:
+``linear``: x @ w + b, then an optional residual add and ReLU, applied in
+place on the product. It keeps its output, whose sign is the ReLU's mask,
+and no pre-activation. Any product with a 2-D right operand is a ``linear``
+node without bias. Its backward pass is one GEMM per operand gradient over
+the flattened rows, plus a row sum for the bias. Its forward product is
+flattened under the tape; per window under ``no_grad``, so a window's
+prediction does not depend on the others in its batch.
 
-- ``linear``: x @ w + b, then an optional residual add and ReLU, applied in
-  place on the product. It keeps its output, whose sign is the ReLU's mask,
-  and no pre-activation. Any product with a 2-D right operand is a
-  ``linear`` node without bias. Its backward pass is one GEMM per operand
-  gradient over the flattened rows, plus a row sum for the bias. Its forward
-  product is flattened under the tape; per window under ``no_grad``, so a
-  window's prediction does not depend on the others in its batch.
-- ``layer_norm``: keeps the normalized input and each row's standard deviation.
-- ``attention``: softmax(q @ k_t * scale + bias) @ v with the heads merged.
-  It keeps the attention weights; the scores and the per-head product are
-  never stored.
+A whole transformer block is one node too (``model._block_apply``), built on
+the same products. It keeps q, k, v, the attention weights and the FFN's
+hidden layer; its backward pass recomputes both layer norms, the merged heads
+and the post-attention sum with the forward's operations, taking that sum's
+product flattened (``_flat_product``) whatever ``no_grad`` says when
+``backward()`` runs, because the forward that recorded the node ran under the
+tape.
 
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
@@ -38,7 +40,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "attention", "concat", "layer_norm", "linear", "no_grad", "take_rows"]
+__all__ = ["Tensor", "concat", "linear", "no_grad", "take_rows"]
 
 _grad_enabled = True
 
@@ -282,12 +284,15 @@ def take_rows(table: Tensor, indices) -> Tensor:
     return Tensor._result(out_data, (table,), backward)
 
 
+def _flat_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., K) @ w (K, M) as one GEMM over the flattened rows: the product under the tape."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+
+
 def _weight_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x (..., K) @ w (K, M): flattened under the tape; per window under ``no_grad``,
     so a window's prediction does not depend on the others in its batch."""
-    if not _grad_enabled:
-        return x @ w
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+    return _flat_product(x, w) if _grad_enabled else x @ w
 
 
 def linear(
@@ -328,75 +333,3 @@ def linear(
             b._accum(g.sum(axis=0))
 
     return Tensor._result(out_data, parents, backward)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Normalize over the last axis, then scale by gamma (n,) and shift by beta (n,).
-
-    The forward pass runs the composed form's operations in the same order, so
-    its values are bit-identical to it. The backward pass is the closed form of
-    Ba et al., Layer Normalization (arXiv 1607.06450):
-    g_x = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std, g_hat = g * gamma.
-    """
-    n = x.data.shape[-1]
-    inv_n = 1.0 / n
-    x_hat = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((x_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n + eps)
-    x_hat /= std
-    out_data = x_hat * gamma.data
-    out_data += beta.data
-
-    def backward(out):
-        g = out.grad
-        if gamma.requires_grad:
-            gamma._accum((g * x_hat).reshape(-1, n).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(g.reshape(-1, n).sum(axis=0))
-        if x.requires_grad:
-            g_hat = g * gamma.data
-            g_x = g_hat - g_hat.sum(axis=-1, keepdims=True) * inv_n
-            g_x -= x_hat * ((g_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n)
-            g_x /= std
-            x._accum(g_x)
-
-    return Tensor._result(out_data, (x, gamma, beta), backward)
-
-
-def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float, bias: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ k_t * scale + bias) @ v with the heads merged, as one node.
-
-    q is (B, H, N, d), k_t (B, H, d, M), v (B, H, M, d_v) and bias, a constant,
-    broadcasts to the (B, H, N, M) scores; the result is (B, N, H*d_v). The
-    scores are scaled, biased and softmaxed over the last axis (shifted by
-    their row max, a constant w.r.t. gradients) in place, so the tape keeps the
-    attention weights y and nothing else between the operands and the merged
-    output. The backward pass does the composed nodes' arithmetic: y^T @ g for
-    v, g_s = y * (g_y - sum(g_y * y)) * scale with g_y = g @ v^T, then g_s @ k
-    for q and q^T @ g_s for k_t, skipping any operand without requires_grad.
-    """
-    y = q.data @ k_t.data
-    y *= scale
-    if bias is not None:
-        y += bias
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    heads = y @ v.data
-    b, h, n, d = heads.shape
-
-    def backward(out):
-        g = out.grad.reshape(b, n, h, d).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            v._accum(np.swapaxes(y, -1, -2) @ g)
-        if not (q.requires_grad or k_t.requires_grad):
-            return
-        g = g @ np.swapaxes(v.data, -1, -2)
-        g -= (g * y).sum(axis=-1, keepdims=True)
-        g *= y
-        g *= scale
-        if q.requires_grad:
-            q._accum(g @ np.swapaxes(k_t.data, -1, -2))
-        if k_t.requires_grad:
-            k_t._accum(np.swapaxes(q.data, -1, -2) @ g)
-
-    return Tensor._result(heads.transpose(0, 2, 1, 3).reshape(b, n, h * d), (q, k_t, v), backward)

@@ -8,17 +8,22 @@ In the partially frozen regime the attention bases of the graph blocks are
 stored 4-bit quantized and only embeddings, graph-block layer norms,
 low-rank adapters, and the regression head receive gradients.
 
-Attention runs with the heads as an array axis: q, k and v are reshaped to
-(B, H, N, d_k) and one ``autodiff.attention`` node scores, masks and
-softmaxes every head, applies the weights to v and merges the heads; the
-tape keeps only its attention weights. The output projection is a
-``linear`` node that also adds the block's residual, and the feed-forward
-layer is two ``linear`` nodes, the first with its ReLU and the second with
-the residual, so no block stores a pre-activation or a separate sum. The
-positional rows are added as the residual of the embedding's fusion layer.
-The low-rank adapters of a graph block are stacked the
-same way, one (H, W, r) and one (H, r, d_k) factor each for query and value,
-so a block adds the same number of autodiff nodes whatever the head count.
+Each transformer block is one tape node (``_block_apply``). Attention runs
+with the heads as an array axis: q, k and v are reshaped to (B, H, N, d_k) and
+one batched product scores, masks and softmaxes every head. The node keeps q,
+k, v, the attention weights y and the FFN's hidden layer (the block's input
+and output stay alive as neighbouring nodes' values). Its backward pass
+recomputes the rest with the forward's exact operations: both layer norms'
+normalized inputs, row deviations and outputs from the block input and x1;
+the merged heads from y and v; and x1, the post-attention sum, from the same
+flattened w_o product plus the residual. It adds each gradient in the order
+the separate nodes it replaced did (the normalized input's sums the q, k and
+v projections' shares, then the two adapters'), so every gradient is
+bit-identical to theirs.
+
+The positional rows are added as the residual of the embedding's fusion
+layer. The low-rank adapters of a graph block are stacked on a head axis too,
+one (H, W, r) and one (H, r, d_k) factor each for query and value.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
 and the NF4 codes of the quantized bases two per byte (low nibble first).
 The layout is checkpoint version 5. Its meta holds the architecture sizes,
@@ -41,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat, layer_norm, linear, take_rows
+from .autodiff import Tensor, _flat_product, _weight_product, concat, linear, take_rows
 from .errors import ConfigError, DataError
 from .quantize import NF4_CODEBOOK, dequantize, quantize
 
@@ -229,32 +234,196 @@ def mask_bias(adjacency: np.ndarray) -> np.ndarray:
     return np.where(adjacency == 0, MASK_FILL, 0.0)
 
 
-def _split_heads(t: Tensor, cfg: ModelConfig, axes: tuple) -> Tensor:
-    b, n, _ = t.shape
-    return t.reshape(b, n, cfg.heads, cfg.d_k).transpose(axes)
+def _normalize(x: np.ndarray) -> tuple:
+    """(x_hat, std): x normalized over its last axis, and each row's standard deviation."""
+    inv_n = 1.0 / x.shape[-1]
+    x_hat = x - x.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((x_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
+    x_hat /= std
+    return x_hat, std
 
 
-def _attention(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
-    """Multi-head attention of x (B, N, W) with the heads on an array axis, merged back to
-    (B, N, W); the caller applies w_o."""
-    b, n, w = x.shape
-    q = _split_heads(x @ blk.w_q, cfg, (0, 2, 1, 3))  # (B, H, N, d_k)
-    k_t = _split_heads(x @ blk.w_k, cfg, (0, 2, 3, 1))  # (B, H, d_k, N)
-    v = _split_heads(x @ blk.w_v, cfg, (0, 2, 1, 3))
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x normalized over its last axis, then scaled by gamma and shifted by beta."""
+    out = _normalize(x)[0]
+    out *= gamma
+    out += beta
+    return out
+
+
+def _layer_norm_backward(g, x_hat, std, gamma: Tensor, beta: Tensor, need_x: bool):
+    """Accumulate gamma's and beta's gradients from the output gradient g; return the
+    input's when need_x, in the closed form of Ba et al., Layer Normalization (arXiv
+    1607.06450): (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std, g_hat = g * gamma."""
+    n = g.shape[-1]
+    if gamma.requires_grad:
+        gamma._accum((g * x_hat).reshape(-1, n).sum(axis=0))
+    if beta.requires_grad:
+        beta._accum(g.reshape(-1, n).sum(axis=0))
+    if not need_x:
+        return None
+    inv_n = 1.0 / n
+    g_hat = g * gamma.data
+    g_x = g_hat - g_hat.sum(axis=-1, keepdims=True) * inv_n
+    g_x -= x_hat * ((g_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n)
+    g_x /= std
+    return g_x
+
+
+def _attention_weights(q: np.ndarray, k_t: np.ndarray, scale: float, bias: np.ndarray | None) -> np.ndarray:
+    """softmax(q @ k_t * scale + bias) over the last axis, computed in place on the scores;
+    the row max it subtracts is a constant with respect to gradients."""
+    y = q @ k_t
+    y *= scale
+    if bias is not None:
+        y += bias
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _attention_backward(g, y, q, k_t, v, scale: float) -> tuple:
+    """Gradients (q, k_t, v) of y @ v with y = _attention_weights(q, k_t, scale, bias),
+    from g, the gradient of y @ v: y^T @ g for v; g_s = y * (g_y - sum(g_y * y)) * scale
+    with g_y = g @ v^T, then g_s @ k for q and q^T @ g_s for k_t."""
+    g_v = np.swapaxes(y, -1, -2) @ g
+    g = g @ np.swapaxes(v, -1, -2)
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    g *= scale
+    return g @ np.swapaxes(k_t, -1, -2), np.swapaxes(q, -1, -2) @ g, g_v
+
+
+def _merge_heads(heads: np.ndarray) -> np.ndarray:
+    b, h, n, d = heads.shape
+    return heads.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+
+
+def _weight_grads(w: Tensor, b: Tensor | None, x: np.ndarray, rows: np.ndarray) -> None:
+    """Accumulate the gradients of w and b in x @ w + b from the output gradient rows (-1, M)."""
+    if w.requires_grad:
+        w._accum(x.reshape(-1, w.data.shape[0]).T @ rows)
+    if b is not None and b.requires_grad:
+        b._accum(rows.sum(axis=0))
+
+
+def _project_qkv(normed: np.ndarray, blk: PfgaBlockParams, cfg: ModelConfig) -> tuple:
+    """q and v (B, H, N, d_k) and k_t (B, H, d_k, N) from the normalized block input
+    (B, N, W), the adapters' low-rank updates added to q and v."""
+    b, n, w = normed.shape
+    split = (b, n, cfg.heads, cfg.d_k)
+    q = _weight_product(normed, blk.w_q.data).reshape(split).transpose(0, 2, 1, 3)
+    k_t = _weight_product(normed, blk.w_k.data).reshape(split).transpose(0, 2, 3, 1)
+    v = _weight_product(normed, blk.w_v.data).reshape(split).transpose(0, 2, 1, 3)
     if blk.adapters is not None:
         a = blk.adapters
-        x_h = x.reshape(b, 1, n, w)
-        q = q + (x_h @ a.l_q) @ a.m_q
-        v = v + (x_h @ a.l_v) @ a.m_v
-    return attention(q, k_t, v, 1.0 / np.sqrt(cfg.d_k), bias)  # (B, N, W)
+        x_h = normed.reshape(b, 1, n, w)
+        q = q + (x_h @ a.l_q.data) @ a.m_q.data
+        v = v + (x_h @ a.l_v.data) @ a.m_v.data
+    return q, k_t, v
+
+
+def _adapter_backward(normed, g, l: Tensor, m: Tensor):
+    """Accumulate the gradients of l (H, W, r) and m (H, r, d_k) in (x_h @ l) @ m, x_h the
+    normalized block input (B, N, W) as (B, 1, N, W), from its gradient g (B, H, N, d_k);
+    return x_h's, summed over the heads."""
+    b, n, w = normed.shape
+    x_h = normed.reshape(b, 1, n, w)
+    if m.requires_grad:
+        m._accum(np.swapaxes(x_h @ l.data, -1, -2) @ g)
+    g = g @ np.swapaxes(m.data, -1, -2)
+    if l.requires_grad:
+        l._accum(np.swapaxes(x_h, -1, -2) @ g)
+    return (g @ np.swapaxes(l.data, -1, -2)).sum(axis=1, keepdims=True)
+
+
+def _qkv_backward(g_q, g_k_t, g_v, x: Tensor, blk: PfgaBlockParams):
+    """Accumulate the gradients of w_q, w_k, w_v, the adapters and LN1 from those of
+    ``_project_qkv``'s outputs, recomputing LN1 from x; return x's gradient through LN1,
+    or None when x needs none. The normalized input's gradient sums the q, k and v
+    projections' shares in that order, then the two adapters' as one term."""
+    b, n, w = x.shape
+    x_hat, std = _normalize(x.data)
+    normed = x_hat * blk.ln1_gamma.data + blk.ln1_beta.data
+    g_normed = None
+    heads_first = (0, 2, 1, 3)  # its own inverse; (0, 3, 1, 2) undoes k_t's (0, 2, 3, 1)
+    for g, axes, weight in ((g_q, heads_first, blk.w_q), (g_k_t, (0, 3, 1, 2), blk.w_k), (g_v, heads_first, blk.w_v)):
+        rows = g.transpose(axes).reshape(-1, w)
+        _weight_grads(weight, None, normed, rows)
+        share = (rows @ weight.data.T).reshape(b, n, w)
+        if g_normed is None:
+            g_normed = share
+        else:
+            g_normed += share
+    if blk.adapters is not None:
+        a = blk.adapters
+        g_x_h = _adapter_backward(normed, g_q, a.l_q, a.m_q) + _adapter_backward(normed, g_v, a.l_v, a.m_v)
+        g_normed += g_x_h.reshape(b, n, w)
+    del normed, rows
+    return _layer_norm_backward(g_normed, x_hat, std, blk.ln1_gamma, blk.ln1_beta, x.requires_grad)
+
+
+def _ffn_backward(g, x1: np.ndarray, hidden: np.ndarray, blk: PfgaBlockParams) -> np.ndarray:
+    """Accumulate the gradients of LN2 and the FFN in relu(LN2(x1) @ w_1 + b_1) @ w_2 + b_2 + x1
+    from its gradient g, recomputing LN2 from x1; return x1's: the residual's g plus LN2's."""
+    rows = g.reshape(-1, g.shape[-1])
+    g_hidden = (rows @ blk.w_2.data.T).reshape(hidden.shape)
+    _weight_grads(blk.w_2, blk.b_2, hidden, rows)
+    g_hidden *= hidden > 0.0
+    rows = g_hidden.reshape(-1, hidden.shape[-1])
+    x_hat, std = _normalize(x1)
+    _weight_grads(blk.w_1, blk.b_1, x_hat * blk.ln2_gamma.data + blk.ln2_beta.data, rows)
+    g_normed2 = (rows @ blk.w_1.data.T).reshape(x1.shape)
+    del g_hidden, rows
+    return g + _layer_norm_backward(g_normed2, x_hat, std, blk.ln2_gamma, blk.ln2_beta, True)
 
 
 def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
-    normed = layer_norm(x, blk.ln1_gamma, blk.ln1_beta, LN_EPS)
-    x = linear(_attention(normed, blk, cfg, bias), blk.w_o, residual=x)
-    normed2 = layer_norm(x, blk.ln2_gamma, blk.ln2_beta, LN_EPS)
-    hidden = linear(normed2, blk.w_1, blk.b_1, relu=True)
-    return linear(hidden, blk.w_2, blk.b_2, residual=x)
+    """One transformer block on x (B, N, W) as one tape node.
+
+    LN1; q, k and v with the heads on an array axis, plus the adapters' updates of
+    q and v; attention scored, masked by bias and softmaxed; the heads merged,
+    projected by w_o and added to x, giving x1; LN2; the FFN with its ReLU, its
+    output added to x1. The node keeps q, k, v, the attention weights y and the
+    FFN's hidden layer. Its backward pass recomputes x1 from y, v and x and both
+    layer norms from x and x1 with the forward's operations (x1's product is
+    flattened, as it was under the tape), then sums every gradient in the order the
+    composed nodes did, skipping frozen operands.
+    """
+    b, n, w = x.shape
+    scale = 1.0 / np.sqrt(cfg.d_k)
+    q, k_t, v = _project_qkv(_layer_norm(x.data, blk.ln1_gamma.data, blk.ln1_beta.data), blk, cfg)
+    y = _attention_weights(q, k_t, scale, bias)
+    x1 = _weight_product(_merge_heads(y @ v), blk.w_o.data)
+    x1 += x.data
+    hidden = _weight_product(_layer_norm(x1, blk.ln2_gamma.data, blk.ln2_beta.data), blk.w_1.data)
+    hidden += blk.b_1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = _weight_product(hidden, blk.w_2.data)
+    out += blk.b_2.data
+    out += x1
+
+    saved = [q, k_t, v, y, hidden]
+
+    def backward(node):
+        q, k_t, v, y, hidden = saved
+        saved.clear()  # the tape is consumed: each saved array goes once its last reader is done
+        merged = _merge_heads(y @ v)
+        g_x1 = _ffn_backward(node.grad, _flat_product(merged, blk.w_o.data) + x.data, hidden, blk)
+        del hidden
+        x._accum(g_x1)  # x1 = merged @ w_o + x
+        rows = g_x1.reshape(-1, w)
+        _weight_grads(blk.w_o, None, merged, rows)
+        del merged
+        g_heads = (rows @ blk.w_o.data.T).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
+        g_q, g_k_t, g_v = _attention_backward(g_heads, y, q, k_t, v, scale)
+        del q, k_t, v, y, g_heads
+        g_x = _qkv_backward(g_q, g_k_t, g_v, x, blk)
+        if g_x is not None:
+            x._accum(g_x)
+
+    return Tensor._result(out, (x, *(t for _, t in blk.named(""))), backward)
 
 
 def graph_attention_block(

@@ -46,7 +46,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# windows per forward pass in evaluate; the predictions do not depend on it
+# windows per forward pass in fit's validation and in evaluate; the predictions do not depend on it
 _EVAL_CHUNK = 256
 
 
@@ -102,8 +102,6 @@ def fit(
     rng = seeds.substream(train_cfg.seed, "train.shuffle")
     adjacency = graph.adjacency
 
-    valid_hist, valid_target, valid_hours, valid_dows = valid.take(slice(None))
-
     log = []
     best = None  # (valid_mae, epoch, state)
     n = len(train)
@@ -122,9 +120,7 @@ def fit(
             total += value * len(hours)
         train_loss = total / n
 
-        with no_grad():
-            valid_pred = forward_batch(model, valid_hist, valid_hours, valid_dows, adjacency)
-        valid_mae = float(np.mean(np.abs(valid_pred.data - valid_target)))
+        valid_mae = float(np.mean(np.abs(_predict(model, valid, adjacency) - valid.target)))
         if not np.isfinite(valid_mae):
             raise NumericError(f"non-finite validation error at epoch {epoch}")
         log.append((epoch, train_loss, valid_mae))
@@ -158,16 +154,20 @@ class EvalReport:
         }
 
 
+def _predict(model: PfgaModel, windows: Windows, adjacency: np.ndarray) -> np.ndarray:
+    """Predictions (B, S, N, 1) for every window, _EVAL_CHUNK windows per tape-free pass."""
+    preds = []
+    for lo in range(0, len(windows), _EVAL_CHUNK):
+        hist, _, hours, dows = windows.take(slice(lo, lo + _EVAL_CHUNK))
+        with no_grad():
+            preds.append(forward_batch(model, hist, hours, dows, adjacency).data)
+    return np.concatenate(preds)
+
+
 def evaluate(model: PfgaModel, test: Windows, graph: StationGraph) -> EvalReport:
     if len(test) == 0:
         raise DataError("evaluate requires a non-empty test set")
-    preds = []
-    for lo in range(0, len(test), _EVAL_CHUNK):
-        hist, _, hours, dows = test.take(slice(lo, lo + _EVAL_CHUNK))
-        with no_grad():
-            out = forward_batch(model, hist, hours, dows, graph.adjacency)
-        preds.append(out.data)
-    predictions = np.concatenate(preds)
+    predictions = _predict(model, test, graph.adjacency)
     truth = np.ascontiguousarray(test.target)
 
     per_step = [metrics(predictions[:, s], truth[:, s]) for s in range(predictions.shape[1])]

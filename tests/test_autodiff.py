@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from chargecast import model as model_mod
-from chargecast.autodiff import Tensor, attention, concat, layer_norm, linear, no_grad, take_rows
+from chargecast.autodiff import Tensor, concat, linear, no_grad, take_rows
 from chargecast.losses import LossConfig, combined_loss
-from chargecast.model import LN_EPS, ModelConfig, build_model, forward_batch, freeze_and_adapt
+from chargecast.model import ModelConfig, build_model, forward_batch, freeze_and_adapt, mask_bias
 
 RNG = np.random.default_rng(20240816)
 H = 1e-6
@@ -189,6 +189,41 @@ def test_getitem_fancy_index_gradient():
     check(lambda x: (take_rows(x, rows) * take_rows(x, rows) * np.arange(1.0, 6.0)[:, None]).sum(), a)
 
 
+# -- the block's layer-norm and attention math -------------------------------------
+#
+# ``model._block_apply`` computes its layer norms and its attention with private
+# helpers. These two nodes wrap the helpers the way the standalone nodes the block
+# absorbed did, so the helpers keep their bit-for-bit and central-difference checks.
+
+
+def layer_norm(x, gamma, beta):
+    """Normalize over the last axis, then scale by gamma (n,) and shift by beta (n,)."""
+    x_hat, std = model_mod._normalize(x.data)
+
+    def backward(out):
+        g_x = model_mod._layer_norm_backward(out.grad, x_hat, std, gamma, beta, x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x)
+
+    return Tensor._result(model_mod._layer_norm(x.data, gamma.data, beta.data), (x, gamma, beta), backward)
+
+
+def attention(q, k_t, v, scale, bias=None):
+    """softmax(q @ k_t * scale + bias) @ v with the heads merged: (B, H, N, d) operands,
+    a (B, N, H*d_v) result."""
+    y = model_mod._attention_weights(q.data, k_t.data, scale, bias)
+    heads = y @ v.data
+    b, h, n, d = heads.shape
+
+    def backward(out):
+        g = out.grad.reshape(b, n, h, d).transpose(0, 2, 1, 3)
+        grads = model_mod._attention_backward(g, y, q.data, k_t.data, v.data, scale)
+        for operand, grad in zip((q, k_t, v), grads):
+            operand._accum(grad)
+
+    return Tensor._result(model_mod._merge_heads(heads), (q, k_t, v), backward)
+
+
 def attention_weights(scores):
     """``attention`` with identity keys and values and unit scale returns its softmax
     weights over the last axis of scores (..., N, M), in the shape of scores."""
@@ -259,7 +294,7 @@ def test_layernorm_composition():
     gamma = RNG.normal(size=(8,))
     beta = RNG.normal(size=(8,))
     weights = RNG.normal(size=(3, 8))
-    check(lambda x, g, b: (layer_norm(x, g, b, 1e-5) * weights).sum(), a, gamma, beta)
+    check(lambda x, g, b: (layer_norm(x, g, b) * weights).sum(), a, gamma, beta)
 
 
 def test_attention_composition():
@@ -427,7 +462,7 @@ def test_layer_norm_forward_matches_composed_form(shape):
     x = RNG.normal(size=shape) * 3.0 + 1.0
     gamma = RNG.normal(size=shape[-1:])
     beta = RNG.normal(size=shape[-1:])
-    out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
+    out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
     assert np.array_equal(out.data, layer_norm_reference(x, gamma, beta, 1e-5))
 
 
@@ -437,7 +472,7 @@ def test_layer_norm_gradient_with_frozen_operands(trainable):
     gamma = RNG.normal(size=(6,))
     beta = RNG.normal(size=(6,))
     weights = RNG.normal(size=(2, 3, 6))
-    build = lambda xx, g, b: (layer_norm(xx, g, b, 1e-5) * layer_norm(xx, g, b, 1e-5) * weights).sum()  # noqa: E731
+    build = lambda xx, g, b: (layer_norm(xx, g, b) * layer_norm(xx, g, b) * weights).sum()  # noqa: E731
     check_partly_trainable(build, [x, gamma, beta], trainable)
 
 
@@ -561,22 +596,77 @@ def closure_nodes(out):
     return count
 
 
-@pytest.mark.parametrize("freeze_mode, nodes", [("none", 73), ("partial", 87)])
-def test_tape_nodes_per_forward(freeze_mode, nodes):
-    """Default model, six channels, eight stations: one node per layer norm, attention and
-    linear layer, with the ReLUs and residual adds inside the linear nodes."""
+def _buffer(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def tape_bytes(out, parameters=()):
+    """Bytes of the arrays out's tape holds: every reachable node's output and every array
+    (or Tensor's array) its closure saved, each buffer counted once, whatever views of it
+    are held, and the buffers of the given parameter arrays left out."""
+    skipped = {id(_buffer(p)) for p in parameters}
+    held, seen, stack = {}, set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        saved = [node.data]
+        closure = node._backward.__closure__ if node._backward is not None else None
+        for cell in closure or ():
+            contents = cell.cell_contents
+            saved.extend(contents if isinstance(contents, (list, tuple)) else [contents])
+        for item in saved:
+            array = item.data if isinstance(item, Tensor) else item
+            if isinstance(array, np.ndarray) and id(_buffer(array)) not in skipped:
+                held[id(_buffer(array))] = _buffer(array).nbytes
+        stack.extend(node._parents)
+    return sum(held.values())
+
+
+def default_training_forward(freeze_mode, batch):
+    """One training forward of the default model on six channels and eight stations."""
     cfg = ModelConfig(c_in=6)
     rng = np.random.default_rng(3)
-    model = build_model(cfg, rng)
-    freeze_and_adapt(model, rng, freeze_mode=freeze_mode)
-    hist = rng.normal(size=(4, cfg.lookback, 8, cfg.c_in))
-    out = forward_batch(model, hist, np.arange(4), np.arange(4), np.ones((8, 8)))
+    model = freeze_and_adapt(build_model(cfg, rng), rng, freeze_mode=freeze_mode)
+    hist = rng.normal(size=(batch, cfg.lookback, 8, cfg.c_in))
+    out = forward_batch(model, hist, np.arange(batch) % 24, np.arange(batch) % 7, np.ones((8, 8)))
+    return model, out
+
+
+@pytest.mark.parametrize("freeze_mode, nodes", [("none", 17), ("partial", 17)])
+def test_tape_nodes_per_forward(freeze_mode, nodes):
+    """Default model, six channels, eight stations: ten nodes embed, each of the four
+    blocks is one node whatever its adapters, and the head is a linear node and two
+    shape nodes."""
+    _, out = default_training_forward(freeze_mode, 4)
     assert closure_nodes(out) == nodes
 
 
-def composed_block(x, blk, cfg, bias):
-    """``model._block_apply`` as separate nodes: the residual adds, the ReLU and the attention chain."""
-    normed = layer_norm(x, blk.ln1_gamma, blk.ln1_beta, LN_EPS)
+def test_tape_bytes_helper_counts_each_buffer_once():
+    x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
+    h = linear(x, w, relu=True)  # keeps its output; its parents are the operands
+    out = h.reshape(20).reshape(4, 5)  # two views of h's buffer
+    assert tape_bytes(out) == (12 + 15 + 20) * 8
+    assert tape_bytes(out, [w.data]) == (12 + 20) * 8
+
+
+@pytest.mark.parametrize("freeze_mode", ["none", "partial"])
+def test_tape_bytes_per_training_forward(freeze_mode):
+    """A block keeps q, k, v, the attention weights and the hidden layer, and recomputes
+    its layer norms and x1, so at batch 64 the whole tape holds under 16 MB."""
+    model, out = default_training_forward(freeze_mode, 64)
+    held = tape_bytes(out, [t.data for _, t in model.named_parameters()])
+    assert held < 16e6, f"one training forward holds {held / 1e6:.1f} MB"
+
+
+def composed_block(x, blk, cfg, bias, relu=None):
+    """``model._block_apply`` as separate nodes: layer norms, projections, adapters, the
+    attention chain, the residual adds and the ReLU (``relu``, if given, replaces it)."""
+    normed = layer_norm(x, blk.ln1_gamma, blk.ln1_beta)
     b, n, w = normed.shape
     q = (normed @ blk.w_q).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
     k_t = (normed @ blk.w_k).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 3, 1)
@@ -587,8 +677,8 @@ def composed_block(x, blk, cfg, bias):
         q = q + (x_h @ a.l_q) @ a.m_q
         v = v + (x_h @ a.l_v) @ a.m_v
     x = x + attention_reference(q, k_t, v, 1.0 / np.sqrt(cfg.d_k), bias) @ blk.w_o
-    normed2 = layer_norm(x, blk.ln2_gamma, blk.ln2_beta, LN_EPS)
-    return x + linear(relu_node(linear(normed2, blk.w_1, blk.b_1)), blk.w_2, blk.b_2)
+    normed2 = layer_norm(x, blk.ln2_gamma, blk.ln2_beta)
+    return x + linear((relu or relu_node)(linear(normed2, blk.w_1, blk.b_1)), blk.w_2, blk.b_2)
 
 
 def composed_embed(model, hist, hours, dows):
@@ -603,11 +693,27 @@ def composed_embed(model, hist, hours, dows):
     return fused + Tensor(model_mod._positional_rows(n, cfg.width))
 
 
-@pytest.mark.parametrize("freeze_mode", ["none", "partial"])
-def test_default_model_matches_composed_nodes(freeze_mode, monkeypatch):
+def adapted_model(cfg, rng, freeze_mode, use_graph_mask=True):
+    """A model in the given regime whose adapters, if any, have nonzero up factors, so
+    their gradients add into the normalized block input."""
+    model = freeze_and_adapt(build_model(cfg, rng), rng, freeze_mode=freeze_mode, use_graph_mask=use_graph_mask)
+    for blk in model.blocks:
+        if blk.adapters is not None:
+            blk.adapters.m_q.data = rng.normal(size=blk.adapters.m_q.shape) * 0.1
+            blk.adapters.m_v.data = rng.normal(size=blk.adapters.m_v.shape) * 0.1
+    return model
+
+
+@pytest.mark.parametrize(
+    "freeze_mode, use_graph_mask",
+    [("none", True), ("partial", True), ("all_graph", True), ("partial", False)],
+    ids=["none", "partial", "all_graph", "partial-unmasked"],
+)
+def test_default_model_matches_composed_nodes(freeze_mode, use_graph_mask, monkeypatch):
     """Default model, six channels, eight stations with a sparse graph: forward_batch's
     output and every trainable gradient of its training loss equal those of the
-    composed nodes the fused ones replaced, bit for bit."""
+    composed nodes the block node replaced, bit for bit, and so does each window's
+    ``no_grad`` forward alone."""
     cfg = ModelConfig(c_in=6)
     data = np.random.default_rng(4)
     hist = data.normal(size=(16, cfg.lookback, 8, cfg.c_in))
@@ -616,8 +722,7 @@ def test_default_model_matches_composed_nodes(freeze_mode, monkeypatch):
     adjacency = np.eye(8) + np.eye(8, k=1) + np.eye(8, k=-1)
     runs = []
     for composed in (False, True):
-        rng = np.random.default_rng(3)
-        model = freeze_and_adapt(build_model(cfg, rng), rng, freeze_mode=freeze_mode)
+        model = adapted_model(cfg, np.random.default_rng(3), freeze_mode, use_graph_mask)
         with monkeypatch.context() as patch:
             if composed:
                 patch.setattr(model_mod, "_block_apply", composed_block)
@@ -633,3 +738,46 @@ def test_default_model_matches_composed_nodes(freeze_mode, monkeypatch):
     assert [name for name, _ in fused_grads] == [name for name, _ in composed_grads]
     for (name, fused_grad), (_, composed_grad) in zip(fused_grads, composed_grads):
         assert np.array_equal(fused_grad, composed_grad), name
+    with no_grad():
+        for i in range(16):
+            alone = forward_batch(model, hist[i : i + 1], hours[i : i + 1], dows[i : i + 1], adjacency)
+            assert np.array_equal(alone.data, fused_plain[i : i + 1]), i
+
+
+BLOCK_CFG = ModelConfig(d_embed=4, lookback=2, horizon=1, f_frozen=1, u_unfrozen=1, heads=2, rank=2)
+
+
+@pytest.mark.parametrize(
+    "freeze_mode, index, n_trainable",
+    [("none", 1, 12), ("partial", 1, 8), ("partial", 0, 0)],
+    ids=["none", "partial", "partial-frozen"],
+)
+def test_block_gradient(freeze_mode, index, n_trainable):
+    """Central differences for the block input and every trainable operand of one block:
+    all twelve in ``none``; the layer norms and the four adapter factors of a partial
+    graph block, whose other operands must get no gradient; only the input of a fully
+    frozen block."""
+    cfg = BLOCK_CFG
+    for seed in range(100):  # redraw until central differences cannot cross the ReLU's kink
+        rng = np.random.default_rng(seed)
+        blk = adapted_model(cfg, rng, freeze_mode).blocks[index]
+        x = rng.normal(size=(2, 3, cfg.width))
+        bias = mask_bias(np.eye(3) + np.eye(3, k=1)) if blk.masked else None
+        pre = []
+        composed_block(Tensor(x), blk, cfg, bias, relu=lambda t: pre.append(t.data) or relu_node(t))
+        if np.abs(pre[0]).min() >= 1e-3:
+            break
+    weights = rng.normal(size=x.shape)
+    operands = [t for _, t in blk.named("")]
+    trainable = [t for t in operands if t.requires_grad]
+    assert len(trainable) == n_trainable
+    x_in = Tensor(x, requires_grad=True)
+    (model_mod._block_apply(x_in, blk, cfg, bias) * weights).sum().backward()
+
+    def replay():
+        return float((model_mod._block_apply(Tensor(x), blk, cfg, bias) * weights).sum().data)
+
+    numeric = numeric_grad(replay, [x] + [t.data for t in trainable])
+    for analytic, expected in zip([x_in.grad] + [t.grad for t in trainable], numeric):
+        np.testing.assert_allclose(analytic, expected, rtol=TOL, atol=TOL)
+    assert all(t.grad is None for t in operands if not t.requires_grad)

@@ -258,8 +258,33 @@ class TestFit:
         assert fit_epoch_peak < 80 * 2**20, f"a fit epoch peaked at {fit_epoch_peak / 2**20:.1f} MB"
 
     def test_fit_epoch_memory_with_fused_nodes(self, fit_epoch_peak):
-        """The tape keeps no FFN pre-activation, residual sum, score chain or unmerged heads."""
-        assert fit_epoch_peak < 44 * 2**20, f"a fit epoch peaked at {fit_epoch_peak / 2**20:.1f} MiB"
+        """The tape keeps no FFN pre-activation, residual sum, score chain or unmerged heads,
+        and a block keeps neither its layer norms nor x1."""
+        assert fit_epoch_peak < 33 * 2**20, f"a fit epoch peaked at {fit_epoch_peak / 2**20:.1f} MiB"
+
+    def test_validation_runs_in_eval_chunks(self, monkeypatch):
+        """The validation pass takes at most _EVAL_CHUNK windows per forward, and its chunk
+        size does not change the log."""
+        cfg = ModelConfig(c_in=2)
+        rng = np.random.default_rng(75)
+        train, valid = random_windows(rng, cfg, 16, 8), random_windows(rng, cfg, 23, 8)
+        graph = StationGraph([f"s{k}" for k in range(8)], np.ones((8, 8)))
+        valid_sizes = []
+
+        def recorded(model, hist, *rest):
+            out = forward_batch(model, hist, *rest)
+            if not out.requires_grad:  # a tape-free pass: validation
+                valid_sizes.append(len(hist))
+            return out
+
+        logs = []
+        for chunk in (256, 5):
+            monkeypatch.setattr(training_module, "_EVAL_CHUNK", chunk)
+            monkeypatch.setattr(training_module, "forward_batch", recorded)
+            model = acting_model(cfg, 76, "partial")
+            logs.append(fit(model, train, valid, graph, TrainConfig(max_epochs=2, batch_size=8), LossConfig()).log)
+        assert logs[0] == logs[1]
+        assert valid_sizes == [23] * 2 + [5, 5, 5, 5, 3] * 2
 
 
 class TestPersistence:
