@@ -9,25 +9,22 @@ the forms it uses them: ``sum`` and ``mean`` reduce every element, and
 ``concat`` works on the last axis.
 
 One layer is a single fused node with a closed-form backward pass:
-``linear``: x @ w + b, then an optional residual add and ReLU, applied in
-place on the product. It keeps its output, whose sign is the ReLU's mask,
-and no pre-activation. Any product with a 2-D right operand is a ``linear``
-node without bias. Its backward pass is one GEMM per operand gradient over
-the flattened rows, plus a row sum for the bias. Its forward product is
-flattened under the tape; per window under ``no_grad``, so a window's
-prediction does not depend on the others in its batch.
+``linear``: x @ w + b, then an optional constant residual add, applied in
+place on the product, so it keeps no intermediate. Any product
+with a 2-D right operand is a ``linear`` node without bias. Its backward
+pass, ``dense_backward``, is one GEMM per operand gradient over the
+flattened rows of the output gradient, plus a row sum for the bias.
 
 A whole transformer block is one node too (``model._block_apply``), built on
-the same products. It keeps q, k, v, the attention weights and the FFN's
-hidden layer; its backward pass recomputes both layer norms, the merged heads
-and the post-attention sum with the forward's operations, taking that sum's
-product flattened (``_flat_product``) whatever ``no_grad`` says when
-``backward()`` runs, because the forward that recorded the node ran under the
-tape.
+the same products and the same ``dense_backward``. It keeps q, k, v, the
+attention weights and the FFN's hidden layer; its backward pass recomputes
+both layer norms, the merged heads and the post-attention sum with the
+forward's operations.
 
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
-record no parents and no closure, so an inference pass keeps no tape alive.
+record no parents and no closure, so an inference pass keeps no tape alive;
+it computes the same numbers as a pass under the tape.
 ``backward()`` consumes the tape it walks: leaves keep their gradients, each
 intermediate result drops its gradient, parents and saved values once its
 closure has run, and a second backward through a consumed result raises
@@ -40,7 +37,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "linear", "no_grad", "take_rows"]
+__all__ = ["Tensor", "concat", "dense_backward", "linear", "no_grad", "take_rows"]
 
 _grad_enabled = True
 
@@ -284,52 +281,33 @@ def take_rows(table: Tensor, indices) -> Tensor:
     return Tensor._result(out_data, (table,), backward)
 
 
-def _flat_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (..., K) @ w (K, M) as one GEMM over the flattened rows: the product under the tape."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+def dense_backward(rows: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None = None, need_x: bool = True):
+    """Accumulate the gradients of w and b in x (..., K) @ w (K, M) + b from the output
+    gradient's rows (-1, M), one GEMM over all rows; return x's, shaped like x, when need_x."""
+    if w.requires_grad:
+        w._accum(x.reshape(-1, w.data.shape[0]).T @ rows)
+    if b is not None and b.requires_grad:
+        b._accum(rows.sum(axis=0))
+    return (rows @ w.data.T).reshape(x.shape) if need_x else None
 
 
-def _weight_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (..., K) @ w (K, M): flattened under the tape; per window under ``no_grad``,
-    so a window's prediction does not depend on the others in its batch."""
-    return _flat_product(x, w) if _grad_enabled else x @ w
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, *, residual: np.ndarray | None = None) -> Tensor:
+    """x (..., K) @ w (K, M) + b (M,) [+ residual], as one node.
 
-
-def linear(
-    x: Tensor, w: Tensor, b: Tensor | None = None, *, relu: bool = False, residual: Tensor | np.ndarray | None = None
-) -> Tensor:
-    """x (..., K) @ w (K, M) + b (M,) [+ residual], then [ReLU], as one node.
-
-    b = None leaves out the bias. The bias, the residual (a Tensor or array
-    broadcastable to the output) and the ReLU are applied in that order, in
-    place on the product, so the tape keeps one output array and no
-    pre-activation. The backward pass masks the output gradient by ``out > 0``
-    under ``relu`` (the pre-activation's mask), sends it to the residual, then
-    takes one GEMM per operand gradient over the flattened rows and a row sum
-    for the bias, skipping any operand without requires_grad.
+    b = None leaves out the bias. The bias and then the residual, a constant
+    array broadcastable to the output that gets no gradient, are added in
+    place on the product, so the tape keeps one output array. The backward
+    pass is ``dense_backward``, skipping any operand without requires_grad.
     """
-    k, m = w.data.shape
-    out_data = _weight_product(x.data, w.data)
+    out_data = x.data @ w.data
     if b is not None:
         out_data += b.data
-    parents = (x, w) if b is None else (x, w, b)
     if residual is not None:
-        residual = Tensor._lift(residual)
-        out_data += residual.data
-        parents += (residual,)
-    if relu:
-        np.maximum(out_data, 0.0, out=out_data)
+        out_data += residual
 
     def backward(out):
-        g = out.grad * (out.data > 0.0) if relu else out.grad
-        if residual is not None:
-            residual._accum(g)
-        g = g.reshape(-1, m)
-        if x.requires_grad:
-            x._accum((g @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            w._accum(x.data.reshape(-1, k).T @ g)
-        if b is not None and b.requires_grad:
-            b._accum(g.sum(axis=0))
+        g_x = dense_backward(out.grad.reshape(-1, w.data.shape[1]), x.data, w, b, x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x)
 
-    return Tensor._result(out_data, parents, backward)
+    return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)

@@ -16,10 +16,11 @@ and output stay alive as neighbouring nodes' values). Its backward pass
 recomputes the rest with the forward's exact operations: both layer norms'
 normalized inputs, row deviations and outputs from the block input and x1;
 the merged heads from y and v; and x1, the post-attention sum, from the same
-flattened w_o product plus the residual. It adds each gradient in the order
-the separate nodes it replaced did (the normalized input's sums the q, k and
-v projections' shares, then the two adapters'), so every gradient is
-bit-identical to theirs.
+w_o product plus the residual. Each of its six dense products (q, k, v, w_o,
+w_1, w_2) takes its gradients from ``autodiff.dense_backward``. It adds each
+gradient in the order the separate nodes it replaced did (the normalized
+input's sums the q, k and v projections' shares, then the two adapters'), so
+every gradient is bit-identical to theirs.
 
 The positional rows are added as the residual of the embedding's fusion
 layer. The low-rank adapters of a graph block are stacked on a head axis too,
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, _flat_product, _weight_product, concat, linear, take_rows
+from .autodiff import Tensor, concat, dense_backward, linear, take_rows
 from .errors import ConfigError, DataError
 from .quantize import NF4_CODEBOOK, dequantize, quantize
 
@@ -300,22 +301,14 @@ def _merge_heads(heads: np.ndarray) -> np.ndarray:
     return heads.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
-def _weight_grads(w: Tensor, b: Tensor | None, x: np.ndarray, rows: np.ndarray) -> None:
-    """Accumulate the gradients of w and b in x @ w + b from the output gradient rows (-1, M)."""
-    if w.requires_grad:
-        w._accum(x.reshape(-1, w.data.shape[0]).T @ rows)
-    if b is not None and b.requires_grad:
-        b._accum(rows.sum(axis=0))
-
-
 def _project_qkv(normed: np.ndarray, blk: PfgaBlockParams, cfg: ModelConfig) -> tuple:
     """q and v (B, H, N, d_k) and k_t (B, H, d_k, N) from the normalized block input
     (B, N, W), the adapters' low-rank updates added to q and v."""
     b, n, w = normed.shape
     split = (b, n, cfg.heads, cfg.d_k)
-    q = _weight_product(normed, blk.w_q.data).reshape(split).transpose(0, 2, 1, 3)
-    k_t = _weight_product(normed, blk.w_k.data).reshape(split).transpose(0, 2, 3, 1)
-    v = _weight_product(normed, blk.w_v.data).reshape(split).transpose(0, 2, 1, 3)
+    q = (normed @ blk.w_q.data).reshape(split).transpose(0, 2, 1, 3)
+    k_t = (normed @ blk.w_k.data).reshape(split).transpose(0, 2, 3, 1)
+    v = (normed @ blk.w_v.data).reshape(split).transpose(0, 2, 1, 3)
     if blk.adapters is not None:
         a = blk.adapters
         x_h = normed.reshape(b, 1, n, w)
@@ -349,9 +342,7 @@ def _qkv_backward(g_q, g_k_t, g_v, x: Tensor, blk: PfgaBlockParams):
     g_normed = None
     heads_first = (0, 2, 1, 3)  # its own inverse; (0, 3, 1, 2) undoes k_t's (0, 2, 3, 1)
     for g, axes, weight in ((g_q, heads_first, blk.w_q), (g_k_t, (0, 3, 1, 2), blk.w_k), (g_v, heads_first, blk.w_v)):
-        rows = g.transpose(axes).reshape(-1, w)
-        _weight_grads(weight, None, normed, rows)
-        share = (rows @ weight.data.T).reshape(b, n, w)
+        share = dense_backward(g.transpose(axes).reshape(-1, w), normed, weight)
         if g_normed is None:
             g_normed = share
         else:
@@ -360,21 +351,18 @@ def _qkv_backward(g_q, g_k_t, g_v, x: Tensor, blk: PfgaBlockParams):
         a = blk.adapters
         g_x_h = _adapter_backward(normed, g_q, a.l_q, a.m_q) + _adapter_backward(normed, g_v, a.l_v, a.m_v)
         g_normed += g_x_h.reshape(b, n, w)
-    del normed, rows
+    del normed
     return _layer_norm_backward(g_normed, x_hat, std, blk.ln1_gamma, blk.ln1_beta, x.requires_grad)
 
 
 def _ffn_backward(g, x1: np.ndarray, hidden: np.ndarray, blk: PfgaBlockParams) -> np.ndarray:
     """Accumulate the gradients of LN2 and the FFN in relu(LN2(x1) @ w_1 + b_1) @ w_2 + b_2 + x1
     from its gradient g, recomputing LN2 from x1; return x1's: the residual's g plus LN2's."""
-    rows = g.reshape(-1, g.shape[-1])
-    g_hidden = (rows @ blk.w_2.data.T).reshape(hidden.shape)
-    _weight_grads(blk.w_2, blk.b_2, hidden, rows)
+    g_hidden = dense_backward(g.reshape(-1, g.shape[-1]), hidden, blk.w_2, blk.b_2)
     g_hidden *= hidden > 0.0
-    rows = g_hidden.reshape(-1, hidden.shape[-1])
     x_hat, std = _normalize(x1)
-    _weight_grads(blk.w_1, blk.b_1, x_hat * blk.ln2_gamma.data + blk.ln2_beta.data, rows)
-    g_normed2 = (rows @ blk.w_1.data.T).reshape(x1.shape)
+    rows = g_hidden.reshape(-1, hidden.shape[-1])
+    g_normed2 = dense_backward(rows, x_hat * blk.ln2_gamma.data + blk.ln2_beta.data, blk.w_1, blk.b_1)
     del g_hidden, rows
     return g + _layer_norm_backward(g_normed2, x_hat, std, blk.ln2_gamma, blk.ln2_beta, True)
 
@@ -387,20 +375,19 @@ def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.nda
     projected by w_o and added to x, giving x1; LN2; the FFN with its ReLU, its
     output added to x1. The node keeps q, k, v, the attention weights y and the
     FFN's hidden layer. Its backward pass recomputes x1 from y, v and x and both
-    layer norms from x and x1 with the forward's operations (x1's product is
-    flattened, as it was under the tape), then sums every gradient in the order the
-    composed nodes did, skipping frozen operands.
+    layer norms from x and x1 with the forward's operations, then sums every
+    gradient in the order the composed nodes did, skipping frozen operands.
     """
     b, n, w = x.shape
     scale = 1.0 / np.sqrt(cfg.d_k)
     q, k_t, v = _project_qkv(_layer_norm(x.data, blk.ln1_gamma.data, blk.ln1_beta.data), blk, cfg)
     y = _attention_weights(q, k_t, scale, bias)
-    x1 = _weight_product(_merge_heads(y @ v), blk.w_o.data)
+    x1 = _merge_heads(y @ v) @ blk.w_o.data
     x1 += x.data
-    hidden = _weight_product(_layer_norm(x1, blk.ln2_gamma.data, blk.ln2_beta.data), blk.w_1.data)
+    hidden = _layer_norm(x1, blk.ln2_gamma.data, blk.ln2_beta.data) @ blk.w_1.data
     hidden += blk.b_1.data
     np.maximum(hidden, 0.0, out=hidden)
-    out = _weight_product(hidden, blk.w_2.data)
+    out = hidden @ blk.w_2.data
     out += blk.b_2.data
     out += x1
 
@@ -410,13 +397,12 @@ def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.nda
         q, k_t, v, y, hidden = saved
         saved.clear()  # the tape is consumed: each saved array goes once its last reader is done
         merged = _merge_heads(y @ v)
-        g_x1 = _ffn_backward(node.grad, _flat_product(merged, blk.w_o.data) + x.data, hidden, blk)
+        g_x1 = _ffn_backward(node.grad, merged @ blk.w_o.data + x.data, hidden, blk)
         del hidden
         x._accum(g_x1)  # x1 = merged @ w_o + x
-        rows = g_x1.reshape(-1, w)
-        _weight_grads(blk.w_o, None, merged, rows)
+        g_heads = dense_backward(g_x1.reshape(-1, w), merged, blk.w_o)
         del merged
-        g_heads = (rows @ blk.w_o.data.T).reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
+        g_heads = g_heads.reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
         g_q, g_k_t, g_v = _attention_backward(g_heads, y, q, k_t, v, scale)
         del q, k_t, v, y, g_heads
         g_x = _qkv_backward(g_q, g_k_t, g_v, x, blk)
@@ -641,7 +627,8 @@ def _stored(arrays: dict, key: str, like: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(model: PfgaModel, path: str) -> None:
-    """Write the values, plus the sizes, freeze mode and block masks that rebuild the rest."""
+    """Write the values, plus the sizes, freeze mode and block masks that rebuild the rest,
+    to path exactly, whatever its extension."""
     meta = {
         "version": _CHECKPOINT_VERSION,
         "freeze_mode": model.freeze_mode,
@@ -661,7 +648,8 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
             arrays[f"q_scale_min__{tag}"] = qt.scale_min
             arrays[f"q_scale_step__{tag}"] = qt.scale_step
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # a file object: np.savez appends .npz to a bare name
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> PfgaModel:

@@ -610,6 +610,20 @@ class TestDeterminism:
                 cli.main([command, *common])
         assert used["pretrain"] != used["train"]
 
+    def test_checkpoint_names_without_npz_are_used_as_given(self, workspace, data_copy):
+        """pretrain, train and evaluate on [io] backbone and checkpoint names that do not
+        end in .npz write and read exactly those files, with the bytes the .npz names got."""
+        ws, _ = workspace
+        out_dir, _ = data_copy
+        ini = out_dir / "ckpt.ini"
+        ini.write_text(LIGHT_INI.replace("[io]\n", "[io]\nbackbone = backbone.ckpt\ncheckpoint = model.ckpt\n"))
+        for command in ("pretrain", "train", "evaluate"):
+            run(command, "--config", str(ini), "--seed", "11", "--out-dir", str(out_dir))
+        assert not list(out_dir.glob("*.ckpt.npz"))
+        assert (out_dir / "backbone.ckpt").read_bytes() == (ws / "backbone.npz").read_bytes()
+        assert (out_dir / "model.ckpt").read_bytes() == (ws / "model.npz").read_bytes()
+        assert (out_dir / "metrics.json").read_bytes() == (ws / "metrics.json").read_bytes()
+
     def test_train_rerun_gives_identical_checkpoint(self, workspace):
         ws, common = workspace
         before = (ws / "model.npz").read_bytes()

@@ -505,6 +505,18 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert [b.masked for b in loaded.blocks] == [True, True]
 
+    def test_a_path_without_npz_is_written_as_given(self, tmp_path):
+        rng = np.random.default_rng(33)
+        model = build_model(TINY, rng)
+        freeze_and_adapt(model, rng, freeze_mode="partial")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        loaded = load_checkpoint(str(path))
+        for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert na == nb
+            assert np.array_equal(ta.data, tb.data), na
+
     def saved_arrays(self, tmp_path, seed, version=None):
         """Arrays of a saved partial-mode TINY checkpoint, with ``version`` written into its meta."""
         rng = np.random.default_rng(seed)
