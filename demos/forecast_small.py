@@ -11,7 +11,7 @@ import numpy as np
 from chargecast import seeds
 from chargecast.bands import DecomposeConfig
 from chargecast.channels import ChannelConfig, assemble_channels
-from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, make_windows, split_dataset
+from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, split_windows
 from chargecast.io import apply_holidays
 from chargecast.losses import LossConfig
 from chargecast.model import ModelConfig, build_model, freeze_and_adapt, trainable_parameter_count
@@ -41,13 +41,7 @@ def build_dataset(seed):
     assembled = assemble_channels(series, calendar, seed, CHANNELS)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
-    windows = []
-    begin = 0
-    for part in split_dataset(assembled.series, (0.8, 0.1, 0.1)):
-        cal = calendar.slice_time(begin, begin + part.T)
-        windows.append(make_windows(part, cal, MODEL.lookback, MODEL.horizon))
-        begin += part.T
-    return graph, windows
+    return graph, split_windows(assembled.series, calendar, MODEL.lookback, MODEL.horizon)
 
 
 def main():

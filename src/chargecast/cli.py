@@ -37,7 +37,7 @@ from . import seeds, synth
 from .autodiff import no_grad
 from .channels import AssembledChannels, assemble_channels, channel_counts
 from .config import PipelineConfig, load_config
-from .domain import CalendarFrame, SeriesTensor, StationGraph, make_windows, split_dataset
+from .domain import CalendarFrame, SeriesTensor, StationGraph, split_windows
 from .errors import ConfigError, DataError, NumericError
 from .model import build_model, forward_batch, freeze_and_adapt, load_checkpoint, save_checkpoint
 from .relieff import write_weights_csv
@@ -133,21 +133,6 @@ def _synth_exogenous(count: int, rng: np.random.Generator, t_len: int) -> dict:
         cycle = rng.uniform(0.5, 1.5) * np.sin(2.0 * np.pi * hours / 24.0 + rng.uniform(0, 2 * np.pi))
         out[f"driver{j}"] = drift + cycle
     return out
-
-
-def _windows(cfg: PipelineConfig, series: SeriesTensor, calendar: CalendarFrame):
-    """(train, valid, test) Windows of series, each split long enough for one window."""
-    p = cfg.get("model", "lookback")
-    s = cfg.get("model", "horizon")
-    try:
-        parts = split_dataset(series, cfg.ratios(), min_len=p + s)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    windows, start = [], 0
-    for part in parts:
-        windows.append(make_windows(part, calendar.slice_time(start, start + part.T), p, s))
-        start += part.T
-    return tuple(windows)
 
 
 def _load_matching_checkpoint(cfg: PipelineConfig, key: str):
@@ -299,10 +284,11 @@ def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool =
     file or a checkpoint made for another configuration fails fast.
     """
     series, calendar, node_ids = _load_series(cfg)
+    p, s = cfg.get("model", "lookback"), cfg.get("model", "horizon")
     if split:
-        _windows(cfg, series, calendar)
-    elif checkpoint and series.T < cfg.get("model", "lookback"):
-        raise DataError(f"series has {series.T} steps; need at least lookback={cfg.get('model', 'lookback')}")
+        split_windows(series, calendar, p, s)
+    elif checkpoint and series.T < p:
+        raise DataError(f"series has {series.T} steps; need at least lookback={p}")
     graph = cio.load_adjacency_csv(_path(cfg, cfg.get("io", "adjacency")), node_ids) if checkpoint else None
     exogenous = _load_exogenous(cfg, calendar, node_ids)
     model = _load_matching_checkpoint(cfg, checkpoint) if checkpoint else None
@@ -343,6 +329,7 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
     seed = cfg.seed()
     synth_args = cfg.fields("synth")
     exogenous_count, c_in = channel_counts(cfg.channel_config(), len(cfg.get("io", "exogenous")))
+    p, s = cfg.get("model", "lookback"), cfg.get("model", "horizon")
     samples = []
     for j, offset in enumerate(_PRETRAIN_STATION_OFFSETS):
         task_rng = seeds.substream(seed, f"pretrain.data{j}")
@@ -352,11 +339,11 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
         calendar = CalendarFrame(data.timestamps)
         calendar = cio.apply_holidays(calendar, data.holidays)
         series = SeriesTensor(data.values[:, :, None])
-        _windows(cfg, series, calendar)
+        split_windows(series, calendar, p, s)
         exogenous = _synth_exogenous(exogenous_count, task_rng, calendar.T)
         assembled = assemble_channels(series, calendar, seed,
                                       cfg.channel_config(), exogenous=exogenous or None)
-        train_w, valid_w, _ = _windows(cfg, assembled.series, calendar)
+        train_w, valid_w, _ = split_windows(assembled.series, calendar, p, s)
         samples.append((train_w, valid_w, StationGraph(data.node_ids, data.adjacency)))
         print(f"pretraining task {j}: {n} stations, {len(train_w)} train windows")
 
@@ -372,7 +359,8 @@ def _cmd_pretrain(cfg: PipelineConfig) -> int:
 
 def _cmd_train(cfg: PipelineConfig) -> int:
     assembled, calendar, _, graph, model = _front_end(cfg, "backbone", split=True)
-    train_w, valid_w, _ = _windows(cfg, assembled.series, calendar)
+    p, s = cfg.get("model", "lookback"), cfg.get("model", "horizon")
+    train_w, valid_w, _ = split_windows(assembled.series, calendar, p, s)
     print(f"channels: {', '.join(assembled.channel_names)}")
 
     train_cfg = cfg.train_config()
@@ -391,12 +379,13 @@ def _cmd_train(cfg: PipelineConfig) -> int:
 
 def _cmd_evaluate(cfg: PipelineConfig) -> int:
     assembled, calendar, node_ids, graph, model = _front_end(cfg, "checkpoint", split=True)
-    _, _, test_w = _windows(cfg, assembled.series, calendar)
+    p, s = cfg.get("model", "lookback"), cfg.get("model", "horizon")
+    _, _, test_w = split_windows(assembled.series, calendar, p, s)
     report = evaluate(model, test_w, graph)
     print(f"test mae {report.aggregate['mae']:.6f} "
           f"(persistence {report.baseline['mae']:.6f})")
     _write(cfg, "metrics.json", cio.write_metrics_json, report.as_json_dict())
-    end = calendar.T - cfg.get("model", "horizon") + 1  # one past the last window's stamp
+    end = calendar.T - s + 1  # one past the last window's stamp
     stamps = calendar.timestamps[end - len(test_w) : end]
     _write(cfg, "predictions.csv", cio.write_predictions_csv, stamps, node_ids, report.predictions, report.truths)
     return 0
@@ -404,8 +393,7 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
 
 def _cmd_forecast(cfg: PipelineConfig) -> int:
     assembled, calendar, node_ids, graph, model = _front_end(cfg, "checkpoint")
-    p = cfg.get("model", "lookback")
-    s = cfg.get("model", "horizon")
+    p, s = cfg.get("model", "lookback"), cfg.get("model", "horizon")
     hist = assembled.series.values[-p:][None]
     hours = np.array([calendar.hour_of_day[-1]])
     dows = np.array([calendar.day_of_week[-1]])

@@ -98,7 +98,6 @@ SCHEMA.update(
         "out_dir": (".", str),
     },
     seeds={"root": ("0", int)},
-    data={"train_ratio": ("0.8", float), "valid_ratio": ("0.1", float), "test_ratio": ("0.1", float)},
 )
 
 
@@ -150,18 +149,6 @@ class PipelineConfig:
     def loss_config(self) -> LossConfig:
         return LossConfig(**self.fields("loss"))
 
-    def ratios(self) -> tuple:
-        r = (
-            self.get("data", "train_ratio"),
-            self.get("data", "valid_ratio"),
-            self.get("data", "test_ratio"),
-        )
-        if min(r) <= 0:
-            raise ConfigError(f"[data] split ratios must be > 0, got {r}")
-        if abs(sum(r) - 1.0) > 1e-9:
-            raise ConfigError(f"[data] split ratios must sum to 1, got {r}")
-        return r
-
     def seed(self) -> int:
         return self.get("seeds", "root")
 
@@ -211,5 +198,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             for key, name in keys.items():  # name the INI key, not the field it sets
                 message = re.sub(rf"\b{name}\b", key, message)
             raise ConfigError(f"[{section}] {message}") from exc
-    cfg.ratios()
     return cfg

@@ -16,9 +16,14 @@ __all__ = [
     "StationGraph",
     "CalendarFrame",
     "Windows",
+    "SPLIT_RATIOS",
     "split_dataset",
     "make_windows",
+    "split_windows",
 ]
+
+# chronological (train, valid, test) shares of every series the pipeline fits and scores
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -175,7 +180,8 @@ def split_dataset(series: SeriesTensor, ratios, min_len: int = 1):
 
     Validation and test lengths are floor(T * ratio); the flooring
     remainder goes to the training split. Raises if the ratios do not sum
-    to 1 or any split ends up shorter than ``min_len`` steps.
+    to 1 or any split ends up shorter than ``min_len`` steps. The
+    pipeline's split is ``split_windows``.
     """
     r = [float(x) for x in ratios]
     if len(r) != 3 or any(x <= 0 for x in r):
@@ -221,3 +227,15 @@ def make_windows(series: SeriesTensor, calendar: CalendarFrame, P: int, S: int) 
         hours=calendar.hour_of_day[P - 1 : total - S],
         dows=calendar.day_of_week[P - 1 : total - S],
     )
+
+
+def split_windows(series: SeriesTensor, calendar: CalendarFrame, P: int, S: int):
+    """(train, valid, test) Windows of series split at SPLIT_RATIOS.
+
+    Raises ValueError naming the first split shorter than P + S steps.
+    """
+    windows, start = [], 0
+    for part in split_dataset(series, SPLIT_RATIOS, min_len=P + S):
+        windows.append(make_windows(part, calendar.slice_time(start, start + part.T), P, S))
+        start += part.T
+    return tuple(windows)

@@ -272,8 +272,8 @@ def _natural_spline_rows(xk: np.ndarray, yk: np.ndarray, nk: np.ndarray, n: int)
 def _sift_levels(rows: np.ndarray):
     """Lockstep EMD of every row of an (R, T) array, which it consumes.
 
-    Yields one (row_ids, imfs, capped) triple per IMF index: the rows that
-    produced that IMF (ascending), their IMFs, and how many of them used
+    Yields one (imfs, capped) pair per IMF index: the IMFs of the rows that
+    produced one at that index, in row order, and how many of them used
     all MAX_SIFTINGS siftings without the SD rule firing. Each row
     goes through exactly the operations of a one-row decomposition.
     """
@@ -317,7 +317,7 @@ def _sift_levels(rows: np.ndarray):
             sifting = sifting[~(sd < SD_THRESHOLD)]
             if not sifting.size:
                 break
-        yield alive, h, int(sifting.size)
+        yield h, int(sifting.size)
         residual[alive] -= h
 
 
@@ -339,7 +339,7 @@ def emd(signal) -> ImfSet:
     x = _check_signal(signal)
     imfs = []
     capped = 0
-    for _, level, n_capped in _sift_levels(x[None, :].copy()):
+    for level, n_capped in _sift_levels(x[None, :].copy()):
         imfs.append(level[0])
         capped += n_capped
     return ImfSet(tuple(imfs), x - imf_sum(imfs, x.size), capped)
@@ -386,7 +386,7 @@ def iceemdan(signal, ensemble_n: int, noise_amp: float, seed) -> ImfSet:
         noisy = np.stack(
             [x + sigma * np.random.default_rng(child).standard_normal(x.size) for child in children[lo:lo + chunk]]
         )
-        for k, (_, level, n_capped) in enumerate(_sift_levels(noisy)):
+        for k, (level, n_capped) in enumerate(_sift_levels(noisy)):
             if k == len(acc):
                 acc.append(np.zeros(x.size))
             # realization order, as the per-realization sum adds them

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -41,7 +42,7 @@ def _reject_duplicates(path, ids, what: str) -> None:
 
 def _read_rows(path) -> list:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -51,8 +52,8 @@ def load_charging_csv(path):
     """Parse a series CSV into (SeriesTensor, CalendarFrame, node_ids).
 
     Layout: header ``timestamp,<station>,...``, each station id non-empty and
-    free of ``/`` and ``\\``; one ISO-8601 timestamp per row, on the hour; every
-    cell numeric and finite.
+    free of ``/`` and ``\\``; one ISO-8601 timestamp per row, a wall-clock hour
+    with no zone designator; every cell numeric and finite.
     """
     rows = _read_rows(path)
     if len(rows) < 2:
@@ -71,8 +72,11 @@ def load_charging_csv(path):
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        stamp = row[0].strip()
+        if re.search(r"[Tt ][^+\-Zz]*[+\-Zz]", stamp):  # Z or an offset after the time of day: numpy moves it to UTC
+            raise DataError(f"{path}: row {r}: timestamp {row[0]!r} carries a time zone; give wall-clock hours")
         try:
-            stamps.append(np.datetime64(row[0].strip()))  # at the text's own precision
+            stamps.append(np.datetime64(stamp))  # at the text's own precision
         except ValueError as exc:
             raise DataError(f"{path}: row {r}: bad timestamp {row[0]!r}") from exc
         for c, cell in enumerate(row[1:]):
@@ -174,7 +178,7 @@ def write_adjacency_csv(path, node_ids, adjacency) -> None:
 def load_holidays(path) -> np.ndarray:
     days = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text or text.startswith("#"):

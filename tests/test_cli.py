@@ -758,7 +758,6 @@ class TestExitCodes:
             ("decompose", "train", "learning_rate = -1"),
             ("train", "fig", "windows = 24,24"),
             ("decompose", "relieff", "k = 0"),
-            ("train", "data", "train_ratio = 1.2\nvalid_ratio = -0.1\ntest_ratio = -0.1"),
         ],
     )
     def test_out_of_range_value_exits_2_before_reading_data(
@@ -772,14 +771,16 @@ class TestExitCodes:
         assert reads == []
         assert f"configuration error: [{section}]" in capsys.readouterr().err
 
-    def test_test_split_shorter_than_a_window_exits_3(self, data_copy):
-        out_dir, _ = data_copy
-        short = out_dir / "short.ini"
-        # 720 hours leave floor(7.2) = 7 test steps, fewer than lookback+horizon = 11
-        short.write_text(LIGHT_INI + "\n[data]\ntrain_ratio = 0.89\nvalid_ratio = 0.1\ntest_ratio = 0.01\n")
-        proc = run("train", "--config", str(short), "--seed", "11", "--out-dir", str(out_dir), check=False)
-        assert proc.returncode == 3
-        assert "data error: test split has 7 steps" in proc.stderr
+    @pytest.mark.parametrize("command", ["pretrain", "train", "evaluate"])
+    @pytest.mark.parametrize("key", ["train_ratio", "valid_ratio", "test_ratio"])
+    def test_split_ratio_section_exits_2_before_reading_data(self, tmp_path, monkeypatch, capsys, command, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[data]\n{key} = 0.8\n")
+        reads = []
+        monkeypatch.setattr(cli.cio, "load_charging_csv", lambda *a, **kw: reads.append(a))
+        assert cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert reads == []
+        assert f"configuration error: {bad}: unknown section [data]" in capsys.readouterr().err
 
     @staticmethod
     def with_lookback(data_copy, lookback):

@@ -32,7 +32,6 @@ class TestDefaults:
         assert cfg.model_config(c_in=6).c_in == 6
         assert cfg.train_config().freeze_mode == "partial"
         assert cfg.loss_config().lambda_freq == 0.1
-        assert cfg.ratios() == (0.8, 0.1, 0.1)
 
     def test_schema_defaults_equal_the_dataclass_defaults(self):
         cfg = load_config()
@@ -116,15 +115,6 @@ class TestRejection:
         with pytest.raises(ConfigError, match="malformed"):
             load_config(str(path))
 
-    def test_ratio_sum_enforced(self):
-        with pytest.raises(ConfigError, match=r"\[data\] split ratios must sum to 1"):
-            load_config(overrides={("data", "train_ratio"): "0.9"})
-
-    def test_non_positive_ratio_rejected_even_when_the_sum_is_1(self):
-        ratios = {("data", "train_ratio"): "1.2", ("data", "valid_ratio"): "-0.1", ("data", "test_ratio"): "-0.1"}
-        with pytest.raises(ConfigError, match=r"\[data\] split ratios must be > 0"):
-            load_config(overrides=ratios)
-
     def test_non_finite_lambda(self):
         with pytest.raises(ConfigError, match=r"\[loss\] lambda_freq must be finite"):
             load_config(overrides={("loss", "lambda_freq"): "nan"})
@@ -168,8 +158,19 @@ class TestRejection:
     def test_removed_keys_are_unknown(self, tmp_path, section, key):
         path = tmp_path / "run.ini"
         path.write_text(f"[{section}]\n{key} = 1\n")
-        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        message = r"unknown section \[data\]" if section == "data" else f"unknown key '{key}'"
+        with pytest.raises(ConfigError, match=message):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key", ["train_ratio", "valid_ratio", "test_ratio"])
+    def test_split_ratios_are_not_settings(self, tmp_path, key):
+        # the split is domain.SPLIT_RATIOS
+        path = tmp_path / "run.ini"
+        path.write_text(f"[data]\n{key} = 0.8\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[data\]"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=f"unknown override data.{key}"):
+            load_config(overrides={("data", key): "0.8"})
 
     def test_empty_windows(self):
         with pytest.raises(ConfigError, match="window"):
@@ -177,9 +178,6 @@ class TestRejection:
 
 
 DEFAULT_ECHO = """\
-data.test_ratio = 0.1
-data.train_ratio = 0.8
-data.valid_ratio = 0.1
 fig.windows = 24,168
 iceemdan.ensemble_n = 100
 iceemdan.noise_amp = 0.2

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from chargecast.domain import (
+    SPLIT_RATIOS,
     CalendarFrame,
     SeriesTensor,
     StationGraph,
     Windows,
     make_windows,
     split_dataset,
+    split_windows,
 )
 
 
@@ -106,6 +108,34 @@ class TestSplitDataset:
         st = SeriesTensor(np.zeros((10, 1, 1)))
         with pytest.raises(ValueError, match="fewer than"):
             split_dataset(st, (0.8, 0.1, 0.1), min_len=5)
+
+
+class TestSplitWindows:
+    @pytest.mark.parametrize("t_len, p, s", [(103, 4, 2), (240, 8, 3), (57, 3, 1), (720, 12, 3)])
+    def test_equals_split_slice_and_window(self, t_len, p, s):
+        rng = np.random.default_rng(t_len)
+        series = SeriesTensor(rng.normal(size=(t_len, 3, 2)))
+        calendar = CalendarFrame(hourly("2024-01-01T05", t_len), rng.integers(0, 2, t_len))
+        want, start = [], 0
+        for part in split_dataset(series, (0.8, 0.1, 0.1), min_len=p + s):
+            want.append(make_windows(part, calendar.slice_time(start, start + part.T), p, s))
+            start += part.T
+        got = split_windows(series, calendar, p, s)
+        assert SPLIT_RATIOS == (0.8, 0.1, 0.1)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            for field in ("history", "target", "hours", "dows"):
+                np.testing.assert_array_equal(getattr(g, field), getattr(w, field), strict=True)
+
+    @pytest.mark.parametrize(
+        "t_len, p, s, message",
+        [(100, 8, 3, "valid split has 10 steps, fewer than the required 11"),
+         (10, 6, 3, "train split has 8 steps, fewer than the required 9")],
+    )
+    def test_names_the_first_short_split(self, t_len, p, s, message):
+        series = SeriesTensor(np.zeros((t_len, 1, 1)))
+        with pytest.raises(ValueError, match=message):
+            split_windows(series, CalendarFrame(hourly("2024-01-01T00", t_len)), p, s)
 
 
 class TestMakeWindows:

@@ -80,6 +80,28 @@ class TestChargingCsv:
         _, calendar, _ = load_charging_csv(path)
         assert np.array_equal(calendar.timestamps, hourly_stamps(3))
 
+    @pytest.mark.parametrize(
+        "first",
+        ["2024-03-01T08:00+08:00", "2024-03-01T08+0800", "2024-03-01T00:30+05:30", "2024-03-01T03-05", "2024-03-01T00Z"],
+    )
+    def test_stamp_with_a_time_zone_names_row_and_text(self, tmp_path, first):
+        # numpy would move each to UTC, shifting hour of day, weekday and holidays by the offset
+        path = tmp_path / "series.csv"
+        path.write_text(f"timestamp,a\n{first},1.0\n")
+        with pytest.raises(DataError) as info:
+            load_charging_csv(path)
+        assert str(info.value) == f"{path}: row 2: timestamp {first!r} carries a time zone; give wall-clock hours"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_charging_csv(plain, hourly_stamps(3), ("a", "b"), np.arange(6.0).reshape(3, 2))
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        series, calendar, ids = load_charging_csv(marked)
+        want_series, want_calendar, want_ids = load_charging_csv(plain)
+        assert ids == want_ids
+        np.testing.assert_array_equal(series.values, want_series.values)
+        np.testing.assert_array_equal(calendar.timestamps, want_calendar.timestamps)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("timestamp,a,b\n2024-03-01T00,1.0\n")
@@ -175,6 +197,11 @@ class TestHolidays:
         path.write_text("# national holidays\n\n" + text)
         loaded = load_holidays(path)
         assert np.array_equal(loaded, days)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "holidays.txt"
+        path.write_text("\ufeff2024-01-03\n2024-05-01\n", encoding="utf-8")
+        assert np.array_equal(load_holidays(path), np.array(["2024-01-03", "2024-05-01"], dtype="datetime64[D]"))
 
     def test_bad_date_names_the_line(self, tmp_path):
         path = tmp_path / "holidays.txt"
