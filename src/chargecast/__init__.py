@@ -8,6 +8,6 @@ Importing the package loads the library modules and binds no other names.
 """
 
 from . import (
-    autodiff, bands, channels, config, domain, emd, entropy, errors, granulate,
+    autodiff, bands, channels, config, domain, emd, entropy, errors, granulate, io,
     losses, model, quantize, relieff, seeds, synth, training, vmd,
 )

@@ -177,21 +177,15 @@ def assemble_channels(
     noise_root = seeds.subseed(seed, "decompose.noise")
     station_seeds = noise_root.spawn(n)
 
-    denoised = np.empty((t_len, n))
-    high = np.empty((t_len, n))
-    mid = np.empty((t_len, n))
-    low = np.empty((t_len, n))
-    components = []
+    columns, components = [], []
     jobs = [(series.values[:, i, 0], cfg.decompose, station_seeds[i]) for i in range(n)]
     for i, (caught, (den, bands, comps)) in enumerate(_decompose_stations(jobs)):
         for category, text, filename, lineno in caught:
             warnings.warn_explicit(f"station {i}: {text}", category, filename, lineno)
-        denoised[:, i] = den
-        high[:, i] = bands.high
-        mid[:, i] = bands.mid
-        low[:, i] = bands.low
+        columns.append((den, bands.high, bands.mid, bands.low))
         components.append(comps)
 
+    denoised, high, mid, low = (np.column_stack(station_columns) for station_columns in zip(*columns))
     channels = [("denoised", denoised), ("band_high", high), ("band_mid", mid), ("band_low", low)]
     granules = granule_channels(denoised, windows=cfg.granule_windows)
     channels += [(f"granule{window}", cores) for window, cores in granules.items()]

@@ -7,7 +7,9 @@ inputs; decompose writes views of that result (denoised series, bands,
 components, granules, feature weights), so what it shows is what the
 model sees. The first of them to run on an input stores that result in
 ``channels.npz`` under ``[io] out_dir``, and the later ones load it instead
-of decomposing again (see ``_assemble``).
+of decomposing again (see ``_assemble``); like the checkpoints, it is an
+``io.write_npz`` container. ``_write`` writes every output beside its target
+and moves it into place, so a failed or killed stage leaves no partial file.
 
 Every command resolves its configuration from flag > file > default, echoes
 the resolved values with a hash, and is deterministic given the same inputs
@@ -24,11 +26,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import warnings
-import zipfile
 
 import numpy as np
 
@@ -60,21 +60,25 @@ def _overrides(args) -> dict:
     return {key: value for key, value in pairs.items() if value is not None}
 
 
-def _echo(cfg: PipelineConfig) -> None:
-    sys.stdout.write(cfg.resolved_text())
-    print(f"config_hash = {cfg.config_hash()}")
-
-
 def _path(cfg: PipelineConfig, name: str) -> str:
     """name under [io] out_dir; an absolute name stays as it is."""
     return os.path.join(cfg.get("io", "out_dir"), name)
 
 
 def _write(cfg: PipelineConfig, name: str, writer, *args) -> None:
-    """writer(path, *args) at name under [io] out_dir, its directory created; says so."""
+    """writer(path, *args) at name under [io] out_dir, its directory created; says so.
+
+    writer fills ``<path>.<pid>.tmp``, which then replaces path or is removed.
+    """
     path = _path(cfg, name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    writer(path, *args)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        writer(tmp, *args)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
     print(f"wrote {path}")
 
 
@@ -114,13 +118,6 @@ def _read_exogenous(cfg: PipelineConfig) -> dict:
         path = _path(cfg, raw)
         out[os.path.splitext(os.path.basename(path))[0]] = cio.load_charging_csv(path)
     return out
-
-
-def _load_exogenous(cfg: PipelineConfig, calendar: CalendarFrame, node_ids) -> dict:
-    return {
-        name: _align_exogenous(calendar, node_ids, exo_series, exo_cal, exo_ids, name)
-        for name, (exo_series, exo_cal, exo_ids) in _read_exogenous(cfg).items()
-    }
 
 
 def _synth_exogenous(count: int, rng: np.random.Generator, t_len: int) -> dict:
@@ -178,11 +175,7 @@ def _channels_key(cfg: PipelineConfig, series: SeriesTensor, calendar: CalendarF
 
 
 def _save_channels(path: str, key: str, assembled: AssembledChannels, caught: list) -> None:
-    """Write assembled and the warnings its call raised to path, under key.
-
-    The file is written next to path and moved into place, so a stage that
-    is killed, or runs at the same time, never leaves a partial file.
-    """
+    """Write assembled and the warnings its call raised to path, under key."""
     meta = {
         "key": key,
         "channel_names": list(assembled.channel_names),
@@ -190,19 +183,12 @@ def _save_channels(path: str, key: str, assembled: AssembledChannels, caught: li
         "feature_names": list(assembled.feature_names),
         "warnings": [[c.__module__, c.__name__, text, filename, lineno] for c, text, filename, lineno in caught],
     }
-    arrays = {"stack": assembled.series.values, "meta_json": np.frombuffer(json.dumps(meta).encode(), np.uint8)}
+    arrays = {"stack": assembled.series.values}
     for i, comps in enumerate(assembled.components):
         arrays[f"components{i}"] = np.stack([values for _, values in comps])
     if assembled.weights is not None:
         arrays["weights"] = assembled.weights
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:  # a file object: np.savez appends .npz to a bare name
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
+    cio.write_npz(path, meta, arrays)
 
 
 def _warning_category(module: str, name: str) -> type:
@@ -216,17 +202,13 @@ def _warning_category(module: str, name: str) -> type:
 def _load_channels(path: str, key: str, series: SeriesTensor):
     """(assembled, warnings) that _save_channels wrote to path under key and that fit series, else None."""
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
+        meta, arrays = cio.read_npz(path, "channels file")
+        if meta["key"] != key:
             return None
-        with data:
-            meta = json.loads(bytes(data["meta_json"]).decode())
-            if meta["key"] != key:
-                return None
-            names, ids, features = tuple(meta["channel_names"]), meta["component_ids"], tuple(meta["feature_names"])
-            stack = data["stack"]
-            comps = [data[f"components{i}"] for i in range(len(ids))]
-            weights = data["weights"] if "weights" in data.files else None
+        names, ids, features = tuple(meta["channel_names"]), meta["component_ids"], tuple(meta["feature_names"])
+        stack = arrays["stack"]
+        comps = [arrays[f"components{i}"] for i in range(len(ids))]
+        weights = arrays.get("weights")
         if stack.shape != (series.T, series.N, len(names)) or len(ids) != series.N:
             return None
         if any(c.shape != (len(i), series.T) for c, i in zip(comps, ids)):
@@ -241,7 +223,7 @@ def _load_channels(path: str, key: str, series: SeriesTensor):
             feature_names=features,
         )
         caught = [(_warning_category(m, c), text, f, int(n)) for m, c, text, f, n in meta["warnings"]]
-    except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError, TypeError, AttributeError):
+    except (DataError, ValueError, KeyError, TypeError, AttributeError):
         return None  # unreadable or malformed: a miss, which only recomputes
     return assembled, caught
 
@@ -290,7 +272,8 @@ def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool =
     elif checkpoint and series.T < p:
         raise DataError(f"series has {series.T} steps; need at least lookback={p}")
     graph = cio.load_adjacency_csv(_path(cfg, cfg.get("io", "adjacency")), node_ids) if checkpoint else None
-    exogenous = _load_exogenous(cfg, calendar, node_ids)
+    tables = _read_exogenous(cfg)
+    exogenous = {name: _align_exogenous(calendar, node_ids, *table, name) for name, table in tables.items()}
     model = _load_matching_checkpoint(cfg, checkpoint) if checkpoint else None
     return _assemble(cfg, series, calendar, exogenous), calendar, node_ids, graph, model
 
@@ -430,7 +413,8 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config, _overrides(args))
-        _echo(cfg)
+        sys.stdout.write(cfg.resolved_text())
+        print(f"config_hash = {cfg.config_hash()}")
         return handler(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Loaders validate eagerly and point at the first offending row in error
 messages. Writers emit floats through repr(), so a value survives a
-write/load round trip bit-exactly.
+write/load round trip bit-exactly. ``write_npz``/``read_npz`` are the one
+container of checkpoints and ``channels.npz``: named arrays plus JSON meta.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import json
 import re
 import warnings
+import zipfile
 
 import numpy as np
 
@@ -29,6 +31,8 @@ __all__ = [
     "write_predictions_csv",
     "write_epoch_log",
     "write_metrics_json",
+    "write_npz",
+    "read_npz",
 ]
 
 
@@ -260,3 +264,29 @@ def write_metrics_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_npz(path, meta: dict, arrays: dict) -> None:
+    """Write arrays, then meta as JSON under ``meta_json``, to path as given (a bare name gets no .npz)."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, meta_json=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+
+
+def read_npz(path, what: str = "file"):
+    """(meta, arrays in stored order) of a ``write_npz`` archive; any defect is a DataError naming path."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not a chargecast {what}: it holds a bare array")
+        with data:
+            arrays = {k: data[k] for k in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if "meta_json" not in arrays:
+        raise DataError(f"{path} is not a chargecast {what}: it has no meta_json")
+    try:
+        # int() refuses the NaN and Infinity that json.dumps writes but JSON lacks
+        meta = json.loads(bytes(arrays.pop("meta_json")).decode(), parse_constant=int)
+    except ValueError as exc:
+        raise DataError(f"malformed {what} {path}: meta_json is not JSON: {exc}") from exc
+    return meta, arrays

@@ -26,12 +26,13 @@ The positional rows are added as the residual of the embedding's fusion
 layer. The low-rank adapters of a graph block are stacked on a head axis too,
 one (H, W, r) and one (H, r, d_k) factor each for query and value.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
-and the NF4 codes of the quantized bases two per byte (low nibble first).
-The layout is checkpoint version 5. Its meta holds the architecture sizes,
-the freeze mode and the block masks, nothing more: ``load_checkpoint``
-replays ``build_model`` and ``freeze_and_adapt`` to get the trainable flags,
-the adapters and the quantized layouts, then fills in the stored values.
-Other versions are rejected.
+and the NF4 codes of the quantized bases two per byte (low nibble first), in
+the container of ``io.write_npz``. The layout is checkpoint version 5. Its
+meta holds the architecture sizes, the freeze mode and the block masks,
+nothing more: ``load_checkpoint`` replays ``build_model`` and
+``freeze_and_adapt`` to get the trainable flags, the adapters and the
+quantized layouts, then fills in the stored values. Other versions are
+rejected.
 
 Whether a block's attention is masked by the station graph is recorded on
 the block alone (``PfgaBlockParams.masked``): ``build_model`` marks the
@@ -41,14 +42,13 @@ checkpoint keeps the marks, so every forward obeys the model it runs.
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .autodiff import Tensor, concat, dense_backward, linear, take_rows
 from .errors import ConfigError, DataError
+from .io import read_npz, write_npz
 from .quantize import NF4_CODEBOOK, dequantize, quantize
 
 __all__ = [
@@ -647,9 +647,7 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
             arrays[f"q_scale_codes__{tag}"] = qt.scale_codes
             arrays[f"q_scale_min__{tag}"] = qt.scale_min
             arrays[f"q_scale_step__{tag}"] = qt.scale_step
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:  # a file object: np.savez appends .npz to a bare name
-        np.savez(fh, **arrays)
+    write_npz(path, meta, arrays)
 
 
 def load_checkpoint(path: str) -> PfgaModel:
@@ -659,18 +657,10 @@ def load_checkpoint(path: str) -> PfgaModel:
     ``ModelConfig`` rejects, is a ``DataError``; another version, codebook or
     freeze mode is a ``ConfigError``.
     """
+    meta, arrays = read_npz(path, "checkpoint")
+    if "nf4_codebook" not in arrays:
+        raise DataError(f"{path} is not a chargecast checkpoint: it has no nf4_codebook")
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise DataError(f"{path} is not a chargecast checkpoint: it holds a bare array")
-        with data:
-            arrays = {k: data[k] for k in data.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if "meta_json" not in arrays or "nf4_codebook" not in arrays:
-        raise DataError(f"{path} is not a chargecast checkpoint: it has no meta_json or nf4_codebook")
-    try:
-        meta = json.loads(bytes(arrays.pop("meta_json")).decode())
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')} in {path}")
         if not np.array_equal(arrays.pop("nf4_codebook"), NF4_CODEBOOK):

@@ -1,11 +1,11 @@
 """Helpers shared by the test modules."""
 
-import json
 import os
 
 import numpy as np
 
 import chargecast
+from chargecast import io as cio
 from chargecast.errors import ConfigError, DataError
 
 
@@ -43,7 +43,8 @@ CHECKPOINT_DAMAGE = {
         lambda a, m: _set(a, "q_scale_min__block1__w_v", np.zeros(2)), DataError, "q_scale_min__block1__w_v"
     ),
     "extra_array": (lambda a, m: _set(a, "block9__w_q", a["block0__w_q"]), DataError, "block9__w_q"),
-    "meta_not_json": (lambda a, m: _set(a, "meta_json", np.frombuffer(b"{", np.uint8)), DataError, "malformed"),
+    # json.dumps writes a NaN float as NaN, which JSON has no literal for
+    "meta_not_json": (lambda a, m: _set(m, "version", float("nan")), DataError, "malformed"),
     "unknown_freeze_mode": (lambda a, m: _set(m, "freeze_mode", "sideways"), ConfigError, "unknown freeze_mode"),
     "foreign_codebook": (lambda a, m: _set(a, "nf4_codebook", -a["nf4_codebook"]), ConfigError, "codebook"),
     "foreign_version": (lambda a, m: _set(m, "version", 4), ConfigError, "unsupported checkpoint version"),
@@ -52,10 +53,6 @@ CHECKPOINT_DAMAGE = {
 
 def damage_checkpoint(path, damage):
     """Rewrite the checkpoint at path with the CHECKPOINT_DAMAGE defect named damage."""
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays.pop("meta_json")).decode())
+    meta, arrays = cio.read_npz(path)
     CHECKPOINT_DAMAGE[damage][0](arrays, meta)
-    arrays.setdefault("meta_json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    cio.write_npz(path, meta, arrays)

@@ -23,7 +23,7 @@ from chargecast import seeds
 from chargecast.autodiff import Tensor
 from chargecast.bands import DecomposeConfig, band_recombine
 from chargecast.channels import ChannelConfig, assemble_channels
-from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, Windows, make_windows, split_dataset
+from chargecast.domain import CalendarFrame, SeriesTensor, StationGraph, Windows, split_windows
 from chargecast.emd import emd, iceemdan
 from chargecast.entropy import msse_curve, sample_entropy
 from chargecast.granulate import fig_granulate, membership
@@ -597,14 +597,7 @@ def windowed_dataset(seed):
     assembled = assemble_channels(series, calendar, seed, LIGHT_CHANNELS)
     assert assembled.series.C == LIGHT_MODEL.c_in
 
-    parts = split_dataset(assembled.series, (0.8, 0.1, 0.1))
-    windows = []
-    begin = 0
-    for part in parts:
-        cal = calendar.slice_time(begin, begin + part.T)
-        windows.append(make_windows(part, cal, LIGHT_MODEL.lookback, LIGHT_MODEL.horizon))
-        begin += part.T
-    return (graph,) + tuple(windows)
+    return (graph,) + split_windows(assembled.series, calendar, LIGHT_MODEL.lookback, LIGHT_MODEL.horizon)
 
 
 def test_criterion_11_forecast_skill_and_ablations(tmp_path):

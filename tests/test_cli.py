@@ -24,6 +24,7 @@ from chargecast.channels import assemble_channels
 from chargecast.config import load_config
 from chargecast.domain import CalendarFrame, SeriesTensor
 from chargecast.errors import DataError
+from chargecast.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 
 LIGHT_INI = """\
 [synth]
@@ -208,6 +209,54 @@ def test_wrote_lines_name_the_files_written_in_write_order(data_copy, capsys, co
     assert sorted(wrote) == sorted(written)
     mtimes = [written[path] for path in wrote]
     assert mtimes == sorted(mtimes)
+
+
+class TestWholeOrAbsent:
+    """A writer that raises partway through cli._write leaves the previous file and no temporary one."""
+
+    @staticmethod
+    def config(out_dir):
+        return load_config(None, {("io", "out_dir"): str(out_dir)})
+
+    def test_failed_checkpoint_write_keeps_the_previous_checkpoint(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        size = ModelConfig(d_embed=4, lookback=4, horizon=2, c_in=2, f_frozen=1, u_unfrozen=1, heads=2, rank=2)
+        model = build_model(size, np.random.default_rng(0))
+        cli._write(cfg, "model.npz", lambda path: save_checkpoint(model, path))
+        before = (tmp_path / "model.npz").read_bytes()
+        # np.savez writes the members before this one, then fails to pickle it
+        list(model.named_parameters())[-1][1].data = np.array([lambda: None], dtype=object)
+        with pytest.raises(Exception, match="pickle"):
+            cli._write(cfg, "model.npz", lambda path: save_checkpoint(model, path))
+        assert (tmp_path / "model.npz").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'model.npz'}\n"
+        load_checkpoint(str(tmp_path / "model.npz"))
+
+    def test_failed_metrics_write_keeps_the_previous_metrics(self, tmp_path):
+        cfg = self.config(tmp_path)
+        cli._write(cfg, "metrics.json", cio.write_metrics_json, {"mae": 0.5})
+        before = (tmp_path / "metrics.json").read_bytes()
+        # json.dump writes the "a" entry, then fails on the object under "b"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._write(cfg, "metrics.json", cio.write_metrics_json, {"a": 1.0, "b": object()})
+        assert (tmp_path / "metrics.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+    def test_the_writer_fills_a_temporary_file_beside_the_target(self, tmp_path):
+        cfg = self.config(tmp_path)
+        seen = []
+
+        def writer(path):
+            seen.append((path, sorted(p.name for p in tmp_path.iterdir())))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("new\n")
+
+        (tmp_path / "forecast.csv").write_text("old\n")
+        cli._write(cfg, "forecast.csv", writer)
+        assert seen == [(str(tmp_path / f"forecast.csv.{os.getpid()}.tmp"), ["forecast.csv"])]
+        assert (tmp_path / "forecast.csv").read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["forecast.csv"]
 
 
 class TestDecomposeDump:
@@ -469,18 +518,14 @@ class TestChannelsMemo:
     ):
         out_dir, _ = memo
         path = out_dir / "channels.npz"
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        meta, arrays = cio.read_npz(path)
         if mismatch == "weights_without_names":
             meta["feature_names"] = []
         elif mismatch == "names_without_weights":
             del arrays["weights"]
         else:
             arrays["weights"] = arrays["weights"][:-1]
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        cio.write_npz(path, meta, arrays)
         damaged = path.read_bytes()
         calls = spy_on_assembly(monkeypatch)
         cfg = self.config(out_dir)
@@ -520,11 +565,9 @@ class TestChannelsMemo:
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros(3))
         else:  # the right key, one channel short
-            with np.load(path) as data:
-                arrays = {k: data[k] for k in data.files}
+            meta, arrays = cio.read_npz(path)
             arrays["stack"] = arrays["stack"][:, :, :-1]
-            with open(path, "wb") as fh:
-                np.savez(fh, **arrays)
+            cio.write_npz(path, meta, arrays)
         calls = spy_on_assembly(monkeypatch)
         assert cli.main(["forecast", *common]) == 0
         assert len(calls) == 1

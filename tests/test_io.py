@@ -1,4 +1,6 @@
-"""Tests for CSV/JSON loading and writing."""
+"""Tests for CSV/JSON loading and writing, and the npz container."""
+
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from chargecast.io import (
     load_adjacency_csv,
     load_charging_csv,
     load_holidays,
+    read_npz,
     write_adjacency_csv,
     write_charging_csv,
     write_epoch_log,
     write_holidays,
     write_metrics_json,
+    write_npz,
     write_predictions_csv,
 )
 
@@ -243,3 +247,61 @@ class TestResultWriters:
         write_metrics_json(p2, {"a": {"k": None, "z": [1, 2]}, "b": 1.5})
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().endswith("\n")
+
+
+def _raw_npz(meta_bytes):
+    """Writer of an npz whose meta_json holds meta_bytes as they are."""
+    return lambda fh: np.savez(fh, values=np.zeros(3), meta_json=np.frombuffer(meta_bytes, np.uint8))
+
+
+def _truncated(fh):
+    np.savez(fh, values=np.arange(1000.0), meta_json=np.frombuffer(b"{}", np.uint8))
+    fh.truncate(fh.tell() // 2)
+
+
+class TestNpzContainer:
+    def test_round_trip_keeps_meta_order_dtype_shape_and_values(self, tmp_path):
+        meta = {"key": "abc", "names": ["x", "y"], "nested": {"n": 3, "flag": True, "none": None}, "f": 0.1}
+        arrays = {
+            "stack": np.random.default_rng(0).normal(size=(4, 3, 2)),
+            "codes": np.arange(7, dtype=np.uint8),
+            "scalar": np.int64(-5),
+            "mask": np.array([True, False]),
+            "empty": np.zeros((0, 2), dtype=np.float32),
+        }
+        path = tmp_path / "artifact.ckpt"
+        write_npz(str(path), meta, arrays)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.ckpt"]  # no .npz appended
+        got_meta, got = read_npz(str(path))
+        assert got_meta == meta
+        assert list(got) == list(arrays)
+        for name, want in arrays.items():
+            want = np.asarray(want)
+            assert got[name].dtype == want.dtype and got[name].shape == want.shape, name
+            assert np.array_equal(got[name], want), name
+
+    @pytest.mark.parametrize(
+        "write, text",
+        [
+            (_truncated, "cannot read artifact"),
+            (lambda fh: fh.write(b"these bytes are no zip archive"), "cannot read artifact"),
+            (lambda fh: np.save(fh, np.zeros(3)), "is not a chargecast artifact: it holds a bare array"),
+            (lambda fh: np.savez(fh, values=np.zeros(3)), "is not a chargecast artifact: it has no meta_json"),
+            (_raw_npz(b'{"key": '), "malformed artifact"),
+            (_raw_npz(b"\xff\xfe"), "malformed artifact"),
+            (_raw_npz(b'{"version": NaN}'), "malformed artifact"),
+        ],
+        ids=["truncated", "not_zip", "bare_npy", "no_meta_json", "meta_not_json", "meta_not_utf8", "meta_nan"],
+    )
+    def test_defect_is_a_data_error_naming_the_path(self, tmp_path, write, text):
+        path = tmp_path / "artifact.npz"
+        with open(path, "wb") as fh:
+            write(fh)
+        with pytest.raises(DataError, match=re.escape(str(path))) as info:
+            read_npz(str(path), "artifact")
+        assert text in str(info.value)
+
+    def test_missing_file_is_a_data_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        with pytest.raises(DataError, match=f"cannot read file {re.escape(str(path))}"):
+            read_npz(str(path))

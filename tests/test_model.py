@@ -5,12 +5,11 @@ adjacency mask applied, a node's output must be bitwise indifferent to the
 inputs of nodes it is not connected to.
 """
 
-import json
-
 import numpy as np
 import pytest
 from conftest import CHECKPOINT_DAMAGE, damage_checkpoint
 
+from chargecast import io as cio
 from chargecast.autodiff import no_grad
 from chargecast.errors import ConfigError, DataError
 from chargecast.model import (
@@ -518,66 +517,58 @@ class TestCheckpoint:
             assert np.array_equal(ta.data, tb.data), na
 
     def saved_arrays(self, tmp_path, seed, version=None):
-        """Arrays of a saved partial-mode TINY checkpoint, with ``version`` written into its meta."""
+        """Model, meta and arrays of a saved partial-mode TINY checkpoint, with ``version`` written into its meta."""
         rng = np.random.default_rng(seed)
         model = build_model(TINY, rng)
         freeze_and_adapt(model, rng, freeze_mode="partial")
         path = str(tmp_path / "model.npz")
         save_checkpoint(model, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+        meta, arrays = cio.read_npz(path)
         if version is not None:
-            meta = json.loads(bytes(arrays["meta_json"]).decode())
             meta["version"] = version
-            arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        return model, arrays
+        return model, meta, arrays
 
     def test_version_1_checkpoint_is_rejected(self, tmp_path):
-        _, arrays = self.saved_arrays(tmp_path, 33, version=1)
+        _, meta, arrays = self.saved_arrays(tmp_path, 33, version=1)
         old = str(tmp_path / "old.npz")
-        np.savez(old, **arrays)
+        cio.write_npz(old, meta, arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
             load_checkpoint(old)
 
     def test_version_2_checkpoint_is_rejected(self, tmp_path):
-        model, arrays = self.saved_arrays(tmp_path, 35, version=2)
+        model, meta, arrays = self.saved_arrays(tmp_path, 35, version=2)
         for i, blk in enumerate(model.blocks):
             for name, qt in blk.quant.items():
                 arrays[f"q_codes__block{i}__{name}"] = qt.codes  # version 2: one byte per code
         old = str(tmp_path / "old.npz")
-        np.savez(old, **arrays)
+        cio.write_npz(old, meta, arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
             load_checkpoint(old)
 
     def test_version_3_checkpoint_is_rejected(self, tmp_path):
-        _, arrays = self.saved_arrays(tmp_path, 38, version=3)
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        _, meta, arrays = self.saved_arrays(tmp_path, 38, version=3)
         meta["n_max"] = 64  # version 3 also stored these three fields
         meta["config"].update(block_size_q=64, ln_eps=1e-5)
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         old = str(tmp_path / "old.npz")
-        np.savez(old, **arrays)
+        cio.write_npz(old, meta, arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 3"):
             load_checkpoint(old)
 
     def test_version_4_checkpoint_is_rejected(self, tmp_path):
-        model, arrays = self.saved_arrays(tmp_path, 42, version=4)
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        model, meta, arrays = self.saved_arrays(tmp_path, 42, version=4)
         # version 4 also listed the trainable names and each quantized basis's layout
         meta["trainable"] = [n for n, t in model.named_parameters() if t.requires_grad]
         meta["quantized"] = [
             {"name": f"block1.{name}", "shape": list(qt.shape), "block_size": 64, "superblock": 256}
             for name, qt in model.blocks[1].quant.items()
         ]
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         old = str(tmp_path / "old.npz")
-        np.savez(old, **arrays)
+        cio.write_npz(old, meta, arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 4"):
             load_checkpoint(old)
 
     def test_meta_holds_version_freeze_mode_sizes_and_masks_only(self, tmp_path):
-        _, arrays = self.saved_arrays(tmp_path, 39)
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        _, meta, _ = self.saved_arrays(tmp_path, 39)
         assert set(meta) == {"version", "freeze_mode", "config", "masked"}
         assert meta["version"] == 5
         assert meta["freeze_mode"] == "partial"
@@ -649,8 +640,8 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
-        with np.load(path) as data:
-            stored = {k: data[k] for k in data.files if k.startswith("q_codes__")}
+        _, arrays = cio.read_npz(path)
+        stored = {k: v for k, v in arrays.items() if k.startswith("q_codes__")}
         blk_a, blk_b = model.blocks[-1], loaded.blocks[-1]
         assert len(stored) == len(blk_a.quant) == 4
         for name, qt in blk_a.quant.items():
@@ -667,10 +658,10 @@ class TestCheckpoint:
         assert again.read_bytes() == path.read_bytes()
 
     def test_short_packed_codes_are_a_data_error(self, tmp_path):
-        _, arrays = self.saved_arrays(tmp_path, 37)
+        _, meta, arrays = self.saved_arrays(tmp_path, 37)
         arrays["q_codes__block1__w_q"] = arrays["q_codes__block1__w_q"][:-1]
         path = str(tmp_path / "short.npz")
-        np.savez(path, **arrays)
+        cio.write_npz(path, meta, arrays)
         with pytest.raises(DataError, match="block1.w_q"):
             load_checkpoint(path)
 

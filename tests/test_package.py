@@ -13,9 +13,9 @@ from conftest import child_env
 # every module but __main__, which runs the command line when imported
 MODULES = sorted(m.name for m in pkgutil.iter_modules(chargecast.__path__) if m.name != "__main__")
 
-# what ``import chargecast`` loads: the library modules, not cli or io
+# what ``import chargecast`` loads: the library modules, not cli
 LOADED = [
-    "autodiff", "bands", "channels", "config", "domain", "emd", "entropy", "errors", "granulate",
+    "autodiff", "bands", "channels", "config", "domain", "emd", "entropy", "errors", "granulate", "io",
     "losses", "model", "quantize", "relieff", "seeds", "synth", "training", "vmd",
 ]
 
