@@ -16,10 +16,10 @@ pass, ``dense_backward``, is one GEMM per operand gradient over the
 flattened rows of the output gradient, plus a row sum for the bias.
 
 A whole transformer block is one node too (``model._block_apply``), built on
-the same products and the same ``dense_backward``. It keeps q, k, v, the
-attention weights and the FFN's hidden layer; its backward pass recomputes
-both layer norms, the merged heads and the post-attention sum with the
-forward's operations.
+the same products and the same ``dense_backward``. It keeps the attention
+weights and the FFN's ReLU mask; its backward pass recomputes both layer
+norms, q, k, v, the merged heads, the post-attention sum and, when the FFN's
+output weight is trainable, the hidden layer with the forward's operations.
 
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results

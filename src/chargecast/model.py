@@ -10,17 +10,22 @@ low-rank adapters, and the regression head receive gradients.
 
 Each transformer block is one tape node (``_block_apply``). Attention runs
 with the heads as an array axis: q, k and v are reshaped to (B, H, N, d_k) and
-one batched product scores, masks and softmaxes every head. The node keeps q,
-k, v, the attention weights y and the FFN's hidden layer (the block's input
-and output stay alive as neighbouring nodes' values). Its backward pass
-recomputes the rest with the forward's exact operations: both layer norms'
-normalized inputs, row deviations and outputs from the block input and x1;
-the merged heads from y and v; and x1, the post-attention sum, from the same
-w_o product plus the residual. Each of its six dense products (q, k, v, w_o,
-w_1, w_2) takes its gradients from ``autodiff.dense_backward``. It adds each
-gradient in the order the separate nodes it replaced did (the normalized
-input's sums the q, k and v projections' shares, then the two adapters'), so
-every gradient is bit-identical to theirs.
+one batched product scores, masks and softmaxes every head. The node keeps
+two arrays: the attention weights y and the FFN's ReLU mask, as bools (the
+block's input and output stay alive as neighbouring nodes' values). q, k, v
+and the FFN's hidden layer are dropped as soon as the forward has used them.
+Its backward pass recomputes the rest from the block input with the
+forward's exact operations and shapes: LN1's normalized input, row
+deviations and output; q, k and v with the adapters' updates; the merged
+heads from y and v; x1, the post-attention sum, from the same w_o product
+plus the residual; LN2 from x1; and the hidden layer only when w_2 takes a
+gradient (every other FFN gradient reads only the mask). Each layer norm is
+recomputed once and handed to both the FFN's and the projections' backward.
+Each of its six dense products (q, k, v, w_o, w_1, w_2) takes its gradients
+from ``autodiff.dense_backward``. It adds each gradient in the order the
+separate nodes it replaced did (the normalized input's sums the q, k and v
+projections' shares, then the two adapters'), so every gradient is
+bit-identical to theirs.
 
 The positional rows are added as the residual of the embedding's fusion
 layer. The low-rank adapters of a graph block are stacked on a head axis too,
@@ -244,12 +249,13 @@ def _normalize(x: np.ndarray) -> tuple:
     return x_hat, std
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """x normalized over its last axis, then scaled by gamma and shifted by beta."""
-    out = _normalize(x)[0]
-    out *= gamma
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
+    """(out, x_hat, std): x normalized over its last axis, then scaled by gamma and
+    shifted by beta, with the x_hat and std of ``_normalize`` it came from."""
+    x_hat, std = _normalize(x)
+    out = x_hat * gamma
     out += beta
-    return out
+    return out, x_hat, std
 
 
 def _layer_norm_backward(g, x_hat, std, gamma: Tensor, beta: Tensor, need_x: bool):
@@ -331,14 +337,13 @@ def _adapter_backward(normed, g, l: Tensor, m: Tensor):
     return (g @ np.swapaxes(l.data, -1, -2)).sum(axis=1, keepdims=True)
 
 
-def _qkv_backward(g_q, g_k_t, g_v, x: Tensor, blk: PfgaBlockParams):
+def _qkv_backward(g_q, g_k_t, g_v, x: Tensor, normed, x_hat, std, blk: PfgaBlockParams):
     """Accumulate the gradients of w_q, w_k, w_v, the adapters and LN1 from those of
-    ``_project_qkv``'s outputs, recomputing LN1 from x; return x's gradient through LN1,
-    or None when x needs none. The normalized input's gradient sums the q, k and v
-    projections' shares in that order, then the two adapters' as one term."""
+    ``_project_qkv``'s outputs, given LN1's output normed and its x_hat and std on the
+    block input x; return x's gradient through LN1, or None when x needs none. The
+    normalized input's gradient sums the q, k and v projections' shares in that order,
+    then the two adapters' as one term."""
     b, n, w = x.shape
-    x_hat, std = _normalize(x.data)
-    normed = x_hat * blk.ln1_gamma.data + blk.ln1_beta.data
     g_normed = None
     heads_first = (0, 2, 1, 3)  # its own inverse; (0, 3, 1, 2) undoes k_t's (0, 2, 3, 1)
     for g, axes, weight in ((g_q, heads_first, blk.w_q), (g_k_t, (0, 3, 1, 2), blk.w_k), (g_v, heads_first, blk.w_v)):
@@ -351,20 +356,28 @@ def _qkv_backward(g_q, g_k_t, g_v, x: Tensor, blk: PfgaBlockParams):
         a = blk.adapters
         g_x_h = _adapter_backward(normed, g_q, a.l_q, a.m_q) + _adapter_backward(normed, g_v, a.l_v, a.m_v)
         g_normed += g_x_h.reshape(b, n, w)
-    del normed
     return _layer_norm_backward(g_normed, x_hat, std, blk.ln1_gamma, blk.ln1_beta, x.requires_grad)
 
 
-def _ffn_backward(g, x1: np.ndarray, hidden: np.ndarray, blk: PfgaBlockParams) -> np.ndarray:
-    """Accumulate the gradients of LN2 and the FFN in relu(LN2(x1) @ w_1 + b_1) @ w_2 + b_2 + x1
-    from its gradient g, recomputing LN2 from x1; return x1's: the residual's g plus LN2's."""
-    g_hidden = dense_backward(g.reshape(-1, g.shape[-1]), hidden, blk.w_2, blk.b_2)
-    g_hidden *= hidden > 0.0
-    x_hat, std = _normalize(x1)
-    rows = g_hidden.reshape(-1, hidden.shape[-1])
-    g_normed2 = dense_backward(rows, x_hat * blk.ln2_gamma.data + blk.ln2_beta.data, blk.w_1, blk.b_1)
+def _ffn_backward(g, normed2, x_hat, std, hidden, active, blk: PfgaBlockParams) -> np.ndarray:
+    """Accumulate the gradients of LN2 and the FFN in relu(normed2 @ w_1 + b_1) @ w_2 + b_2 + x1
+    from its gradient g, given LN2's output normed2 and its x_hat and std on x1 and the
+    ReLU's mask active; return x1's: the residual's g plus LN2's. hidden, the ReLU's
+    output, is read for w_2's gradient only and is None when w_2 is frozen."""
+    g_hidden = dense_backward(g.reshape(-1, g.shape[-1]), active if hidden is None else hidden, blk.w_2, blk.b_2)
+    g_hidden *= active
+    rows = g_hidden.reshape(-1, active.shape[-1])
+    g_normed2 = dense_backward(rows, normed2, blk.w_1, blk.b_1)
     del g_hidden, rows
     return g + _layer_norm_backward(g_normed2, x_hat, std, blk.ln2_gamma, blk.ln2_beta, True)
+
+
+def _ffn_hidden(normed2: np.ndarray, blk: PfgaBlockParams) -> np.ndarray:
+    """The FFN's hidden layer relu(normed2 @ w_1 + b_1), computed in place on the product."""
+    hidden = normed2 @ blk.w_1.data
+    hidden += blk.b_1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden
 
 
 def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.ndarray | None) -> Tensor:
@@ -373,39 +386,49 @@ def _block_apply(x: Tensor, blk: PfgaBlockParams, cfg: ModelConfig, bias: np.nda
     LN1; q, k and v with the heads on an array axis, plus the adapters' updates of
     q and v; attention scored, masked by bias and softmaxed; the heads merged,
     projected by w_o and added to x, giving x1; LN2; the FFN with its ReLU, its
-    output added to x1. The node keeps q, k, v, the attention weights y and the
-    FFN's hidden layer. Its backward pass recomputes x1 from y, v and x and both
-    layer norms from x and x1 with the forward's operations, then sums every
-    gradient in the order the composed nodes did, skipping frozen operands.
+    output added to x1. The node keeps the attention weights y (B, H, N, N) and the
+    ReLU's mask (B, N, 4W, bool), and drops q, k, v and the hidden layer once the
+    forward has used them. Its backward pass recomputes LN1, q, k and v, x1 and LN2
+    from x with the forward's operations and shapes (and the hidden layer too when
+    w_2 takes a gradient), then sums every gradient in the order the composed nodes
+    did, skipping frozen operands.
     """
     b, n, w = x.shape
     scale = 1.0 / np.sqrt(cfg.d_k)
-    q, k_t, v = _project_qkv(_layer_norm(x.data, blk.ln1_gamma.data, blk.ln1_beta.data), blk, cfg)
+    q, k_t, v = _project_qkv(_layer_norm(x.data, blk.ln1_gamma.data, blk.ln1_beta.data)[0], blk, cfg)
     y = _attention_weights(q, k_t, scale, bias)
+    del q, k_t
     x1 = _merge_heads(y @ v) @ blk.w_o.data
+    del v
     x1 += x.data
-    hidden = _layer_norm(x1, blk.ln2_gamma.data, blk.ln2_beta.data) @ blk.w_1.data
-    hidden += blk.b_1.data
-    np.maximum(hidden, 0.0, out=hidden)
+    hidden = _ffn_hidden(_layer_norm(x1, blk.ln2_gamma.data, blk.ln2_beta.data)[0], blk)
+    active = hidden > 0.0
     out = hidden @ blk.w_2.data
     out += blk.b_2.data
     out += x1
 
-    saved = [q, k_t, v, y, hidden]
+    saved = [y, active]
 
     def backward(node):
-        q, k_t, v, y, hidden = saved
+        y, active = saved
         saved.clear()  # the tape is consumed: each saved array goes once its last reader is done
+        normed, x_hat, std = _layer_norm(x.data, blk.ln1_gamma.data, blk.ln1_beta.data)
+        q, k_t, v = _project_qkv(normed, blk, cfg)
         merged = _merge_heads(y @ v)
-        g_x1 = _ffn_backward(node.grad, merged @ blk.w_o.data + x.data, hidden, blk)
-        del hidden
+        x1 = merged @ blk.w_o.data
+        x1 += x.data
+        normed2, x_hat2, std2 = _layer_norm(x1, blk.ln2_gamma.data, blk.ln2_beta.data)
+        del x1
+        hidden = _ffn_hidden(normed2, blk) if blk.w_2.requires_grad else None
+        g_x1 = _ffn_backward(node.grad, normed2, x_hat2, std2, hidden, active, blk)
+        del normed2, x_hat2, std2, hidden, active
         x._accum(g_x1)  # x1 = merged @ w_o + x
         g_heads = dense_backward(g_x1.reshape(-1, w), merged, blk.w_o)
         del merged
         g_heads = g_heads.reshape(b, n, cfg.heads, cfg.d_k).transpose(0, 2, 1, 3)
         g_q, g_k_t, g_v = _attention_backward(g_heads, y, q, k_t, v, scale)
         del q, k_t, v, y, g_heads
-        g_x = _qkv_backward(g_q, g_k_t, g_v, x, blk)
+        g_x = _qkv_backward(g_q, g_k_t, g_v, x, normed, x_hat, std, blk)
         if g_x is not None:
             x._accum(g_x)
 

@@ -46,8 +46,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# windows per forward pass in fit's validation and in evaluate; the predictions do not depend on it
-_EVAL_CHUNK = 256
+# windows per forward pass in fit's validation and in evaluate, one default training batch, so
+# inference holds no more activations than a training step; the predictions do not depend on it
+_EVAL_CHUNK = 64
 
 
 class Adam:

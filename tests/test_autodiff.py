@@ -201,14 +201,14 @@ def test_getitem_fancy_index_gradient():
 
 def layer_norm(x, gamma, beta):
     """Normalize over the last axis, then scale by gamma (n,) and shift by beta (n,)."""
-    x_hat, std = model_mod._normalize(x.data)
+    normed, x_hat, std = model_mod._layer_norm(x.data, gamma.data, beta.data)
 
     def backward(out):
         g_x = model_mod._layer_norm_backward(out.grad, x_hat, std, gamma, beta, x.requires_grad)
         if g_x is not None:
             x._accum(g_x)
 
-    return Tensor._result(model_mod._layer_norm(x.data, gamma.data, beta.data), (x, gamma, beta), backward)
+    return Tensor._result(normed, (x, gamma, beta), backward)
 
 
 def attention(q, k_t, v, scale, bias=None):
@@ -631,11 +631,42 @@ def test_tape_bytes_helper_counts_each_buffer_once():
 
 @pytest.mark.parametrize("freeze_mode", ["none", "partial"])
 def test_tape_bytes_per_training_forward(freeze_mode):
-    """A block keeps q, k, v, the attention weights and the hidden layer, and recomputes
-    its layer norms and x1, so at batch 64 the whole tape holds under 16 MB."""
+    """A block keeps only its attention weights and its ReLU mask, and recomputes its
+    layer norms, q, k, v, x1 and the hidden layer, so at batch 64 the whole tape holds
+    under 5 MB (14.8 MB when a block kept q, k, v and the hidden layer too)."""
     model, out = default_training_forward(freeze_mode, 64)
     held = tape_bytes(out, [t.data for _, t in model.named_parameters()])
-    assert held < 16e6, f"one training forward holds {held / 1e6:.1f} MB"
+    assert held < 5e6, f"one training forward holds {held / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("freeze_mode", ["none", "partial"])
+def test_block_node_keeps_attention_weights_and_relu_mask(freeze_mode):
+    """Under the tape, each block node's closure holds two arrays besides its operands
+    (the block input and parameters, all tape parents): the attention weights as a
+    float (B, H, N, N) array and the FFN's ReLU mask as a bool (B, N, 4W) array. Both are
+    smaller than q alone, so neither q, k, v nor the hidden layer is kept."""
+    cfg = ModelConfig(c_in=6)
+    rng = np.random.default_rng(3)
+    model = freeze_and_adapt(build_model(cfg, rng), rng, freeze_mode=freeze_mode)
+    b, n, w = 64, 8, cfg.width
+    x = Tensor(rng.normal(size=(b, n, w)), requires_grad=True)
+    bias = mask_bias(np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+    for blk in model.blocks:
+        node = model_mod._block_apply(x, blk, cfg, bias if blk.masked else None)
+        parents = {id(p) for p in node._parents}
+        held = []
+        for cell in node._backward.__closure__:
+            contents = cell.cell_contents
+            for item in contents if isinstance(contents, (list, tuple)) else [contents]:
+                if isinstance(item, Tensor):
+                    assert id(item) in parents
+                elif isinstance(item, np.ndarray):
+                    held.append(item)
+        assert sorted((str(a.dtype), a.shape) for a in held) == [
+            ("bool", (b, n, 4 * w)),
+            ("float64", (b, cfg.heads, n, n)),
+        ]
+        assert all(a.nbytes < b * n * w * 8 for a in held)
 
 
 def composed_block(x, blk, cfg, bias, relu=None):
