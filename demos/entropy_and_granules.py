@@ -19,19 +19,19 @@ describe("white noise", rng.normal(size=n))
 describe("sine", np.sin(np.arange(n) / 7.0))
 describe("sine+noise", np.sin(np.arange(n) / 7.0) + 0.3 * rng.normal(size=n))
 
-# Granulate a week of hourly-looking data into daily triangles. Each granule
-# keeps the window minimum, median, and maximum; membership ramps linearly
-# between them.
+# Granulate a week of hourly-looking data into daily triangles: fig_granulate
+# returns a tuple with one granule per 24-step window. Each granule keeps the
+# window minimum, median, and maximum; membership ramps linearly between them.
 hours = np.arange(24 * 7)
 demand = 2.0 + np.sin(2 * np.pi * hours / 24.0) + 0.2 * rng.normal(size=hours.size)
-gs = fig_granulate(demand, window=24)
+granules = fig_granulate(demand, window=24)
 
 print()
 print("daily granules (a=min, m=median, b=max):")
-for day, g in enumerate(gs.granules):
+for day, g in enumerate(granules):
     print(f"  day {day}:  a={g.a:.3f}  m={g.m:.3f}  b={g.b:.3f}")
 
-g = gs.granules[0]
+g = granules[0]
 print()
 print("membership in day 0 granule:")
 for x in (g.a - 0.1, g.a, (g.a + g.m) / 2, g.m, (g.m + g.b) / 2, g.b + 0.1):

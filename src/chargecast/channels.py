@@ -39,7 +39,10 @@ from .relieff import (
     select_features,
 )
 
-__all__ = ["ChannelConfig", "AssembledChannels", "assemble_channels", "channel_counts", "build_feature_table"]
+__all__ = [
+    "ChannelConfig", "AssembledChannels", "assemble_channels", "channel_counts", "build_feature_table",
+    "record_warnings",
+]
 
 
 @dataclass(frozen=True)
@@ -109,18 +112,26 @@ def build_feature_table(target_mean, exogenous, holiday_flag) -> FeatureTable:
     )
 
 
+def record_warnings(fn, *args, **kwargs) -> tuple:
+    """(warnings, result) of fn(*args, **kwargs), every warning recorded rather than shown.
+
+    Each warning is a (category, text, filename, lineno) tuple, which
+    ``warnings.warn_explicit`` takes back to show it later or elsewhere.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught], out
+
+
 def _station(job):
     """Decompose one station; returns (recorded warnings, pipeline output).
 
-    Warnings are recorded rather than shown, as (category, text, filename,
-    lineno), so the caller can relay them the same way whether this ran in
-    a worker process or in its own.
+    Warnings are recorded rather than shown, so the caller can relay them
+    the same way whether this ran in a worker process or in its own.
     """
     signal, decompose, seed = job
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = multi_frequency_pipeline(signal, decompose, seed=seed)
-    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught], out
+    return record_warnings(multi_frequency_pipeline, signal, decompose, seed=seed)
 
 
 def _usable_cpus() -> int:

@@ -35,7 +35,7 @@ import numpy as np
 from . import io as cio
 from . import seeds, synth
 from .autodiff import no_grad
-from .channels import AssembledChannels, assemble_channels, channel_counts
+from .channels import AssembledChannels, assemble_channels, channel_counts, record_warnings
 from .config import PipelineConfig, load_config
 from .domain import CalendarFrame, SeriesTensor, StationGraph, split_windows
 from .errors import ConfigError, DataError, NumericError
@@ -243,12 +243,9 @@ def _assemble(cfg: PipelineConfig, series: SeriesTensor, calendar: CalendarFrame
         print(f"read {path}")
         assembled, caught = stored
     else:
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            assembled = assemble_channels(
-                series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
-            )
-        caught = [(w.category, str(w.message), w.filename, w.lineno) for w in recorded]
+        caught, assembled = record_warnings(
+            assemble_channels, series, calendar, cfg.seed(), cfg.channel_config(), exogenous=exogenous or None
+        )
         _write(cfg, _CHANNELS, _save_channels, key, assembled, caught)
     for category, text, filename, lineno in caught:
         warnings.warn_explicit(text, category, filename, lineno)

@@ -240,19 +240,13 @@ def mask_bias(adjacency: np.ndarray) -> np.ndarray:
     return np.where(adjacency == 0, MASK_FILL, 0.0)
 
 
-def _normalize(x: np.ndarray) -> tuple:
-    """(x_hat, std): x normalized over its last axis, and each row's standard deviation."""
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
+    """(out, x_hat, std): x normalized over its last axis, then scaled by gamma and
+    shifted by beta, with the normalized x_hat and each row's standard deviation."""
     inv_n = 1.0 / x.shape[-1]
     x_hat = x - x.sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt((x_hat * x_hat).sum(axis=-1, keepdims=True) * inv_n + LN_EPS)
     x_hat /= std
-    return x_hat, std
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
-    """(out, x_hat, std): x normalized over its last axis, then scaled by gamma and
-    shifted by beta, with the x_hat and std of ``_normalize`` it came from."""
-    x_hat, std = _normalize(x)
     out = x_hat * gamma
     out += beta
     return out, x_hat, std

@@ -320,15 +320,15 @@ def test_criterion_05_granulation_exact():
         rng = np.random.default_rng(505)
         series = rng.normal(size=1008) + np.sin(np.arange(1008) / 11.0)
         window = 24
-        gs = fig_granulate(series, window)
-        assert len(gs.granules) == 1008 // window
-        for i, g in enumerate(gs.granules):
+        granules = fig_granulate(series, window)
+        assert len(granules) == 1008 // window
+        for i, g in enumerate(granules):
             chunk = series[i * window : (i + 1) * window]
             assert g.a == float(np.min(chunk))
             assert g.m == float(np.median(chunk))
             assert g.b == float(np.max(chunk))
 
-        g = gs.granules[7]
+        g = granules[7]
         span = g.b - g.a
         points = rng.uniform(g.a - 0.5 * span, g.b + 0.5 * span, size=1000)
         for x in points:

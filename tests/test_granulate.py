@@ -8,9 +8,9 @@ from chargecast.granulate import Granule, fig_granulate, granule_channels, membe
 
 def test_cores_are_min_median_max_per_window():
     x = np.array([3.0, 1.0, 2.0, 9.0, 7.0, 8.0, 4.0, 6.0, 5.0])
-    gs = fig_granulate(x, window=3)
-    assert len(gs.granules) == 3
-    for g, seg in zip(gs.granules, (x[0:3], x[3:6], x[6:9])):
+    granules = fig_granulate(x, window=3)
+    assert len(granules) == 3
+    for g, seg in zip(granules, (x[0:3], x[3:6], x[6:9])):
         assert g.a == float(np.min(seg))
         assert g.m == float(np.median(seg))
         assert g.b == float(np.max(seg))
@@ -18,13 +18,13 @@ def test_cores_are_min_median_max_per_window():
 
 def test_trailing_remainder_dropped():
     x = np.arange(10, dtype=float)
-    gs = fig_granulate(x, window=4)
-    assert len(gs.granules) == 2  # last two samples do not fill a window
+    granules = fig_granulate(x, window=4)
+    assert len(granules) == 2  # last two samples do not fill a window
 
 
 def test_even_window_median_interpolates():
     x = np.array([1.0, 2.0, 3.0, 10.0])
-    g = fig_granulate(x, window=4).granules[0]
+    g = fig_granulate(x, window=4)[0]
     assert g.m == 2.5
 
 
@@ -72,7 +72,7 @@ def test_channels_repeat_cores_and_pad_tail():
     x = np.arange(10, dtype=float)
     chan = granule_channels(x, windows=(4,))[4]
     assert chan.shape == (10,)
-    g0, g1 = fig_granulate(x, 4).granules
+    g0, g1 = fig_granulate(x, 4)
     np.testing.assert_array_equal(chan[:4], np.full(4, g0.m))
     np.testing.assert_array_equal(chan[4:8], np.full(4, g1.m))
     np.testing.assert_array_equal(chan[8:], np.full(2, g1.m))  # tail holds last core
@@ -93,7 +93,7 @@ def test_station_columns_match_one_call_per_station(t_len):
         for w in windows:
             assert together[w].shape == x.shape
             assert np.array_equal(together[w][:, i], alone[w])
-            cores = [g.m for g in fig_granulate(x[:, i], w).granules]
+            cores = [g.m for g in fig_granulate(x[:, i], w)]
             assert np.array_equal(alone[w][: len(cores) * w], np.repeat(cores, w))
 
 
@@ -101,3 +101,5 @@ def test_station_columns_match_one_call_per_station(t_len):
 def test_channel_window_must_fit_the_series(window):
     with pytest.raises(ValueError, match="window"):
         granule_channels(np.zeros((10, 2)), windows=(window,))
+    with pytest.raises(ValueError, match="window"):
+        fig_granulate(np.zeros(10), window)
