@@ -17,11 +17,11 @@ fast = 0.6 * np.sin(2 * np.pi * t / 16.0)
 signal = slow + fast + 0.25 * rng.normal(size=t.size)
 
 print("variational modes (K=4):")
-modes = vmd(signal, VmdConfig(K=4, alpha=2000.0))
-for i, mode in enumerate(modes):
-    period = 1.0 / mode.center_freq if mode.center_freq > 0 else float("inf")
-    print(f"  mode {i}: center {mode.center_freq:.5f} cycles/sample "
-          f"(~{period:.0f} samples), energy {np.var(mode.samples):.4f}")
+modes, centers = vmd(signal, VmdConfig(K=4, alpha=2000.0))
+for i, (mode, center) in enumerate(zip(modes, centers)):
+    period = 1.0 / center if center > 0 else float("inf")
+    print(f"  mode {i}: center {center:.5f} cycles/sample "
+          f"(~{period:.0f} samples), energy {np.var(mode):.4f}")
 
 cfg = DecomposeConfig(vmd=VmdConfig(K=4, alpha=2000.0), ensemble_n=8, noise_amp=0.1)
 denoised, bands, components = multi_frequency_pipeline(signal, cfg, seed=7)

@@ -149,16 +149,15 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     Returns (denoised, BandSet, components), where components holds the
     (component_id, series) pairs behind the bands.
     """
-    modes = vmd(signal, cfg.vmd)
-    retained = modes[:-1]
-    samples = [m.samples for m in retained]
-    denoised = imf_sum(samples, samples[0].size)
+    modes, _ = vmd(signal, cfg.vmd)
+    retained = list(modes[:-1])
+    denoised = imf_sum(retained, modes.shape[1])
 
     # each component is scored once: the retained modes here, the new
     # sub-components below; the +inf cap is applied per ranked list
-    mode_scores = _mean_msse(samples)
+    mode_scores = _mean_msse(retained)
     target = int(np.argmax(_complexity_scores(mode_scores)))
-    sub = iceemdan(retained[target].samples, cfg.ensemble_n, cfg.noise_amp, seed)
+    sub = iceemdan(retained[target], cfg.ensemble_n, cfg.noise_amp, seed)
 
     components = []
     ids = []
@@ -170,7 +169,7 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
             ids.extend([f"mode{i}_sub{j}" for j in range(len(sub.imfs))] + [f"mode{i}_subres"])
             raw.extend(_mean_msse(parts))
         else:
-            components.append(mode.samples)
+            components.append(mode)
             ids.append(f"mode{i}")
             raw.append(mode_scores[i])
 

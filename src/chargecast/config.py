@@ -164,7 +164,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     raw = {(s, k): SCHEMA[s][k][0] for s in SCHEMA for k in SCHEMA[s]}
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)

@@ -14,6 +14,9 @@ negative half is zeroed, so every mode spectrum stays identically zero
 there. The solver therefore iterates on the non-negative half of the
 shifted frequency grid only and rebuilds the two-sided, Hermitian
 spectra just for the final inverse FFT.
+
+``vmd`` returns the modes as one (K, T) array, in ascending center
+order, together with the (K,) array of their center frequencies.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["VmdConfig", "Mode", "vmd"]
+__all__ = ["VmdConfig", "vmd"]
 
 
 @dataclass(frozen=True)
@@ -54,24 +57,6 @@ class VmdConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One extracted mode and its converged center frequency (cycles/sample)."""
-
-    samples: np.ndarray
-    center_freq: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("mode extraction produced non-finite samples")
-        if not (0.0 <= self.center_freq <= 0.5):
-            raise ValueError(
-                f"center frequency {self.center_freq} outside the Nyquist range [0, 0.5]"
-            )
-        object.__setattr__(self, "samples", arr)
-
-
 def _mirror_extend(x: np.ndarray) -> tuple[np.ndarray, int]:
     n = x.size
     lpad = n // 2
@@ -81,8 +66,13 @@ def _mirror_extend(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate([left, x, right]), lpad
 
 
-def vmd(signal, cfg: VmdConfig) -> list:
-    """Decompose a signal into cfg.K modes, ordered by ascending center frequency."""
+def vmd(signal, cfg: VmdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose a signal into cfg.K modes, ordered by ascending center frequency.
+
+    Returns (modes, centers): the (K, T) float64 modes and their (K,)
+    float64 center frequencies in cycles/sample, clipped to [0, 0.5].
+    Raises NumericError if a mode is not finite.
+    """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
@@ -144,7 +134,9 @@ def vmd(signal, cfg: VmdConfig) -> list:
     full[:, 0] = np.conj(full[:, -1])
     time_modes = np.real(np.fft.ifft(np.fft.ifftshift(full, axes=1), axis=1))
     time_modes = time_modes[:, lpad : lpad + x.size]
+    if not np.all(np.isfinite(time_modes)):
+        raise NumericError("mode extraction produced non-finite samples")
 
     omega = np.clip(omega, 0.0, 0.5)
     order = np.argsort(omega, kind="stable")
-    return [Mode(time_modes[k], float(omega[k])) for k in order]
+    return time_modes[order], omega[order]

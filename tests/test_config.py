@@ -71,6 +71,13 @@ class TestPrecedence:
         cfg = load_config(str(path))
         assert cfg.get("vmd", "alpha") == 100.0
 
+    def test_values_are_taken_literally(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[io]\nout_dir = runs/100%\nseries = %(out_dir)s.csv\n")
+        cfg = load_config(str(path))
+        assert cfg.get("io", "out_dir") == "runs/100%"
+        assert cfg.get("io", "series") == "%(out_dir)s.csv"
+
 
 class TestRejection:
     def test_unknown_section(self, tmp_path):
