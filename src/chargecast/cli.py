@@ -69,13 +69,16 @@ def _write(cfg: PipelineConfig, name: str, writer, *args) -> None:
     """writer(path, *args) at name under [io] out_dir, its directory created; says so.
 
     writer fills ``<path>.<pid>.tmp``, which then replaces path or is removed.
+    An ``OSError`` on the way is a ``DataError`` naming path.
     """
     path = _path(cfg, name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         writer(tmp, *args)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):  # the write failed
             os.remove(tmp)

@@ -166,7 +166,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -394,7 +394,5 @@ def iceemdan(signal, ensemble_n: int, noise_amp: float, seed) -> ImfSet:
                 acc[k] += imf
             capped += n_capped
 
-    if not acc:
-        return ImfSet((), x.copy(), capped)
     imfs = tuple(a / ensemble_n for a in acc)
     return ImfSet(imfs, x - imf_sum(imfs, x.size), capped)

@@ -31,13 +31,14 @@ The positional rows are added as the residual of the embedding's fusion
 layer. The low-rank adapters of a graph block are stacked on a head axis too,
 one (H, W, r) and one (H, r, d_k) factor each for query and value.
 Checkpoints store those stacked factors as ``block{i}.heads.{l_q,m_q,l_v,m_v}``
-and the NF4 codes of the quantized bases two per byte (low nibble first), in
-the container of ``io.write_npz``. The layout is checkpoint version 5. Its
-meta holds the architecture sizes, the freeze mode and the block masks,
-nothing more: ``load_checkpoint`` replays ``build_model`` and
-``freeze_and_adapt`` to get the trainable flags, the adapters and the
-quantized layouts, then fills in the stored values. Other versions are
-rejected.
+and the four arrays of each quantized basis's ``QuantizedTensor`` as they are
+(its NF4 codes two per byte, in the layout ``quantize`` owns), in the
+container of ``io.write_npz``. The layout is checkpoint version 5. Its meta
+holds the architecture sizes, the freeze mode and the block masks, nothing
+more: ``load_checkpoint`` replays ``build_model`` and ``freeze_and_adapt`` to
+get the trainable flags, the adapters and the quantized layouts, then fills
+in the stored values, each of which must have the dtype and shape of the
+replayed value it replaces. Other versions are rejected.
 
 Whether a block's attention is masked by the station graph is recorded on
 the block alone (``PfgaBlockParams.masked``): ``build_model`` marks the
@@ -572,11 +573,15 @@ def freeze_and_adapt(
     all_graph: every block is a graph block, everything trainable.
     use_graph_mask marks the graph blocks masked (True) or unmasked (False);
     the other blocks are unmasked. The input model is modified in place and
-    returned.
+    returned; it must be in freeze mode none, as ``build_model`` makes it,
+    since adapting it again would quantize its bases twice and replace
+    trained adapters.
     """
     cfg = model.config
     if freeze_mode not in FREEZE_MODES:
         raise ConfigError(f"unknown freeze_mode {freeze_mode!r}")
+    if model.freeze_mode != "none":
+        raise ConfigError(f"model is already in freeze mode {model.freeze_mode!r}; only a 'none' backbone adapts")
     model.freeze_mode = freeze_mode
 
     for i, blk in enumerate(model.blocks):
@@ -612,23 +617,8 @@ def freeze_and_adapt(
 # -- checkpointing ------------------------------------------------------------
 
 _CHECKPOINT_VERSION = 5
-
-
-def _pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Two 4-bit codes per byte, ``lo | hi << 4``; an odd count pads the last high nibble with 0."""
-    flat = codes.reshape(-1)
-    if flat.size % 2:
-        flat = np.append(flat, np.uint8(0))
-    return flat[0::2] | (flat[1::2] << 4)
-
-
-def _unpack_codes(packed: np.ndarray, size: int, name: str) -> np.ndarray:
-    if packed.dtype != np.uint8 or packed.shape != ((size + 1) // 2,):
-        raise DataError(f"checkpoint codes of {name} do not hold {size} packed 4-bit codes")
-    codes = np.empty(2 * packed.size, dtype=np.uint8)
-    codes[0::2] = packed & 0x0F
-    codes[1::2] = packed >> 4
-    return codes[:size]
+# the arrays of a QuantizedTensor, stored as they are under q_{part}__block{i}__{basis}
+_QUANTIZED_PARTS = ("codes", "scale_codes", "scale_min", "scale_step")
 
 
 def _quantized_names(model: PfgaModel) -> set:
@@ -636,10 +626,10 @@ def _quantized_names(model: PfgaModel) -> set:
 
 
 def _stored(arrays: dict, key: str, like: np.ndarray) -> np.ndarray:
-    """Pop the array stored under key; it must have the shape of the replayed value it replaces."""
+    """Pop the array stored under key; it must have the dtype and shape of the replayed value it replaces."""
     stored = arrays.pop(key)
-    if stored.shape != like.shape:
-        raise ValueError(f"{key} has shape {stored.shape}, expected {like.shape}")
+    if stored.dtype != like.dtype or stored.shape != like.shape:
+        raise ValueError(f"{key} is {stored.dtype} {stored.shape}, expected {like.dtype} {like.shape}")
     return stored
 
 
@@ -660,17 +650,15 @@ def save_checkpoint(model: PfgaModel, path: str) -> None:
     for i, blk in enumerate(model.blocks):
         for wname, qt in blk.quant.items():
             tag = f"block{i}__{wname}"
-            arrays[f"q_codes__{tag}"] = _pack_codes(qt.codes)
-            arrays[f"q_scale_codes__{tag}"] = qt.scale_codes
-            arrays[f"q_scale_min__{tag}"] = qt.scale_min
-            arrays[f"q_scale_step__{tag}"] = qt.scale_step
+            for part in _QUANTIZED_PARTS:
+                arrays[f"q_{part}__{tag}"] = getattr(qt, part)
     write_npz(path, meta, arrays)
 
 
 def load_checkpoint(path: str) -> PfgaModel:
     """Rebuild through ``build_model`` and ``freeze_and_adapt``, then fill in the stored values.
 
-    A missing, misshapen or unused entry, or a stored model size that
+    A missing, misshapen, mistyped or unused entry, or a stored model size that
     ``ModelConfig`` rejects, is a ``DataError``; another version, codebook or
     freeze mode is a ``ConfigError``.
     """
@@ -695,18 +683,13 @@ def load_checkpoint(path: str) -> PfgaModel:
         for i, blk in enumerate(model.blocks):
             for wname, qt in blk.quant.items():
                 tag = f"block{i}__{wname}"
-                blk.quant[wname] = qt = replace(
-                    qt,
-                    codes=_unpack_codes(arrays.pop(f"q_codes__{tag}"), qt.codes.size, f"block{i}.{wname}"),
-                    scale_codes=_stored(arrays, f"q_scale_codes__{tag}", qt.scale_codes),
-                    scale_min=_stored(arrays, f"q_scale_min__{tag}", qt.scale_min),
-                    scale_step=_stored(arrays, f"q_scale_step__{tag}", qt.scale_step),
-                )
+                stored = {part: _stored(arrays, f"q_{part}__{tag}", getattr(qt, part)) for part in _QUANTIZED_PARTS}
+                blk.quant[wname] = qt = replace(qt, **stored)
                 getattr(blk, wname).data = dequantize(qt)
         quantized = _quantized_names(model)
         for name, t in model.named_parameters():
             if name not in quantized:
-                t.data = np.asarray(_stored(arrays, name.replace(".", "__"), t.data), dtype=float)
+                t.data = _stored(arrays, name.replace(".", "__"), t.data)
         if arrays:
             raise ValueError(f"no tensor takes {', '.join(sorted(arrays))}")
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:

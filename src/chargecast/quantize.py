@@ -5,7 +5,10 @@ whose levels are quantiles of a standard normal, rescaled so the extreme
 levels sit exactly at -1 and +1. Each block of ``BLOCK_SIZE`` = 64 values
 shares one absmax scale; the absmax constants themselves are quantized to 8
 bits per superblock of ``SUPERBLOCK`` = 256 blocks to shave the constant
-overhead.
+overhead. The codes are stored two per byte, the low nibble first; an odd
+count pads the last byte with a 0 high nibble. This is the layout the
+checkpoints hold, so ``quantize`` and ``dequantize`` are the only code that
+knows it.
 
 The codebook is written out as literals. They come from the normal-quantile
 construction (8 positive and 7 negative quantiles at probabilities evenly
@@ -19,6 +22,7 @@ format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +59,7 @@ SUPERBLOCK = 256
 class QuantizedTensor:
     """4-bit codes plus the constants needed to reconstruct the values."""
 
-    codes: np.ndarray  # uint8, one codebook index per element
+    codes: np.ndarray  # uint8, two codebook indices per byte, low nibble first
     scale_codes: np.ndarray  # uint8, one 8-bit code per block
     scale_min: np.ndarray  # float64, per superblock
     scale_step: np.ndarray  # float64, per superblock
@@ -84,7 +88,8 @@ def quantize(values: np.ndarray) -> QuantizedTensor:
     scale = np.repeat(absmax, BLOCK_SIZE)[: flat.size]
     normalized = np.divide(flat, scale, out=np.zeros_like(flat), where=scale != 0.0)
     dist = np.abs(normalized[:, None] - NF4_CODEBOOK[None, :])
-    codes = dist.argmin(axis=1).astype(np.uint8)
+    codes = np.zeros(flat.size + flat.size % 2, dtype=np.uint8)  # an odd count pads a 0 high nibble
+    codes[: flat.size] = dist.argmin(axis=1)
 
     starts = np.arange(0, n_blocks, SUPERBLOCK)
     scale_min = np.minimum.reduceat(absmax, starts)
@@ -95,7 +100,7 @@ def quantize(values: np.ndarray) -> QuantizedTensor:
     scale_codes = np.clip(np.round(ratio), 0, 255).astype(np.uint8)
 
     return QuantizedTensor(
-        codes=codes,
+        codes=codes[0::2] | (codes[1::2] << 4),
         scale_codes=scale_codes,
         scale_min=scale_min,
         scale_step=scale_step,
@@ -104,6 +109,7 @@ def quantize(values: np.ndarray) -> QuantizedTensor:
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    size = qt.codes.size
-    flat = NF4_CODEBOOK[qt.codes] * np.repeat(qt.block_scales(), BLOCK_SIZE)[:size]
+    size = math.prod(qt.shape)
+    codes = np.stack([qt.codes & 0x0F, qt.codes >> 4], axis=1).reshape(-1)[:size]
+    flat = NF4_CODEBOOK[codes] * np.repeat(qt.block_scales(), BLOCK_SIZE)[:size]
     return flat.reshape(qt.shape)

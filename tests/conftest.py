@@ -24,6 +24,13 @@ def child_env():
     return env
 
 
+def nf4_codes(qt):
+    """The codebook index of each element of the QuantizedTensor qt, read from its
+    codes two per byte, low nibble first."""
+    per_element = np.stack([qt.codes % 16, qt.codes // 16], axis=1).reshape(-1)
+    return per_element[: int(np.prod(qt.shape))]
+
+
 def _set(mapping, key, value):
     mapping[key] = value
 

@@ -552,7 +552,7 @@ class TestChannelsMemo:
         cli._front_end(cfg)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare_array", "misshapen"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare_array", "misshapen", "misshapen_components"])
     def test_damaged_file_is_a_miss(self, memo, monkeypatch, damage):
         out_dir, common = memo
         path = out_dir / "channels.npz"
@@ -564,9 +564,13 @@ class TestChannelsMemo:
         elif damage == "bare_array":
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros(3))
-        else:  # the right key, one channel short
+        elif damage == "misshapen":  # the right key, one channel short
             meta, arrays = cio.read_npz(path)
             arrays["stack"] = arrays["stack"][:, :, :-1]
+            cio.write_npz(path, meta, arrays)
+        else:  # the right key and stack, one station's components one step short
+            meta, arrays = cio.read_npz(path)
+            arrays["components1"] = arrays["components1"][:, :-1]
             cio.write_npz(path, meta, arrays)
         calls = spy_on_assembly(monkeypatch)
         assert cli.main(["forecast", *common]) == 0
@@ -606,7 +610,7 @@ class TestChannelsMemo:
             raise OSError("disk full")
 
         monkeypatch.setattr(np, "savez", savez)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(DataError, match=re.escape(f"cannot write {out_dir / 'channels.npz'}: disk full")):
             cli._front_end(cfg)
         assert {p.name for p in out_dir.iterdir()} == before | {"memo.ini"}
 
@@ -952,6 +956,41 @@ class TestExitCodes:
         assert "configuration error:" in err
         assert str(out_dir / checkpoint) in err
         assert (out_dir / "model.npz").read_bytes() == before
+
+    @pytest.mark.parametrize("blocker", ["out_dir_is_a_file", "target_is_a_directory"])
+    def test_unwritable_output_exits_3_and_leaves_no_temporary_file(self, tmp_path, blocker):
+        if blocker == "out_dir_is_a_file":
+            (tmp_path / "file").write_text("")
+            out_dir = tmp_path / "file" / "sub"
+        else:  # the temporary file is written, then cannot replace the target
+            out_dir = tmp_path
+            (out_dir / "series.csv").mkdir()
+        proc = run("synth", "--out-dir", str(out_dir), check=False)
+        assert proc.returncode == 3
+        assert f"data error: cannot write {out_dir / 'series.csv'}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_adapted_checkpoint_as_backbone_exits_2(self, workspace, data_copy, capsys):
+        ws, _ = workspace
+        out_dir, common = data_copy
+        (out_dir / "channels.npz").write_bytes((ws / "channels.npz").read_bytes())  # spare the front end
+        (out_dir / "backbone.npz").write_bytes((out_dir / "model.npz").read_bytes())
+        before = (out_dir / "model.npz").read_bytes()
+        assert cli.main(["train", *common]) == 2
+        assert "configuration error: model is already in freeze mode 'partial'" in capsys.readouterr().err
+        assert (out_dir / "model.npz").read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_a_container_without_a_codebook_as_checkpoint_exits_3(self, workspace, data_copy, capsys, command):
+        ws, _ = workspace
+        out_dir, common = data_copy
+        (out_dir / "channels.npz").write_bytes((ws / "channels.npz").read_bytes())
+        ini = out_dir / "channels_as_checkpoint.ini"
+        ini.write_text(LIGHT_INI.replace("[io]\n", "[io]\ncheckpoint = channels.npz\n"))
+        assert cli.main([command, "--config", str(ini), *common[2:]]) == 3
+        path = out_dir / "channels.npz"
+        assert f"data error: {path} is not a chargecast checkpoint: it has no nf4_codebook" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, damage",

@@ -78,6 +78,15 @@ class TestPrecedence:
         assert cfg.get("io", "out_dir") == "runs/100%"
         assert cfg.get("io", "series") == "%(out_dir)s.csv"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "[synth]\nstations = 5\n[vmd]\nk = 5\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        cfg = load_config(str(marked))
+        assert cfg.get("synth", "stations") == 5
+        assert cfg.config_hash() == load_config(str(plain)).config_hash()
+
 
 class TestRejection:
     def test_unknown_section(self, tmp_path):

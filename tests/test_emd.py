@@ -70,6 +70,16 @@ def test_zero_noise_ensemble_equals_plain_emd():
     np.testing.assert_array_equal(plain.residual, ens.residual)
 
 
+def test_ensemble_of_monotone_realizations_returns_the_signal_whole():
+    # noise far below the ramp's step keeps every realization monotone, so no IMF is found
+    x = np.arange(50.0)
+    x[0] = -0.0
+    result = iceemdan(x, ensemble_n=4, noise_amp=1e-6, seed=np.random.SeedSequence(3))
+    assert result.imfs == ()
+    assert result.residual.tobytes() == x.tobytes()
+    assert result.residual is not x
+
+
 def test_ensemble_deterministic_per_seed():
     x = np.sin(np.arange(150) / 4.0)
     a = iceemdan(x, ensemble_n=8, noise_amp=0.2, seed=np.random.SeedSequence(5))

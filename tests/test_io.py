@@ -54,6 +54,14 @@ class TestChargingCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_charging_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_station(self, tmp_path, cell):
+        path = tmp_path / "series.csv"
+        path.write_text(f"timestamp,st00,st01\n2024-03-01T00,1.0,{cell}\n2024-03-01T01,{cell},2.0\n")
+        with pytest.raises(DataError) as info:
+            load_charging_csv(path)
+        assert str(info.value) == f"{path}: row 2: non-finite value for st01"
+
     def test_hour_gap_points_at_the_row(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(

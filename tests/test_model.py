@@ -7,7 +7,7 @@ inputs of nodes it is not connected to.
 
 import numpy as np
 import pytest
-from conftest import CHECKPOINT_DAMAGE, damage_checkpoint
+from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, nf4_codes
 
 from chargecast import io as cio
 from chargecast.autodiff import no_grad
@@ -420,6 +420,18 @@ class TestFreezeAndAdapt:
         with pytest.raises(ConfigError, match="freeze_mode"):
             freeze_and_adapt(model, rng, freeze_mode="glacial")
 
+    @pytest.mark.parametrize("first", ["partial", "all_graph"])
+    def test_an_adapted_model_is_not_adapted_again(self, first):
+        rng = np.random.default_rng(22)
+        model = build_model(TINY, rng)
+        freeze_and_adapt(model, rng, freeze_mode=first)
+        before = {n: t.data.copy() for n, t in model.named_parameters()}
+        for again in FREEZE_MODES:
+            with pytest.raises(ConfigError, match=f"already in freeze mode '{first}'"):
+                freeze_and_adapt(model, rng, freeze_mode=again)
+        assert model.freeze_mode == first
+        assert all(np.array_equal(t.data, before[n]) for n, t in model.named_parameters())
+
 
 class TestTrainableCount:
     @pytest.mark.parametrize("mode", ["partial", "none", "all_graph"])
@@ -539,7 +551,7 @@ class TestCheckpoint:
         model, meta, arrays = self.saved_arrays(tmp_path, 35, version=2)
         for i, blk in enumerate(model.blocks):
             for name, qt in blk.quant.items():
-                arrays[f"q_codes__block{i}__{name}"] = qt.codes  # version 2: one byte per code
+                arrays[f"q_codes__block{i}__{name}"] = nf4_codes(qt)  # version 2: one byte per code
         old = str(tmp_path / "old.npz")
         cio.write_npz(old, meta, arrays)
         with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
@@ -645,10 +657,10 @@ class TestCheckpoint:
         blk_a, blk_b = model.blocks[-1], loaded.blocks[-1]
         assert len(stored) == len(blk_a.quant) == 4
         for name, qt in blk_a.quant.items():
-            assert qt.codes.size == 81
-            packed = stored[f"q_codes__block1__{name}"]
-            assert packed.dtype == np.uint8 and packed.shape == (41,)
-            assert packed[-1] >> 4 == 0
+            assert nf4_codes(qt).size == 81
+            assert qt.codes.dtype == np.uint8 and qt.codes.shape == (41,)
+            assert qt.codes[-1] >> 4 == 0
+            assert np.array_equal(stored[f"q_codes__block1__{name}"], qt.codes)
             assert np.array_equal(blk_b.quant[name].codes, qt.codes)
             assert blk_b.quant[name].codes.dtype == np.uint8
             assert np.array_equal(dequantize(blk_b.quant[name]), dequantize(qt))
@@ -662,7 +674,7 @@ class TestCheckpoint:
         arrays["q_codes__block1__w_q"] = arrays["q_codes__block1__w_q"][:-1]
         path = str(tmp_path / "short.npz")
         cio.write_npz(path, meta, arrays)
-        with pytest.raises(DataError, match="block1.w_q"):
+        with pytest.raises(DataError, match="q_codes__block1__w_q"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("save", [np.savez, np.save], ids=["npz_without_meta", "bare_array"])

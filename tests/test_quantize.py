@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, nf4_codes
 
 import chargecast.quantize as quantize_module
 from chargecast.quantize import NF4_CODEBOOK, dequantize, quantize
@@ -124,7 +124,7 @@ def test_tie_picks_lower_code_index():
     x[0] = 1.0  # absmax 1 so normalization is exact
     x[1] = mid
     qt = quantize(x)
-    assert qt.codes[1] == 7
+    assert nf4_codes(qt)[1] == 7
 
 
 def test_tail_block_shorter_than_block_size():
@@ -212,7 +212,8 @@ def test_array_form_is_bit_identical_to_loop_form(monkeypatch, case):
     x, block_size, superblock = _ragged_cases()[case]
     qt = quantize_in_blocks(monkeypatch, x, block_size, superblock)
     codes, scale_codes, scale_min, scale_step, back = loop_quantize(x, block_size, superblock)
-    np.testing.assert_array_equal(qt.codes, codes)
+    assert qt.codes.dtype == np.uint8 and qt.codes.shape == ((codes.size + 1) // 2,)
+    np.testing.assert_array_equal(nf4_codes(qt), codes)
     np.testing.assert_array_equal(qt.scale_codes, scale_codes)
     np.testing.assert_array_equal(qt.scale_min, scale_min)
     np.testing.assert_array_equal(qt.scale_step, scale_step)

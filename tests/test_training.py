@@ -245,6 +245,15 @@ class TestFit:
         with pytest.raises(NumericError, match="epoch 1"):
             fit(model, train, valid, toy_graph(), quick_cfg(max_epochs=3), LossConfig())
 
+    def test_non_finite_validation_error_names_the_epoch(self):
+        rng = np.random.default_rng(55)
+        train = toy_samples(rng, 16)
+        valid = toy_samples(rng, 6)
+        valid.target[2, 1, 0, 0] = np.inf
+        model = build_model(CFG, np.random.default_rng(56))
+        with pytest.raises(NumericError, match="non-finite validation error at epoch 1"):
+            fit(model, train, valid, toy_graph(), quick_cfg(max_epochs=3), LossConfig())
+
     def test_empty_sets_rejected(self):
         rng = np.random.default_rng(57)
         model = build_model(CFG, np.random.default_rng(58))
