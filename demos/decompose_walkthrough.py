@@ -32,8 +32,9 @@ print(f"denoised variance {np.var(denoised):.4f}")
 print(f"band energies     high {np.var(bands.high):.4f}  "
       f"mid {np.var(bands.mid):.4f}  low {np.var(bands.low):.4f}")
 
-total = sum(series for _, series in components)
-print(f"components ({len(components)}) sum back to the denoised series: "
+ids, rows = components
+total = rows.sum(axis=0)
+print(f"components ({len(ids)}) sum back to the denoised series: "
       f"{np.allclose(total, denoised, rtol=0, atol=1e-9)}")
 
 corr = np.corrcoef(denoised, slow + fast)[0, 1]

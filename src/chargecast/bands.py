@@ -4,7 +4,8 @@ and the full multi-frequency extraction pipeline.
 Components are grouped by a deterministic 1-D k-means (k=3) over their
 complexity scores, initialized at the min/median/max score. The group
 with the highest centroid becomes the high band; band series are
-element-wise sums accumulated left to right over the component list.
+element-wise sums accumulated top to bottom over the components, which
+are the rows of one (n, T) array, as ``vmd``'s modes and ``emd``'s IMFs are.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emd import iceemdan, imf_sum
+from .emd import iceemdan
 from .entropy import msse_curve
 from .errors import ConfigError
 from .vmd import VmdConfig, vmd
@@ -58,8 +59,8 @@ class DecomposeConfig:
     def __post_init__(self):
         if self.ensemble_n < 1:
             raise ConfigError(f"ensemble_n must be >= 1, got {self.ensemble_n}")
-        if self.noise_amp < 0:
-            raise ConfigError(f"noise_amp must be >= 0, got {self.noise_amp}")
+        if not 0 <= self.noise_amp < np.inf:
+            raise ConfigError(f"noise_amp must be >= 0 and finite, got {self.noise_amp}")
 
 
 def _kmeans3(scores: np.ndarray) -> np.ndarray:
@@ -90,19 +91,19 @@ def _kmeans3(scores: np.ndarray) -> np.ndarray:
 
 
 def band_recombine(components, complexity) -> BandSet:
-    """Partition components into high/mid/low bands by complexity score.
+    """Partition the rows of an (n, T) components array into high/mid/low bands.
 
     Each component lands in exactly one band, so the three band series sum
-    to the sum of all inputs. Expects at least three components and one
-    finite complexity score per component (callers typically pass the mean
-    of each component's multiscale entropy curve).
+    to the sum of all rows. Expects at least three rows and one finite
+    complexity score per row (callers typically pass the mean of each
+    component's multiscale entropy curve).
     """
-    comps = [np.asarray(c, dtype=float) for c in components]
-    if len(comps) < 3:
-        raise ValueError(f"need at least 3 components, got {len(comps)}")
-    length = comps[0].size
-    if any(c.ndim != 1 or c.size != length for c in comps):
+    if len(components) < 3:
+        raise ValueError(f"need at least 3 components, got {len(components)}")
+    if len({np.shape(c) for c in components}) != 1 or np.ndim(components[0]) != 1:
         raise ValueError("components must be 1-D arrays of equal length")
+    comps = np.asarray(components, dtype=float)
+    length = comps.shape[1]
     scores = np.asarray(complexity, dtype=float)
     if scores.shape != (len(comps),):
         raise ValueError(
@@ -146,12 +147,13 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     sub-components (IMFs plus residual, in place), then recombine all
     components into high/mid/low bands.
 
-    Returns (denoised, BandSet, components), where components holds the
-    (component_id, series) pairs behind the bands.
+    Returns (denoised, BandSet, (ids, components)): components is the
+    (n, T) array whose rows are the components behind the bands, and ids
+    names each row.
     """
     modes, _ = vmd(signal, cfg.vmd)
-    retained = list(modes[:-1])
-    denoised = imf_sum(retained, modes.shape[1])
+    retained = modes[:-1]
+    denoised = retained.sum(axis=0)
 
     # each component is scored once: the retained modes here, the new
     # sub-components below; the +inf cap is applied per ranked list
@@ -159,19 +161,11 @@ def multi_frequency_pipeline(signal, cfg: DecomposeConfig, seed):
     target = int(np.argmax(_complexity_scores(mode_scores)))
     sub = iceemdan(retained[target], cfg.ensemble_n, cfg.noise_amp, seed)
 
-    components = []
-    ids = []
-    raw = []
-    for i, mode in enumerate(retained):
-        if i == target:
-            parts = [*sub.imfs, sub.residual]
-            components.extend(parts)
-            ids.extend([f"mode{i}_sub{j}" for j in range(len(sub.imfs))] + [f"mode{i}_subres"])
-            raw.extend(_mean_msse(parts))
-        else:
-            components.append(mode)
-            ids.append(f"mode{i}")
-            raw.append(mode_scores[i])
+    parts = np.vstack([sub.imfs, sub.residual])
+    ids = [f"mode{i}" for i in range(len(retained))]
+    ids[target:target + 1] = [f"mode{target}_sub{j}" for j in range(len(sub.imfs))] + [f"mode{target}_subres"]
+    mode_scores[target:target + 1] = _mean_msse(parts)
+    components = np.vstack([retained[:target], parts, retained[target + 1:]])
 
-    bands = band_recombine(components, _complexity_scores(raw))
-    return denoised, bands, tuple(zip(ids, components))
+    bands = band_recombine(components, _complexity_scores(mode_scores))
+    return denoised, bands, (tuple(ids), components)

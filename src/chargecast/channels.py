@@ -69,9 +69,11 @@ class ChannelConfig:
 class AssembledChannels:
     """The channel stack plus what the front end found on the way.
 
-    components holds, per station, the (component_id, series) pairs behind
-    the bands; feature_names names the ReliefF candidate behind each weight
-    (empty, like weights, when no exogenous series was given).
+    components holds, per station, the (ids, rows) pair behind the bands:
+    rows is the (n, T) array of that station's components and ids names
+    each row, as ``multi_frequency_pipeline`` returns them. feature_names
+    names the ReliefF candidate behind each weight (empty, like weights,
+    when no exogenous series was given).
     """
 
     series: SeriesTensor

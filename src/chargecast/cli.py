@@ -136,7 +136,8 @@ def _synth_exogenous(count: int, rng: np.random.Generator, t_len: int) -> dict:
 
 
 def _load_matching_checkpoint(cfg: PipelineConfig, key: str):
-    """Load the checkpoint at [io] key; its model config must be this run's."""
+    """Load the checkpoint at [io] key; its model config must be this run's,
+    and a backbone must not be adapted yet."""
     path = _path(cfg, cfg.get("io", key))
     model = load_checkpoint(path)
     want = cfg.model_config(c_in=channel_counts(cfg.channel_config(), len(cfg.get("io", "exogenous")))[1])
@@ -144,6 +145,10 @@ def _load_matching_checkpoint(cfg: PipelineConfig, key: str):
         raise ConfigError(
             f"{path} holds a model for {model.config}, but this run needs {want}; "
             f"re-create it with a matching configuration"
+        )
+    if key == "backbone" and model.freeze_mode != "none":
+        raise ConfigError(
+            f"model is already in freeze mode {model.freeze_mode!r} in {path}; only a 'none' backbone adapts"
         )
     return model
 
@@ -182,13 +187,13 @@ def _save_channels(path: str, key: str, assembled: AssembledChannels, caught: li
     meta = {
         "key": key,
         "channel_names": list(assembled.channel_names),
-        "component_ids": [[cid for cid, _ in comps] for comps in assembled.components],
+        "component_ids": [list(ids) for ids, _ in assembled.components],
         "feature_names": list(assembled.feature_names),
         "warnings": [[c.__module__, c.__name__, text, filename, lineno] for c, text, filename, lineno in caught],
     }
     arrays = {"stack": assembled.series.values}
-    for i, comps in enumerate(assembled.components):
-        arrays[f"components{i}"] = np.stack([values for _, values in comps])
+    for i, (_, rows) in enumerate(assembled.components):
+        arrays[f"components{i}"] = rows
     if assembled.weights is not None:
         arrays["weights"] = assembled.weights
     cio.write_npz(path, meta, arrays)
@@ -221,7 +226,7 @@ def _load_channels(path: str, key: str, series: SeriesTensor):
         assembled = AssembledChannels(
             series=SeriesTensor(stack),
             channel_names=names,
-            components=tuple(tuple(zip(i, c)) for i, c in zip(ids, comps)),
+            components=tuple((tuple(i), c) for i, c in zip(ids, comps)),
             weights=weights,
             feature_names=features,
         )
@@ -263,7 +268,8 @@ def _front_end(cfg: PipelineConfig, checkpoint: str | None = None, split: bool =
     split, for one lookback. With a checkpoint key the station graph and
     that checkpoint are loaded (graph and model are None without one). All
     of it happens before the front end runs, so a short series, a bad input
-    file or a checkpoint made for another configuration fails fast.
+    file, a checkpoint made for another configuration or an adapted backbone
+    fails fast.
     """
     series, calendar, node_ids = _load_series(cfg)
     p, s = cfg.get("model", "lookback"), cfg.get("model", "horizon")
@@ -295,9 +301,9 @@ def _cmd_decompose(cfg: PipelineConfig) -> int:
     stamps = calendar.timestamps
     channel = dict(zip(assembled.channel_names, np.moveaxis(assembled.series.values, 2, 0)))
     for i, node in enumerate(node_ids):
-        _write(cfg, f"components_{node}.csv", cio.write_components_csv, stamps, assembled.components[i])
-        bands = [(b, channel[b][:, i]) for b in ("band_high", "band_mid", "band_low")]
-        _write(cfg, f"bands_{node}.csv", cio.write_components_csv, stamps, bands)
+        _write(cfg, f"components_{node}.csv", cio.write_components_csv, stamps, *assembled.components[i])
+        bands = ("band_high", "band_mid", "band_low")
+        _write(cfg, f"bands_{node}.csv", cio.write_components_csv, stamps, bands, [channel[b][:, i] for b in bands])
     _write(cfg, "denoised.csv", cio.write_charging_csv, stamps, node_ids, channel["denoised"])
     for window in cfg.get("fig", "windows"):
         _write(cfg, f"granules_w{window}.csv", cio.write_charging_csv, stamps, node_ids, channel[f"granule{window}"])

@@ -172,6 +172,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        if parser.defaults():  # configparser merges [DEFAULT] into every other section
+            raise ConfigError(f"{path}: unknown section [DEFAULT]")
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"{path}: unknown section [{section}]")

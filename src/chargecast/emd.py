@@ -21,9 +21,10 @@ operation (the same tridiagonal system, LAPACK ``dgtsv``'s elimination
 with partial pivoting, and ``PPoly``'s power-sum evaluation), so its
 values equal scipy's to the bit (checked against scipy 1.17).
 
-The residual of every decomposition is defined as the remainder
-signal - sum(imfs), which makes the reconstruction identity exact by
-construction.
+Both return the IMFs as the rows of one (k, T) array, in extraction
+order, with shape (0, T) when the signal yields none. The residual of
+every decomposition is the remainder signal - imfs.sum(axis=0), which
+makes the reconstruction identity exact by construction.
 """
 
 from __future__ import annotations
@@ -48,26 +49,19 @@ _EVAL_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class ImfSet:
-    """Ordered IMFs plus the remainder residual.
+    """IMFs as the rows of a (k, T) array, in extraction order, plus the residual.
 
     sift_capped counts IMF extractions that used all ``MAX_SIFTINGS``
     siftings without the SD rule firing, summed over realizations.
     """
 
-    imfs: tuple
+    imfs: np.ndarray
     residual: np.ndarray
     sift_capped: int = 0
 
     def reconstruct(self) -> np.ndarray:
-        """sum(imfs) + residual, the decomposed signal."""
-        return imf_sum(self.imfs, self.residual.size) + self.residual
-
-
-def imf_sum(imfs, length: int) -> np.ndarray:
-    """Sum of equal-length components, added left to right; zeros if none."""
-    if not imfs:
-        return np.zeros(length)
-    return np.sum(np.stack(imfs), axis=0)
+        """imfs.sum(axis=0) + residual, the decomposed signal."""
+        return self.imfs.sum(axis=0) + self.residual
 
 
 def _extrema_masks(x: np.ndarray) -> np.ndarray:
@@ -337,12 +331,9 @@ def emd(signal) -> ImfSet:
     residual with zero IMFs.
     """
     x = _check_signal(signal)
-    imfs = []
-    capped = 0
-    for level, n_capped in _sift_levels(x[None, :].copy()):
-        imfs.append(level[0])
-        capped += n_capped
-    return ImfSet(tuple(imfs), x - imf_sum(imfs, x.size), capped)
+    levels = list(_sift_levels(x[None, :].copy()))
+    imfs = np.vstack([level for level, _ in levels]) if levels else np.zeros((0, x.size))
+    return ImfSet(imfs, x - imfs.sum(axis=0), sum(n_capped for _, n_capped in levels))
 
 
 def iceemdan(signal, ensemble_n: int, noise_amp: float, seed) -> ImfSet:
@@ -359,8 +350,8 @@ def iceemdan(signal, ensemble_n: int, noise_amp: float, seed) -> ImfSet:
     """
     if ensemble_n < 1:
         raise ValueError(f"ensemble_n must be >= 1, got {ensemble_n}")
-    if noise_amp < 0:
-        raise ValueError(f"noise_amp must be >= 0, got {noise_amp}")
+    if not 0 <= noise_amp < np.inf:
+        raise ValueError(f"noise_amp must be >= 0 and finite, got {noise_amp}")
     x = _check_signal(signal)
 
     sigma = noise_amp * float(np.std(x))
@@ -394,5 +385,5 @@ def iceemdan(signal, ensemble_n: int, noise_amp: float, seed) -> ImfSet:
                 acc[k] += imf
             capped += n_capped
 
-    imfs = tuple(a / ensemble_n for a in acc)
-    return ImfSet(imfs, x - imf_sum(imfs, x.size), capped)
+    imfs = (np.vstack(acc) if acc else np.zeros((0, x.size))) / ensemble_n
+    return ImfSet(imfs, x - imfs.sum(axis=0), capped)

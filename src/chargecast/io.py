@@ -115,7 +115,7 @@ def load_charging_csv(path):
 
 def write_charging_csv(path, timestamps, node_ids, values) -> None:
     """values: (T, N), one column per station id."""
-    write_components_csv(path, timestamps, list(zip(node_ids, np.asarray(values).T)))
+    write_components_csv(path, timestamps, node_ids, np.asarray(values).T)
 
 
 def load_adjacency_csv(path, node_ids) -> StationGraph:
@@ -218,14 +218,13 @@ def _float_text(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def write_components_csv(path, timestamps, components) -> None:
-    """components: ordered (id, series) pairs, one column each."""
-    ids = [cid for cid, _ in components]
+def write_components_csv(path, timestamps, ids, rows) -> None:
+    """One column per id: rows[i], a row of an (n, T) array, is the series of ids[i]."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", *ids])
         n = len(timestamps)
-        columns = [_float_text(np.asarray(series)[:n]) for _, series in components]
+        columns = [_float_text(series[:n]) for series in rows]
         writer.writerows(zip(_hour_stamps(timestamps, n), *columns))
 
 

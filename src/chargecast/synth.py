@@ -81,8 +81,8 @@ def check_settings(n_stations: int, days: int, graph_density: float, noise_amp: 
         raise ConfigError("days must be >= 14")
     if not (0.0 <= graph_density <= 1.0):
         raise ConfigError("graph_density must lie in [0, 1]")
-    if noise_amp < 0:
-        raise ConfigError("noise_amp must be non-negative")
+    if not 0 <= noise_amp < np.inf:
+        raise ConfigError(f"noise_amp must be non-negative and finite, got {noise_amp}")
 
 
 def generate(

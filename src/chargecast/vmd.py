@@ -49,10 +49,10 @@ class VmdConfig:
     def __post_init__(self):
         if self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -121,7 +121,7 @@ def test_pipeline_detail_components_sum_to_denoised():
     x = make_signal()
     den, bands, comps = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(0))
     col_sum = np.zeros_like(den)
-    for _, series in comps:
+    for series in comps[1]:
         col_sum += series
     rel = np.max(np.abs(col_sum - den)) / np.max(np.abs(den))
     assert rel < 1e-12
@@ -161,8 +161,8 @@ def test_pipeline_needs_two_modes():
 
 def test_component_ids_are_stable_and_descriptive():
     x = make_signal(256)
-    _, _, comps = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(2))
-    ids = [cid for cid, _ in comps]
+    _, _, (ids, rows) = multi_frequency_pipeline(x, LIGHT, seed=np.random.SeedSequence(2))
+    assert rows.shape == (len(ids), x.size)
     assert len(ids) == len(set(ids))
     assert any("sub" in cid for cid in ids)  # the most complex mode was expanded
     assert all(cid.startswith("mode") for cid in ids)
@@ -181,7 +181,7 @@ def test_pipeline_scores_each_component_once(monkeypatch):
     score = counting(bands_mod.msse_curve)
     monkeypatch.setattr(bands_mod, "msse_curve", score)
     _, _, comps = multi_frequency_pipeline(make_signal(), LIGHT, seed=np.random.SeedSequence(0))
-    n_sub = sum("_sub" in cid for cid, _ in comps)  # IMFs plus the residual
+    n_sub = sum("_sub" in cid for cid in comps[0])  # IMFs plus the residual
     assert n_sub >= 2
     assert score.calls == (LIGHT.vmd.K - 1) + n_sub
 
@@ -189,11 +189,11 @@ def test_pipeline_scores_each_component_once(monkeypatch):
 def rescored_bands(comps, score):
     """Bands from scoring every final component afresh, +inf capped over the list."""
     params = (bands_mod.ENTROPY_M, bands_mod.ENTROPY_R_FRAC, bands_mod.ENTROPY_TAU_MAX)
-    raw = np.array([float(np.mean(score(s, *params))) for _, s in comps])
+    raw = np.array([float(np.mean(score(s, *params))) for s in comps[1]])
     finite = raw[np.isfinite(raw)]
     if finite.size < raw.size:
         raw = np.where(np.isfinite(raw), raw, (finite.max() if finite.size else 0.0) + 1.0)
-    return band_recombine([s for _, s in comps], raw)
+    return band_recombine(comps[1], raw)
 
 
 @pytest.mark.parametrize("infinite", [None, "retained_mode", "sub_component"])
@@ -206,7 +206,7 @@ def test_bands_match_rescoring_every_component(monkeypatch, infinite):
         # retained mode that does becomes the most complex one and is expanded
         _, _, plain = multi_frequency_pipeline(x, LIGHT, seed=seed)
         kept = "mode0" if infinite == "retained_mode" else "_sub0"
-        cid, target = next((cid, s) for cid, s in plain if cid.endswith(kept))
+        cid, target = next((cid, s) for cid, s in zip(*plain) if cid.endswith(kept))
 
         def score(series, m, r_frac, tau_max):
             if np.array_equal(series, target):
@@ -215,11 +215,11 @@ def test_bands_match_rescoring_every_component(monkeypatch, infinite):
 
         monkeypatch.setattr(bands_mod, "msse_curve", score)
     _, got, comps = multi_frequency_pipeline(x, LIGHT, seed=seed)
-    ids = [c for c, _ in comps]
+    ids = comps[0]
     if infinite == "retained_mode":
         assert "mode0_sub0" in ids
     elif infinite == "sub_component":
-        assert np.array_equal(dict(comps)[cid], target)
+        assert np.array_equal(dict(zip(*comps))[cid], target)
     want = rescored_bands(comps, score)
     assert got.membership == want.membership
     for band in ("high", "mid", "low"):
@@ -242,6 +242,6 @@ def test_year_long_series_decomposes_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
-    assert all(np.all(np.isfinite(series)) for _, series in comps)
+    assert np.all(np.isfinite(comps[1]))
     rel = np.max(np.abs(bands.total() - den)) / np.max(np.abs(den))
     assert rel < 1e-12

@@ -212,9 +212,9 @@ def assert_same_channels(a, b):
     assert np.array_equal(a.series.values, b.series.values)
     assert a.channel_names == b.channel_names
     assert len(a.components) == len(b.components)
-    for comps_a, comps_b in zip(a.components, b.components):
-        assert [cid for cid, _ in comps_a] == [cid for cid, _ in comps_b]
-        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(comps_a, comps_b))
+    for (ids_a, rows_a), (ids_b, rows_b) in zip(a.components, b.components):
+        assert ids_a == ids_b
+        assert np.array_equal(rows_a, rows_b)
     if a.weights is None:
         assert b.weights is None
     else:

@@ -344,13 +344,13 @@ def loop_write_charging_csv(path, timestamps, node_ids, values):
             writer.writerow([stamp, *[repr(float(v)) for v in values[t]]])
 
 
-def loop_write_components_csv(path, timestamps, components):
+def loop_write_components_csv(path, timestamps, ids, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", *[cid for cid, _ in components]])
+        writer.writerow(["timestamp", *ids])
         for t in range(len(timestamps)):
             stamp = np.datetime_as_string(np.datetime64(timestamps[t], "h"))
-            writer.writerow([stamp, *[repr(float(series[t])) for _, series in components]])
+            writer.writerow([stamp, *[repr(float(series[t])) for series in rows]])
 
 
 def loop_write_predictions_csv(path, window_starts, node_ids, predictions, truths):
@@ -380,10 +380,9 @@ class TestWritersMatchTheLoopForm:
         for name in ("components_st00.csv", "bands_st03.csv"):
             header, rows = read_csv(ws / name)
             stamps = np.array([r[0] for r in rows], dtype="datetime64[h]")
-            values = csv_matrix(ws / name)
-            components = [(cid, values[:, j]) for j, cid in enumerate(header[1:])]
             self.same_bytes(
-                tmp_path, ws / name, cio.write_components_csv, loop_write_components_csv, stamps, components
+                tmp_path, ws / name, cio.write_components_csv, loop_write_components_csv,
+                stamps, header[1:], csv_matrix(ws / name).T,
             )
 
     def test_charging_csv(self, workspace, decomposed, tmp_path):
@@ -504,9 +503,9 @@ class TestChannelsMemo:
         assert np.array_equal(hit.series.values, fresh.series.values)
         assert hit.channel_names == fresh.channel_names
         assert len(hit.components) == len(fresh.components)
-        for got, want in zip(hit.components, fresh.components):
-            assert [cid for cid, _ in got] == [cid for cid, _ in want]
-            assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want, strict=True))
+        for (got_ids, got), (want_ids, want) in zip(hit.components, fresh.components):
+            assert got_ids == want_ids
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert hit.weights.dtype == fresh.weights.dtype and np.array_equal(hit.weights, fresh.weights)
         assert hit.feature_names == fresh.feature_names
         assert hit_clamps == fresh_clamps
@@ -805,6 +804,10 @@ class TestExitCodes:
             ("decompose", "train", "learning_rate = -1"),
             ("train", "fig", "windows = 24,24"),
             ("decompose", "relieff", "k = 0"),
+            ("decompose", "vmd", "alpha = nan"),
+            ("decompose", "vmd", "tol = inf"),
+            ("train", "iceemdan", "noise_amp = nan"),
+            ("synth", "synth", "noise_amp = inf"),
         ],
     )
     def test_out_of_range_value_exits_2_before_reading_data(
@@ -816,7 +819,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli.cio, "load_charging_csv", lambda *a, **kw: reads.append(a))
         assert cli.main([command, "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert reads == []
-        assert f"configuration error: [{section}]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error: [{section}]" in err
+        assert line.split(" = ")[0] in err
+        assert list(tmp_path.iterdir()) == [bad]  # no output written
 
     @pytest.mark.parametrize("command", ["pretrain", "train", "evaluate"])
     @pytest.mark.parametrize("key", ["train_ratio", "valid_ratio", "test_ratio"])
@@ -971,14 +977,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_adapted_checkpoint_as_backbone_exits_2(self, workspace, data_copy, capsys):
-        ws, _ = workspace
+    def test_adapted_checkpoint_as_backbone_exits_2(self, data_copy, monkeypatch, capsys):
         out_dir, common = data_copy
-        (out_dir / "channels.npz").write_bytes((ws / "channels.npz").read_bytes())  # spare the front end
         (out_dir / "backbone.npz").write_bytes((out_dir / "model.npz").read_bytes())
         before = (out_dir / "model.npz").read_bytes()
+        calls = []
+        monkeypatch.setattr(cli, "assemble_channels", lambda *a, **kw: calls.append(a))
         assert cli.main(["train", *common]) == 2
-        assert "configuration error: model is already in freeze mode 'partial'" in capsys.readouterr().err
+        assert calls == []  # refused before the front end runs
+        assert not (out_dir / "channels.npz").exists()
+        err = capsys.readouterr().err
+        assert "configuration error: model is already in freeze mode 'partial'" in err
+        assert str(out_dir / "backbone.npz") in err
         assert (out_dir / "model.npz").read_bytes() == before
 
     @pytest.mark.parametrize("command", ["evaluate", "forecast"])

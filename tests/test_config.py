@@ -95,6 +95,16 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"unknown section \[physics\]"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nstations = 5\n", "[DEFAULT]\nk = 4\n[synth]\ndays = 20\n"], ids=["alone", "beside_synth"]
+    )
+    def test_default_section_is_unknown(self, tmp_path, text):
+        # configparser would otherwise drop a lone [DEFAULT] or copy its keys into every section
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(str(path))
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[vmd]\nkk = 5\n")
@@ -151,6 +161,10 @@ class TestRejection:
             ("model", "heads", "5", r"\[model\] heads must be >= 1 and divide"),
             ("synth", "stations", "1", r"\[synth\] stations must be >= 2"),
             ("synth", "density", "2", r"\[synth\] density must lie in \[0, 1\]"),
+            ("vmd", "alpha", "nan", r"\[vmd\] alpha must be > 0 and finite, got nan"),
+            ("vmd", "tol", "inf", r"\[vmd\] tol must be > 0 and finite, got inf"),
+            ("iceemdan", "noise_amp", "nan", r"\[iceemdan\] noise_amp must be >= 0 and finite, got nan"),
+            ("synth", "noise_amp", "inf", r"\[synth\] noise_amp must be non-negative and finite, got inf"),
             ("io", "exogenous", "a/temp.csv, b/temp.csv", r"\[io\] exogenous = .*file stem 'temp' repeats"),
             ("io", "exogenous", "temp.csv, data/holiday.csv", r"\[io\] exogenous = .*file stem 'holiday' is reserved"),
         ],

@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 from conftest import child_env
 
-from chargecast.emd import emd, iceemdan, imf_sum
+from chargecast.emd import emd, iceemdan
 
 emd_module = importlib.import_module("chargecast.emd")
 _extrema_masks = emd_module._extrema_masks
 _mirrored_knots = emd_module._mirrored_knots
 _natural_spline_rows = emd_module._natural_spline_rows
+
+
+def imf_sum(imfs, length):
+    """IMFs added one at a time, top to bottom; zeros if there are none."""
+    total = np.zeros(length)
+    for imf in imfs:
+        total = total + imf
+    return total
 
 
 def test_residual_is_signal_minus_imf_sum():
@@ -29,7 +37,7 @@ def test_residual_is_signal_minus_imf_sum():
 def test_monotonic_signal_has_no_imfs():
     x = np.linspace(0.0, 5.0, 100)
     result = emd(x)
-    assert len(result.imfs) == 0
+    assert result.imfs.shape == (0, x.size)
     np.testing.assert_array_equal(result.residual, x)
 
 
@@ -75,9 +83,15 @@ def test_ensemble_of_monotone_realizations_returns_the_signal_whole():
     x = np.arange(50.0)
     x[0] = -0.0
     result = iceemdan(x, ensemble_n=4, noise_amp=1e-6, seed=np.random.SeedSequence(3))
-    assert result.imfs == ()
+    assert result.imfs.shape == (0, x.size)
     assert result.residual.tobytes() == x.tobytes()
     assert result.residual is not x
+
+
+@pytest.mark.parametrize("noise_amp", [np.nan, np.inf, -0.1])
+def test_ensemble_rejects_a_non_finite_or_negative_noise_amp(noise_amp):
+    with pytest.raises(ValueError, match="noise_amp must be >= 0 and finite"):
+        iceemdan(np.sin(np.arange(50.0)), ensemble_n=2, noise_amp=noise_amp, seed=0)
 
 
 def test_ensemble_deterministic_per_seed():
@@ -378,7 +392,7 @@ def loop_iceemdan(x, ensemble_n, noise_amp, seed):
 
 
 def assert_same_decomposition(got, imfs, residual):
-    assert len(got.imfs) == len(imfs)
+    assert got.imfs.shape == (len(imfs), residual.size)
     for a, b in zip(got.imfs, imfs):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(got.residual, residual)
