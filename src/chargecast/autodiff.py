@@ -24,7 +24,9 @@ output weight is trainable, the hidden layer with the forward's operations.
 Backward closures skip the gradient of any operand without requires_grad,
 so frozen weights cost no gradient work. Inside ``with no_grad():`` results
 record no parents and no closure, so an inference pass keeps no tape alive;
-it computes the same numbers as a pass under the tape.
+it computes the same numbers as a pass under the tape. ``no_grad`` applies to
+the calling thread only: a thread that runs inference enters it itself, and
+other threads keep building their tapes.
 ``backward()`` consumes the tape it walks: leaves keep their gradients, each
 intermediate result drops its gradient, parents and saved values once its
 closure has run, and a second backward through a consumed result raises
@@ -34,24 +36,29 @@ closure has run, and a second backward through a consumed result raises
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
 __all__ = ["Tensor", "concat", "dense_backward", "linear", "no_grad", "take_rows"]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # each thread starts with the tape on
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no tape inside the block; the previous setting returns on exit."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Build no tape inside the block on this thread; its previous setting returns on exit."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _consumed(out):
@@ -86,7 +93,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

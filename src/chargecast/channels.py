@@ -20,7 +20,6 @@ raises are relayed in station order, prefixed with ``station <i>: ``.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import seeds
 from .bands import DecomposeConfig, multi_frequency_pipeline
-from .domain import CalendarFrame, SeriesTensor
+from .domain import CalendarFrame, SeriesTensor, usable_cpus
 from .errors import ConfigError, DataError
 from .granulate import granule_channels
 from .relieff import (
@@ -136,13 +135,6 @@ def _station(job):
     return record_warnings(multi_frequency_pipeline, signal, decompose, seed=seed)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform: stay in-process
-        return 1
-
-
 def _decompose_stations(jobs) -> list:
     """``_station`` results in station order, from forked workers when more than one CPU is usable.
 
@@ -152,7 +144,7 @@ def _decompose_stations(jobs) -> list:
     back from a worker with its type and message), and no station's warnings
     are relayed.
     """
-    workers = min(len(jobs), _usable_cpus())
+    workers = min(len(jobs), usable_cpus())
     if workers > 1:
         import multiprocessing
 

@@ -14,7 +14,8 @@ and moves it into place, so a failed or killed stage leaves no partial file.
 Every command resolves its configuration from flag > file > default, echoes
 the resolved values with a hash, and is deterministic given the same inputs
 and root seed. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric failure.
+4 numeric failure (``evaluate`` and ``forecast`` write no non-finite
+prediction).
 
 Graph masking is decided once, when ``train`` adapts the backbone under
 ``[train] use_graph_mask``; the checkpoint records it, and ``evaluate`` and
@@ -41,7 +42,7 @@ from .domain import CalendarFrame, SeriesTensor, StationGraph, split_windows
 from .errors import ConfigError, DataError, NumericError
 from .model import build_model, forward_batch, freeze_and_adapt, load_checkpoint, save_checkpoint
 from .relieff import write_weights_csv
-from .training import evaluate, fit
+from .training import check_finite, evaluate, fit
 
 __all__ = ["main"]
 
@@ -387,9 +388,10 @@ def _cmd_forecast(cfg: PipelineConfig) -> int:
     hours = np.array([calendar.hour_of_day[-1]])
     dows = np.array([calendar.day_of_week[-1]])
     with no_grad():
-        pred = forward_batch(model, hist, hours, dows, graph.adjacency).data[0, :, :, 0]
+        pred = forward_batch(model, hist, hours, dows, graph.adjacency).data
+    check_finite(pred, node_ids)
     future = calendar.timestamps[-1] + np.arange(1, s + 1).astype("timedelta64[h]")
-    _write(cfg, "forecast.csv", cio.write_charging_csv, future, node_ids, pred)
+    _write(cfg, "forecast.csv", cio.write_charging_csv, future, node_ids, pred[0, :, :, 0])
     return 0
 
 

@@ -1,11 +1,13 @@
 """Shared data model: series tensors, station graphs, calendars, windows.
 
 Values are validated on construction and frozen (arrays are marked
-read-only), so instances are safe to share between workers.
+read-only), so instances are safe to share between workers; ``usable_cpus``
+says how many workers can run at once.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +22,19 @@ __all__ = [
     "split_dataset",
     "make_windows",
     "split_windows",
+    "usable_cpus",
 ]
 
 # chronological (train, valid, test) shares of every series the pipeline fits and scores
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` and cpusets count), 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay in one worker
+        return 1
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -6,6 +6,7 @@ backward, and compares each analytic gradient entry with
 """
 
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -343,6 +344,56 @@ def test_no_grad_restores_after_exception():
             raise RuntimeError("boom")
     y = x * 2.0
     assert y.requires_grad and y._parents
+
+
+def test_no_grad_in_another_thread_leaves_this_threads_tape_on():
+    w = Tensor(np.ones(2), requires_grad=True)
+    inside, release = threading.Event(), threading.Event()
+
+    def infer():
+        with no_grad():
+            assert not (w * 2.0).requires_grad
+            inside.set()
+            release.wait(5)
+
+    other = threading.Thread(target=infer)
+    other.start()
+    try:
+        assert inside.wait(5)
+        loss = (w * 2.0).sum()
+    finally:
+        release.set()
+        other.join(5)
+    assert not other.is_alive()
+    assert loss.requires_grad
+    loss.backward()
+    assert np.array_equal(w.grad, [2.0, 2.0])
+
+
+def test_overlapping_no_grad_blocks_in_two_threads_restore_each_threads_setting():
+    """This thread enters first and leaves first; the other thread's exit must not
+    turn this thread's tape off, and both threads end with the tape on."""
+    w = Tensor(np.ones(2), requires_grad=True)
+    inside, release = threading.Event(), threading.Event()
+    after = []
+
+    def infer():
+        with no_grad():
+            inside.set()
+            release.wait(5)
+        after.append((w * 2.0).requires_grad)
+
+    other = threading.Thread(target=infer)
+    try:
+        with no_grad():
+            other.start()
+            assert inside.wait(5)
+    finally:
+        release.set()
+        other.join(5)
+    assert not other.is_alive()
+    assert after == [True]
+    assert (w * 2.0).requires_grad
 
 
 # -- fused nodes ------------------------------------------------------------------

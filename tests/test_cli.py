@@ -767,6 +767,21 @@ class TestExitCodes:
         assert "numeric failure: mode extraction produced non-finite samples" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command, outputs", [
+        ("evaluate", ("metrics.json", "predictions.csv")),
+        ("forecast", ("forecast.csv",)),
+    ])
+    def test_non_finite_prediction_exits_4_and_writes_nothing(self, data_copy, capsys, command, outputs):
+        out_dir, common = data_copy
+        meta, arrays = cio.read_npz(out_dir / "model.npz")
+        arrays["head_w"] = arrays["head_w"].copy()
+        arrays["head_w"][0, 1] = np.nan  # every window's second step
+        cio.write_npz(out_dir / "model.npz", meta, arrays)
+        assert cli.main([command, *common]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: non-finite prediction for window 0, step 2, station '" in err
+        assert not [name for name in outputs if (out_dir / name).exists()]
+
     def test_duplicate_station_id_exits_3(self, tmp_path):
         stamps = np.datetime64("2024-01-01T00") + np.arange(48).astype("timedelta64[h]")
         with open(tmp_path / "series.csv", "w", newline="") as fh:

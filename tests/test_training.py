@@ -1,5 +1,6 @@
 """Tests for the Adam optimizer, the fit loop, and the evaluation report."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,12 @@ def persistence_reference(windows):
 
 def toy_graph():
     return StationGraph([f"s{k}" for k in range(N_NODES)], np.ones((N_NODES, N_NODES)))
+
+
+def with_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs look usable and allow as many threads, so inference runs its passes on up to ``cpus`` threads."""
+    monkeypatch.setattr(training_module, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(training_module, "_EVAL_THREADS", cpus)
 
 
 def random_windows(rng, cfg, count, n_nodes):
@@ -274,8 +281,9 @@ class TestFit:
         assert fit_epoch_peak < 26 * 2**20, f"a fit epoch peaked at {fit_epoch_peak / 2**20:.1f} MiB"
 
     def test_validation_runs_in_eval_chunks(self, monkeypatch):
-        """The validation pass takes at most _EVAL_CHUNK windows per forward, and its chunk
-        size does not change the log."""
+        """The validation pass keeps at most _EVAL_CHUNK windows in flight: one thread takes
+        _EVAL_CHUNK windows per forward, two take half as many each (rounded up). Neither
+        the chunk size nor the thread count changes the log."""
         cfg = ModelConfig(c_in=2)
         rng = np.random.default_rng(75)
         train, valid = random_windows(rng, cfg, 16, 8), random_windows(rng, cfg, 23, 8)
@@ -289,13 +297,29 @@ class TestFit:
             return out
 
         logs = []
-        for chunk in (256, 5):
-            monkeypatch.setattr(training_module, "_EVAL_CHUNK", chunk)
-            monkeypatch.setattr(training_module, "forward_batch", recorded)
-            model = acting_model(cfg, 76, "partial")
-            logs.append(fit(model, train, valid, graph, TrainConfig(max_epochs=2, batch_size=8), LossConfig()).log)
+        # two threads finish their passes in no fixed order
+        for cpus, passes, order in ((1, [5, 5, 5, 5, 3], list), (2, [3] * 7 + [2], sorted)):
+            with_cpus(monkeypatch, cpus)
+            valid_sizes.clear()
+            for chunk in (256, 5):
+                monkeypatch.setattr(training_module, "_EVAL_CHUNK", chunk)
+                monkeypatch.setattr(training_module, "forward_batch", recorded)
+                model = acting_model(cfg, 76, "partial")
+                logs.append(fit(model, train, valid, graph, TrainConfig(max_epochs=2, batch_size=8), LossConfig()).log)
+            assert order(valid_sizes) == order([23] * 2 + passes * 2), cpus
+        assert logs[1:] == logs[:1] * 3
+
+    def test_fit_log_does_not_depend_on_the_thread_count(self, monkeypatch):
+        cfg = ModelConfig(c_in=2)
+        rng = np.random.default_rng(77)
+        train, valid = random_windows(rng, cfg, 24, 4), random_windows(rng, cfg, 150, 4)
+        graph = StationGraph([f"s{k}" for k in range(4)], np.ones((4, 4)))
+        logs = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            model = acting_model(cfg, 78, "partial")
+            logs.append(fit(model, train, valid, graph, TrainConfig(max_epochs=3, batch_size=8), LossConfig()).log)
         assert logs[0] == logs[1]
-        assert valid_sizes == [23] * 2 + [5, 5, 5, 5, 3] * 2
 
 
 class TestPersistence:
@@ -373,14 +397,56 @@ class TestEvaluate:
     @pytest.mark.parametrize("horizon", [3, 8, 12])
     def test_ragged_last_chunk_does_not_change_results(self, monkeypatch, horizon):
         """600 windows one at a time (as forecast runs) and in chunks that do not divide
-        it, with head widths 3, 8 and 12."""
+        it, with head widths 3, 8 and 12, on one, two and three threads (one-window passes
+        on one thread only: on threads they are slow and cover nothing more)."""
         cfg = ModelConfig(c_in=3, horizon=horizon)
         samples = random_windows(np.random.default_rng(73), cfg, 600, 8)
         model = acting_model(cfg, 74, "partial")
         graph = StationGraph([f"s{k}" for k in range(8)], np.ones((8, 8)))
-        reports = [self.evaluate_in_chunks(monkeypatch, c, model, samples, graph) for c in (1, 7, 256, len(samples))]
+        reports = []
+        for cpus, chunks in ((1, (1, 7, 256, len(samples))), (2, (7, 256, len(samples))), (3, (7, 256, len(samples)))):
+            with_cpus(monkeypatch, cpus)
+            reports += [self.evaluate_in_chunks(monkeypatch, c, model, samples, graph) for c in chunks]
         for report in reports[1:]:
             assert np.array_equal(report.predictions, reports[0].predictions)
+
+    def test_a_helper_threads_exception_is_raised_in_the_caller(self, monkeypatch):
+        class PassFailed(Exception):
+            pass
+
+        helper_ran = threading.Event()
+        helpers = []
+
+        def failing_in_helpers(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_ran.wait(5), "no helper thread took a pass"
+                return forward_batch(*args)
+            helpers.append(threading.current_thread())
+            helper_ran.set()
+            raise PassFailed("a helper's pass")
+
+        with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(training_module, "forward_batch", failing_in_helpers)
+        model = build_model(CFG, np.random.default_rng(79))
+        with pytest.raises(PassFailed, match="a helper's pass"):
+            self.evaluate_in_chunks(monkeypatch, 2, model, toy_samples(np.random.default_rng(80), 9), toy_graph())
+        assert helpers and not any(helper.is_alive() for helper in helpers)
+
+    def test_many_cpus_keep_passes_of_half_a_chunk(self, monkeypatch):
+        """However many CPUs are usable, inference runs on at most two threads, so no
+        pass is smaller than ceil(_EVAL_CHUNK / 2) windows but the last."""
+        passes = []
+
+        def recorded(model, hist, *args):
+            passes.append((len(hist), threading.get_ident()))
+            return forward_batch(model, hist, *args)
+
+        monkeypatch.setattr(training_module, "usable_cpus", lambda: 16)
+        monkeypatch.setattr(training_module, "forward_batch", recorded)
+        model = build_model(CFG, np.random.default_rng(81))
+        self.evaluate_in_chunks(monkeypatch, 8, model, toy_samples(np.random.default_rng(82), 30), toy_graph())
+        assert sorted(size for size, _ in passes) == [2] + [4] * 7
+        assert len({ident for _, ident in passes}) <= 2
 
     def test_empty_test_set_rejected(self):
         model = build_model(CFG, np.random.default_rng(66))
@@ -391,7 +457,8 @@ class TestEvaluate:
         """Inference keeps no tape, so a chunk's intermediates die with it, and a block
         drops q, k, v and its hidden layer as soon as it has used them: 1024 windows in
         chunks of _EVAL_CHUNK (64) peak at 3.1 MiB, against 15.7 MiB in chunks of 256
-        when a block held all four to its end."""
+        when a block held all four to its end. Two threads with passes of 32 windows each
+        peak at 3.2-3.3 MiB."""
         cfg = ModelConfig(c_in=6)
         n_nodes = 8
         rng = np.random.default_rng(69)
